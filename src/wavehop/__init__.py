@@ -15,6 +15,7 @@ from .errors import (
     InvalidBank,
     InvalidCount,
     InvalidHop,
+    InvalidParameter,
     InvalidRange,
     InvalidScale,
     InvalidSpec,

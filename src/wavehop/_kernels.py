@@ -1,31 +1,20 @@
-"""Hot inner loops, with a numba-compiled path and a pure-numpy fallback.
-
-The numba path is used when numba imports cleanly and the environment
-variable ``WAVEHOP_DISABLE_NUMBA`` is unset (or "0", or empty).  Both
-variants are always importable so they can be cross-checked and timed
-against each other (see benchmarks/compare_kernels.py).
+"""The strided transform's direct kernel, in numpy.
 
 ``DIRECT_TO_FFT_COST_RATIO`` feeds the per-row routing decision in the
-strided transform: one M*log2(M) unit of FFT work buys roughly that many
-multiply-accumulates of a direct kernel.  Measured at 10-12 on commodity
-x86 for every kernel variant here; 8 leans slightly toward the dense
-path and only steers a speed decision, never a result.
+strided transform: one M*log2(M) unit of FFT work is priced at that many
+multiply-accumulates of ``strided_correlate``.  It only steers a speed
+decision, never a result.  8 is a fixed estimate, not re-derived for this
+kernel's matmul form; where one FFT unit costs fewer of its MACs than
+that (about 5.6 at hop <= 2 on a 2-vCPU x86 host), rows near the
+crossover stay direct although the dense route would be faster.
 """
-
-import os
 
 import numpy as np
 
-__all__ = [
-    "NUMBA_ENABLED",
-    "DIRECT_TO_FFT_COST_RATIO",
-    "strided_correlate",
-    "strided_correlate_numpy",
-    "strided_correlate_symmetric",
-]
+__all__ = ["DIRECT_TO_FFT_COST_RATIO", "strided_correlate"]
 
 
-def strided_correlate_numpy(xpad, taps_re, taps_im, hop, frames):
+def strided_correlate(xpad, taps_re, taps_im, hop, frames):
     """Correlate ``xpad`` with the taps at translations 0, hop, 2*hop, ...
 
     ``xpad`` must already be offset so that frame k covers
@@ -61,61 +50,5 @@ def strided_correlate_numpy(xpad, taps_re, taps_im, hop, frames):
         out_im += products[q: q + frames, 1, q]
     return out_re, out_im
 
-
-_flag = os.environ.get("WAVEHOP_DISABLE_NUMBA", "")
-_want_numba = _flag in ("", "0")
-
-if _want_numba:
-    try:
-        from numba import njit
-    except ImportError:
-        _want_numba = False
-
-if _want_numba:
-
-    @njit(cache=True, nogil=True, fastmath=True)
-    def strided_correlate_numba(xpad, taps_re, taps_im, hop, frames):
-        width = taps_re.shape[0]
-        out_re = np.empty(frames)
-        out_im = np.empty(frames)
-        for k in range(frames):
-            start = k * hop
-            acc_re = 0.0
-            acc_im = 0.0
-            for j in range(width):
-                v = xpad[start + j]
-                acc_re += v * taps_re[j]
-                acc_im += v * taps_im[j]
-            out_re[k] = acc_re
-            out_im[k] = acc_im
-        return out_re, out_im
-
-    @njit(cache=True, nogil=True, fastmath=True)
-    def strided_correlate_symmetric(xpad, re_half, im_half, hop, frames):
-        # For taps with even real and odd imaginary part about the
-        # center: *_half holds taps[L:], center value first.  Folding the
-        # window halves the tap loads relative to the generic kernel.
-        half = re_half.shape[0] - 1
-        out_re = np.empty(frames)
-        out_im = np.empty(frames)
-        for k in range(frames):
-            center = k * hop + half
-            acc_re = xpad[center] * re_half[0]
-            acc_im = 0.0
-            for j in range(1, half + 1):
-                right = xpad[center + j]
-                left = xpad[center - j]
-                acc_re += (right + left) * re_half[j]
-                acc_im += (right - left) * im_half[j]
-            out_re[k] = acc_re
-            out_im[k] = acc_im
-        return out_re, out_im
-
-    strided_correlate = strided_correlate_numba
-    NUMBA_ENABLED = True
-else:
-    strided_correlate_symmetric = None
-    strided_correlate = strided_correlate_numpy
-    NUMBA_ENABLED = False
 
 DIRECT_TO_FFT_COST_RATIO = 8.0

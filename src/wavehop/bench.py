@@ -1,9 +1,9 @@
 """Wall-clock comparison of the transform paths.
 
-Each timed method gets one untimed warm-up call (this also absorbs JIT
-compilation of the hot kernels), then ``reps`` timed runs; the report
-carries the median and minimum and the speedup of the method's median
-over the full FFT transform's median on the same signal and grid.
+Each timed method gets one untimed warm-up call, then ``reps`` timed
+runs; the report carries the median and minimum and the speedup of the
+method's median over the full FFT transform's median on the same signal
+and grid.
 
 Timings cover the transform only: no file I/O, no rendering.  Runs are
 sequential on one thread unless ``threads`` is raised, and the same
@@ -19,6 +19,7 @@ import time
 from dataclasses import asdict, dataclass
 
 from .dwt import DB4, FilterBank, dwt_decompose
+from .errors import InvalidCount
 from .signal_io import SignalBuffer
 from .wavelet import (
     MorletParams,
@@ -83,7 +84,7 @@ def bench_single(
     the direct-summation path (avoid the latter on long signals).
     """
     if reps < 3:
-        raise ValueError(f"reps must be >= 3, got {reps}")
+        raise InvalidCount(f"reps must be >= 3, got {reps}")
     params = params or MorletParams()
 
     jobs: list[tuple[str, object]] = [

@@ -183,34 +183,37 @@ def _cmd_scan(args) -> int:
         return 1
 
     def process(path: Path):
-        signal = read_wav(path)
-        matrix = _transform_matrix(signal, args)
-        write_matrix_bin(matrix, out_dir / (path.stem + ".scg1"))
-        if args.pgm:
-            write_pgm(render(magnitude(matrix, args.mag)), out_dir / (path.stem + ".pgm"))
+        """Transform one file; returns the error that failed it, or None."""
+        try:
+            signal = read_wav(path)
+            matrix = _transform_matrix(signal, args)
+            write_matrix_bin(matrix, out_dir / (path.stem + ".scg1"))
+            if args.pgm:
+                write_pgm(render(magnitude(matrix, args.mag)), out_dir / (path.stem + ".pgm"))
+        except (WavehopError, OSError) as exc:
+            return exc
+        return None
 
-    failures = {}
     threads = _thread_count(args)
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = {path: pool.submit(process, path) for path in wavs}
-        for path, future in futures.items():
-            exc = future.exception()
-            if exc is not None:
-                failures[path] = exc
+            failures = list(pool.map(process, wavs))
     else:
-        for path in wavs:
-            try:
-                process(path)
-            except (WavehopError, OSError) as exc:
-                failures[path] = exc
+        failures = [process(path) for path in wavs]
 
-    for path in wavs:  # report in input order, whole lines only
-        if path in failures:
-            print(f"failed {path.name}: {failures[path]}", file=sys.stderr)
+    for path, exc in zip(wavs, failures):  # report in input order, whole lines only
+        if exc is not None:
+            print(f"failed {path.name}: {exc}", file=sys.stderr)
         else:
             print(f"ok {path.name}")
-    return 1 if failures else 0
+    return 1 if any(exc is not None for exc in failures) else 0
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def _thread_count(args) -> int:
@@ -256,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--include-decimate", action="store_true")
     p.add_argument("--include-dwt", action="store_true")
     p.add_argument("--include-direct", action="store_true")
-    p.add_argument("--threads", type=int, default=None,
+    p.add_argument("--threads", type=_positive_int, default=None,
                    help="rows computed concurrently (default THREADS env or 1)")
     _add_grid_flags(p)
     p.set_defaults(func=_cmd_bench)
@@ -277,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input_dir")
     p.add_argument("--out-dir", required=True)
     p.add_argument("--pgm", action="store_true", help="also write a PGM per file")
-    p.add_argument("--threads", type=int, default=None,
+    p.add_argument("--threads", type=_positive_int, default=None,
                    help="files processed concurrently (default THREADS env or 1)")
     _add_transform_flags(p)
     p.set_defaults(func=_cmd_scan)

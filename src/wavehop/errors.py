@@ -50,7 +50,11 @@ class InvalidBank(WavehopError, ValueError):
 
 
 class DegenerateLabels(WavehopError, ValueError):
-    """AUC needs at least one positive and one negative label."""
+    """Labels must be 0 or 1, with at least one of each for an AUC."""
+
+
+class InvalidParameter(WavehopError, ValueError):
+    """A numeric parameter or score is out of its allowed range."""
 
 
 # --- serialized artifacts --------------------------------------------------

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateLabels
+from .errors import DegenerateLabels, InvalidParameter
 from .wavelet import CoefficientMatrix
 
 
@@ -21,11 +21,13 @@ class LabeledScores:
         self.scores = np.asarray(self.scores, dtype=np.float64)
         self.labels = np.asarray(self.labels, dtype=np.int64)
         if self.scores.shape != self.labels.shape or self.scores.ndim != 1:
-            raise ValueError("scores and labels must be 1-D and the same length")
+            raise InvalidParameter("scores and labels must be 1-D and the same length")
         if self.scores.size == 0:
-            raise ValueError("need at least one scored example")
+            raise DegenerateLabels("need at least one scored example")
         if not np.isin(self.labels, (0, 1)).all():
-            raise ValueError("labels must be 0 or 1")
+            raise DegenerateLabels("labels must be 0 or 1")
+        if not np.isfinite(self.scores).all():
+            raise InvalidParameter("scores must be finite")
 
 
 def auc_roc(data: LabeledScores) -> float:

@@ -25,7 +25,7 @@ import numpy as np
 import scipy.fft as sfft
 
 from . import _kernels
-from .errors import InvalidCount, InvalidRange, InvalidScale
+from .errors import InvalidCount, InvalidParameter, InvalidRange, InvalidScale
 from .signal_io import SignalBuffer, decimate, _check_hop
 
 
@@ -46,11 +46,11 @@ class MorletParams:
 
     def __post_init__(self):
         if not self.center_frequency > 0:
-            raise ValueError("center_frequency must be positive")
+            raise InvalidParameter("center_frequency must be positive")
         if not self.bandwidth > 0:
-            raise ValueError("bandwidth must be positive")
+            raise InvalidParameter("bandwidth must be positive")
         if not self.support_radius >= 3:
-            raise ValueError("support_radius must be at least 3")
+            raise InvalidParameter("support_radius must be at least 3")
 
 
 @dataclass
@@ -226,7 +226,7 @@ def cwth_strided(
     computed.  Per scale row the work is either ceil(N/hop) windowed dot
     products (cost frames * tap_count MACs) or, when that exceeds the
     cost of one dense FFT convolution (~M*log2(M) units, each unit worth
-    ``_kernels.DIRECT_TO_FFT_COST_RATIO`` MACs on the active backend), a
+    ``_kernels.DIRECT_TO_FFT_COST_RATIO`` MACs of the direct kernel), a
     dense row that is then subsampled.  At hop = 1 the routing therefore
     degenerates to the FFT path; at large hops every row stays on the
     frame-proportional direct path.
@@ -241,7 +241,7 @@ def cwth_strided(
     fft_unit_macs = _kernels.DIRECT_TO_FFT_COST_RATIO * fft_len * math.log2(fft_len)
 
     max_half = max(t.size for t in taps_per_row) // 2
-    # tail sized so the numpy kernel's block reshape stays in bounds
+    # tail sized so the direct kernel's block reshape stays in bounds
     xpad = np.zeros(max_half + n + max_half + 2 * hop)
     xpad[max_half:max_half + n] = x
 
@@ -261,12 +261,7 @@ def cwth_strided(
         base = xpad[max_half - half:]
         taps_re = np.ascontiguousarray(taps.real)
         taps_im = np.ascontiguousarray(taps.imag)
-        if _kernels.NUMBA_ENABLED and _is_center_symmetric(taps_re, taps_im):
-            re, im = _kernels.strided_correlate_symmetric(
-                base, taps_re[half:], taps_im[half:], hop, frames
-            )
-        else:
-            re, im = _kernels.strided_correlate(base, taps_re, taps_im, hop, frames)
+        re, im = _kernels.strided_correlate(base, taps_re, taps_im, hop, frames)
         out[row] = re + 1j * im
 
     _run_rows(one_row, grid.count, threads)
@@ -299,15 +294,6 @@ def cwth_decimate(
 
 def _copy_grid(grid: ScaleGrid) -> ScaleGrid:
     return ScaleGrid(grid.scales.copy())
-
-
-def _is_center_symmetric(taps_re: np.ndarray, taps_im: np.ndarray) -> bool:
-    """True when the real part is exactly even and the imaginary part odd."""
-    return (
-        taps_re.size % 2 == 1
-        and np.array_equal(taps_re, taps_re[::-1])
-        and np.array_equal(taps_im, -taps_im[::-1])
-    )
 
 
 def _common_fft_len(n: int, taps_per_row) -> int:

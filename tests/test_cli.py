@@ -13,6 +13,14 @@ def make_wav(path, n=16_000, rate=16_000, seed=0):
     write_reference_wav(path, rng.integers(-20_000, 20_000, n, dtype=np.int16), rate)
 
 
+def assert_error_exit(code, capsys):
+    """A validation failure exits 1 with one error message, no traceback."""
+    err = capsys.readouterr().err
+    assert code == 1, err
+    assert err.startswith("error:"), err
+    assert "Traceback" not in err
+
+
 class TestParseSynthSpec:
     def test_sine_with_fields(self):
         spec = parse_synth_spec("sine:frequency=1000,amplitude=0.25", 64, 16_000.0)
@@ -140,6 +148,14 @@ class TestTransformCommand:
         assert code == 1
         assert "error" in capsys.readouterr().err
 
+    def test_invalid_wavelet_exits_one(self, tmp_path, capsys):
+        code = run_cli([
+            "transform", "noise", "--length", "400", "--out", str(tmp_path / "x.scg1"),
+            "--wavelet-b", "0",
+        ])
+        assert_error_exit(code, capsys)
+        assert not (tmp_path / "x.scg1").exists()
+
 
 class TestScalogramCommand:
     def test_scg1_to_pgm(self, tmp_path):
@@ -178,6 +194,13 @@ class TestUsageErrors:
     def test_unknown_subcommand_exits_two(self):
         assert run_cli(["fourier"]) == 2
 
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_threads_below_one_exits_two(self, tmp_path, threads, capsys):
+        for argv in (["bench"], ["scan", str(tmp_path), "--out-dir", str(tmp_path / "out")]):
+            assert run_cli(argv + ["--threads", threads]) == 2
+            assert "--threads: must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
 
 class TestAucCommand:
     def test_prints_value(self, tmp_path, capsys):
@@ -197,6 +220,21 @@ class TestAucCommand:
         csv.write_text("0.9,hello\n")
         assert run_cli(["auc", str(csv)]) == 1
 
+    def test_label_out_of_range_exits_one(self, tmp_path, capsys):
+        csv = tmp_path / "scores.csv"
+        csv.write_text("0.5,2\n0.1,0\n")
+        assert_error_exit(run_cli(["auc", str(csv)]), capsys)
+
+    @pytest.mark.parametrize("score", ["nan", "inf", "-inf"])
+    def test_non_finite_score_exits_one(self, tmp_path, score, capsys):
+        csv = tmp_path / "scores.csv"
+        csv.write_text(f"{score},1\n0.1,0\n")
+        code = run_cli(["auc", str(csv)])
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert code == 1
+        assert captured.err.startswith("error: InvalidParameter")
+
 
 class TestBenchCommand:
     def test_json_lines_on_stdout(self, capsys):
@@ -209,6 +247,11 @@ class TestBenchCommand:
         decoded = [json.loads(line) for line in lines]
         assert [d["method"] for d in decoded] == ["cwt_fft", "cwth_strided"]
         assert all(d["signal_length"] == 8192 for d in decoded)
+
+    def test_too_few_reps_exits_one(self, capsys):
+        code = run_cli(["bench", "--length", "1024", "--reps", "2", "--scales", "4",
+                        "--fmin", "300", "--fmax", "3000"])
+        assert_error_exit(code, capsys)
 
 
 class TestScanCommand:
@@ -228,21 +271,47 @@ class TestScanCommand:
         assert out_lines == ["ok a.wav", "ok b.wav", "ok c.wav"]
 
     def test_failure_continues_and_exits_one(self, tmp_path, capsys):
+        # The sequential and threaded paths must report failures identically.
         in_dir = tmp_path / "in"
         in_dir.mkdir()
         make_wav(in_dir / "good.wav", n=4000)
         (in_dir / "bad.wav").write_bytes(b"not a wav at all")
-        out_dir = tmp_path / "out"
-        code = run_cli([
-            "scan", str(in_dir), "--out-dir", str(out_dir),
-            "--hop", "40", "--scales", "5", "--fmin", "300", "--fmax", "3000",
-        ])
-        assert code == 1
-        assert (out_dir / "good.scg1").exists()
-        assert not (out_dir / "bad.scg1").exists()
-        captured = capsys.readouterr()
-        assert "ok good.wav" in captured.out
-        assert "failed bad.wav" in captured.err
+        runs = []
+        for threads in ("1", "2"):
+            out_dir = tmp_path / f"out{threads}"
+            code = run_cli([
+                "scan", str(in_dir), "--out-dir", str(out_dir), "--threads", threads,
+                "--hop", "40", "--scales", "5", "--fmin", "300", "--fmax", "3000",
+            ])
+            assert code == 1
+            assert (out_dir / "good.scg1").exists()
+            assert not (out_dir / "bad.scg1").exists()
+            captured = capsys.readouterr()
+            assert "ok good.wav" in captured.out
+            assert "failed bad.wav" in captured.err
+            runs.append((code, captured.out, captured.err))
+        assert runs[0] == runs[1]
+
+    def test_parameter_error_is_a_per_file_failure(self, tmp_path, capsys):
+        in_dir = tmp_path / "in"
+        in_dir.mkdir()
+        make_wav(in_dir / "a.wav", n=2000)
+        make_wav(in_dir / "b.wav", n=2000, seed=1)
+        runs = []
+        for threads in ("1", "2"):
+            code = run_cli([
+                "scan", str(in_dir), "--out-dir", str(tmp_path / "out"), "--threads", threads,
+                "--hop", "20", "--scales", "4", "--fmin", "300", "--fmax", "3000",
+                "--wavelet-b", "0",
+            ])
+            captured = capsys.readouterr()
+            runs.append((code, captured.out, captured.err))
+        assert runs[0] == runs[1]
+        assert runs[0][0] == 1
+        assert runs[0][2].splitlines() == [
+            "failed a.wav: bandwidth must be positive",
+            "failed b.wav: bandwidth must be positive",
+        ]
 
     def test_threads_flag_gives_identical_bytes(self, tmp_path):
         in_dir = tmp_path / "in"

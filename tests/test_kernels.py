@@ -1,8 +1,3 @@
-import importlib.util
-import os
-import subprocess
-import sys
-
 import numpy as np
 import pytest
 
@@ -26,85 +21,10 @@ def test_numpy_kernel_matches_plain_loop(hop, width, frames):
     xpad = rng.standard_normal((frames - 1) * hop + width + 5)
     taps_re = rng.standard_normal(width)
     taps_im = rng.standard_normal(width)
-    got = _kernels.strided_correlate_numpy(xpad, taps_re, taps_im, hop, frames)
+    got = _kernels.strided_correlate(xpad, taps_re, taps_im, hop, frames)
     want = _reference_loop(xpad, taps_re, taps_im, hop, frames)
     np.testing.assert_allclose(got[0], want[0], rtol=1e-12, atol=1e-12)
     np.testing.assert_allclose(got[1], want[1], rtol=1e-12, atol=1e-12)
-
-
-@pytest.mark.skipif(not _kernels.NUMBA_ENABLED, reason="numba backend not active")
-@pytest.mark.parametrize("hop,width,frames", [(1, 7, 50), (5, 201, 30), (128, 1001, 12)])
-def test_numba_kernel_matches_numpy_kernel(hop, width, frames):
-    rng = np.random.default_rng(hop + width)
-    xpad = rng.standard_normal((frames - 1) * hop + width + 3)
-    taps_re = rng.standard_normal(width)
-    taps_im = rng.standard_normal(width)
-    fast = _kernels.strided_correlate_numba(xpad, taps_re, taps_im, hop, frames)
-    plain = _kernels.strided_correlate_numpy(xpad, taps_re, taps_im, hop, frames)
-    scale = max(np.abs(plain[0]).max(), np.abs(plain[1]).max())
-    np.testing.assert_allclose(fast[0], plain[0], rtol=0, atol=1e-12 * scale)
-    np.testing.assert_allclose(fast[1], plain[1], rtol=0, atol=1e-12 * scale)
-
-
-@pytest.mark.skipif(not _kernels.NUMBA_ENABLED, reason="numba backend not active")
-@pytest.mark.parametrize("hop,half,frames", [(1, 4, 30), (9, 100, 21), (128, 513, 7)])
-def test_symmetric_kernel_matches_generic(hop, half, frames):
-    rng = np.random.default_rng(half)
-    width = 2 * half + 1
-    xpad = rng.standard_normal((frames - 1) * hop + width + 2)
-    even = rng.standard_normal(half + 1)
-    odd = np.concatenate([[0.0], rng.standard_normal(half)])
-    taps_re = np.concatenate([even[:0:-1], even])  # even about the center
-    taps_im = np.concatenate([-odd[:0:-1], odd])  # odd about the center
-    folded = _kernels.strided_correlate_symmetric(xpad, even, odd, hop, frames)
-    generic = _kernels.strided_correlate_numba(xpad, taps_re, taps_im, hop, frames)
-    scale = max(np.abs(generic[0]).max(), np.abs(generic[1]).max())
-    np.testing.assert_allclose(folded[0], generic[0], rtol=0, atol=1e-12 * scale)
-    np.testing.assert_allclose(folded[1], generic[1], rtol=0, atol=1e-12 * scale)
-
-
-def _child_backend(flag):
-    """Import ``wavehop._kernels`` in a fresh interpreter with the flag set.
-
-    ``flag`` is the value of ``WAVEHOP_DISABLE_NUMBA``, or None to leave it
-    unset.  The child inherits this environment, with the directory holding
-    the ``wavehop`` imported here first on ``PYTHONPATH``, so it imports the
-    same copy of the package, which is checked.  Returns the child's
-    "NUMBA_ENABLED strided_correlate-is-numpy" line and its full output,
-    for assertion messages.
-    """
-    env = dict(os.environ)
-    env.pop("WAVEHOP_DISABLE_NUMBA", None)
-    if flag is not None:
-        env["WAVEHOP_DISABLE_NUMBA"] = flag
-    package_root = os.path.dirname(os.path.dirname(os.path.abspath(_kernels.__file__)))
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (package_root, env.get("PYTHONPATH")) if p)
-    code = (
-        "import wavehop._kernels as k;"
-        "print(k.NUMBA_ENABLED, k.strided_correlate is k.strided_correlate_numpy);"
-        "print(k.__file__)"
-    )
-    proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env
-    )
-    message = f"stdout:\n{proc.stdout}\nstderr:\n{proc.stderr}"
-    assert proc.returncode == 0, message
-    lines = proc.stdout.splitlines()
-    assert len(lines) == 2, message
-    assert os.path.samefile(lines[1], _kernels.__file__), message
-    return lines[0], message
-
-
-def test_env_flag_selects_numpy_backend():
-    backend, message = _child_backend("1")
-    assert backend.split() == ["False", "True"], message
-
-
-@pytest.mark.parametrize("flag", ["0", "", None], ids=["zero", "empty", "unset"])
-def test_env_flag_off_keeps_numba_when_installed(flag):
-    numba = importlib.util.find_spec("numba") is not None
-    backend, message = _child_backend(flag)
-    assert backend.split() == [str(numba), str(not numba)], message
 
 
 def test_cost_ratio_is_positive():

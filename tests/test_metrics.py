@@ -3,6 +3,7 @@ import pytest
 
 from wavehop import (
     DegenerateLabels,
+    InvalidParameter,
     LabeledScores,
     MorletParams,
     SignalBuffer,
@@ -86,6 +87,8 @@ class TestAucRoc:
             LabeledScores([0.1], [0, 1])
         with pytest.raises(ValueError):
             LabeledScores([0.1, 0.2], [0, 2])
+        with pytest.raises(InvalidParameter):
+            LabeledScores([float("nan"), 0.2], [0, 1])
 
 
 class TestEnergyScore:
