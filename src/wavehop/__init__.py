@@ -22,6 +22,7 @@ from .errors import (
     IoFailure,
     MalformedHeader,
     MalformedRiff,
+    NonFiniteSamples,
     TooManyLevels,
     TruncatedPayload,
     UnsupportedEncoding,

@@ -144,7 +144,7 @@ def _cmd_bench(args) -> int:
         include_decimate=args.include_decimate,
         include_dwt=args.include_dwt,
         include_direct=args.include_direct,
-        threads=_thread_count(args),
+        threads=args.threads,
     )
     sys.stdout.write(reports_to_jsonl(reports))
     return 0
@@ -194,9 +194,8 @@ def _cmd_scan(args) -> int:
             return exc
         return None
 
-    threads = _thread_count(args)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+    if args.threads > 1:
+        with ThreadPoolExecutor(max_workers=args.threads) as pool:
             failures = list(pool.map(process, wavs))
     else:
         failures = [process(path) for path in wavs]
@@ -216,14 +215,15 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _thread_count(args) -> int:
-    if getattr(args, "threads", None):
-        return args.threads
+def _env_threads(parser: argparse.ArgumentParser) -> int:
+    """Thread count from the THREADS env var, under the same rule as --threads."""
     env = os.environ.get("THREADS", "")
-    try:
-        return max(1, int(env)) if env else 1
-    except ValueError:
+    if not env:
         return 1
+    try:
+        return _positive_int(env)
+    except (ValueError, argparse.ArgumentTypeError):
+        parser.error(f"THREADS: must be an integer >= 1, got {env!r}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -292,6 +292,8 @@ def run_cli(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if getattr(args, "threads", 0) is None:
+            args.threads = _env_threads(parser)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
     try:

@@ -19,6 +19,10 @@ class EmptySignal(WavehopError):
     """A signal must contain at least one sample."""
 
 
+class NonFiniteSamples(WavehopError, ValueError):
+    """Signal samples must be finite (no NaN or infinity)."""
+
+
 # --- parameter validation --------------------------------------------------
 
 class InvalidHop(WavehopError, ValueError):

@@ -93,7 +93,8 @@ def write_pgm(image: ScalogramImage, path) -> None:
 
 def write_csv(values: np.ndarray, path) -> None:
     values = np.atleast_2d(np.asarray(values, dtype=np.float64))
-    lines = [",".join(format(v, ".9g") for v in row) for row in values]
+    row_format = ",".join(["%.9g"] * values.shape[1])
+    lines = [row_format % tuple(row) for row in values.tolist()]
     _write_bytes(path, ("\n".join(lines) + "\n").encode("ascii"))
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.signal import fftconvolve, firwin
+import scipy.fft as sfft
 
 from .errors import (
     EmptySignal,
@@ -22,6 +22,7 @@ from .errors import (
     InvalidSpec,
     IoFailure,
     MalformedRiff,
+    NonFiniteSamples,
     UnsupportedEncoding,
 )
 
@@ -49,6 +50,13 @@ class SignalBuffer:
             raise ValueError("samples must be one-dimensional")
         if self.samples.size < 1:
             raise EmptySignal("signal has no samples")
+        finite = np.isfinite(self.samples)
+        if not finite.all():
+            bad = np.flatnonzero(~finite)
+            raise NonFiniteSamples(
+                f"{self.source_label or 'signal'}: {bad.size} non-finite sample(s),"
+                f" first at index {bad[0]}"
+            )
         self.sample_rate = float(self.sample_rate)
         if not (self.sample_rate > 0 and math.isfinite(self.sample_rate)):
             raise ValueError(f"sample_rate must be positive, got {self.sample_rate}")
@@ -133,21 +141,38 @@ def decimate(signal: SignalBuffer, hop: int, anti_alias: bool = False) -> Signal
     Output length is ceil(N / hop) and the recorded sample rate is the
     input rate divided by hop.  With ``anti_alias`` a linear-phase FIR
     low-pass (cutoff 0.45/hop of the input rate) is applied before index
-    selection; the default is plain selection.
+    selection; the default is plain selection.  The FIR is a
+    Hamming-windowed sinc scaled to unit DC gain, the same design as
+    SciPy's ``firwin`` with its default window.
     """
     hop = _check_hop(hop)
     x = signal.samples
     if anti_alias:
         # 10*hop+1 taps keeps the transition band a fixed fraction of the
-        # target Nyquist across hops; "same" mode cancels the FIR delay.
+        # target Nyquist across hops; the centred trim cancels the FIR delay.
         numtaps = 10 * hop + 1
-        taps = firwin(numtaps, 0.9 / hop)  # cutoff normalized to Nyquist
-        x = fftconvolve(x, taps, mode="same")
+        taps = _lowpass_taps(numtaps, 0.9 / hop)  # cutoff normalized to Nyquist
+        x = _convolve_same(x, taps)
     elif hop == 1:
         return SignalBuffer(x.copy(), signal.sample_rate, signal.source_label)
     return SignalBuffer(
         x[::hop].copy(), signal.sample_rate / hop, signal.source_label
     )
+
+
+def _lowpass_taps(numtaps: int, cutoff: float) -> np.ndarray:
+    """Hamming-windowed sinc low-pass; ``cutoff`` is relative to Nyquist."""
+    m = np.arange(numtaps) - 0.5 * (numtaps - 1)
+    taps = np.sinc(cutoff * m) * np.hamming(numtaps)
+    return taps / taps.sum()
+
+
+def _convolve_same(x: np.ndarray, taps: np.ndarray) -> np.ndarray:
+    """Linear convolution trimmed to ``len(x)`` samples centred on the full result."""
+    size = sfft.next_fast_len(len(x) + len(taps) - 1, real=True)
+    spectrum = sfft.rfft(x, size) * sfft.rfft(taps, size)
+    start = (len(taps) - 1) // 2
+    return sfft.irfft(spectrum, size)[start:start + len(x)]
 
 
 def _check_hop(hop) -> int:

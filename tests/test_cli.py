@@ -3,9 +3,10 @@ import json
 import numpy as np
 import pytest
 
+import wavehop.cli
 from wavehop import read_matrix_bin, read_wav
 from wavehop.cli import parse_synth_spec, run_cli
-from testutil import write_reference_wav
+from testutil import write_float32_wav, write_reference_wav
 
 
 def make_wav(path, n=16_000, rate=16_000, seed=0):
@@ -156,6 +157,13 @@ class TestTransformCommand:
         assert_error_exit(code, capsys)
         assert not (tmp_path / "x.scg1").exists()
 
+    def test_non_finite_samples_exits_one(self, tmp_path, capsys):
+        path = tmp_path / "nan.wav"
+        write_float32_wav(path, np.r_[np.zeros(1000), np.nan, np.zeros(999)], 16_000)
+        code = run_cli(["transform", str(path), "--out", str(tmp_path / "x.scg1"), "--hop", "40"])
+        assert_error_exit(code, capsys)
+        assert not (tmp_path / "x.scg1").exists()
+
 
 class TestScalogramCommand:
     def test_scg1_to_pgm(self, tmp_path):
@@ -199,6 +207,14 @@ class TestUsageErrors:
         for argv in (["bench"], ["scan", str(tmp_path), "--out-dir", str(tmp_path / "out")]):
             assert run_cli(argv + ["--threads", threads]) == 2
             assert "--threads: must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("threads", ["-3", "0", "abc"])
+    def test_bad_threads_env_exits_two(self, tmp_path, threads, monkeypatch, capsys):
+        monkeypatch.setenv("THREADS", threads)
+        for argv in (["bench"], ["scan", str(tmp_path), "--out-dir", str(tmp_path / "out")]):
+            assert run_cli(argv) == 2
+            assert f"THREADS: must be an integer >= 1, got '{threads}'" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
 
@@ -340,6 +356,49 @@ class TestScanCommand:
         ])
         assert code == 0
         assert (out_dir / "x.scg1").exists()
+
+    def test_threads_env_sets_pool_size_and_flag_wins(self, tmp_path, monkeypatch):
+        in_dir = tmp_path / "in"
+        in_dir.mkdir()
+        make_wav(in_dir / "x.wav", n=2000)
+        pool_sizes = []
+        real_pool = wavehop.cli.ThreadPoolExecutor
+
+        def recording_pool(max_workers):
+            pool_sizes.append(max_workers)
+            return real_pool(max_workers=max_workers)
+
+        monkeypatch.setattr(wavehop.cli, "ThreadPoolExecutor", recording_pool)
+        base = ["scan", str(in_dir), "--out-dir", str(tmp_path / "out"),
+                "--hop", "20", "--scales", "4", "--fmin", "300", "--fmax", "3000"]
+        monkeypatch.setenv("THREADS", "2")
+        assert run_cli(base) == 0
+        assert pool_sizes == [2]
+        monkeypatch.setenv("THREADS", "abc")
+        assert run_cli(base + ["--threads", "3"]) == 0
+        assert pool_sizes == [2, 3]
+
+    def test_non_finite_file_is_a_per_file_failure(self, tmp_path, capsys):
+        in_dir = tmp_path / "in"
+        in_dir.mkdir()
+        make_wav(in_dir / "good.wav", n=2000)
+        write_float32_wav(in_dir / "nan.wav", np.r_[np.zeros(500), np.nan], 16_000)
+        runs = []
+        for threads in ("1", "2"):
+            out_dir = tmp_path / f"out{threads}"
+            code = run_cli([
+                "scan", str(in_dir), "--out-dir", str(out_dir), "--threads", threads,
+                "--hop", "20", "--scales", "4", "--fmin", "300", "--fmax", "3000",
+            ])
+            captured = capsys.readouterr()
+            assert (out_dir / "good.scg1").exists()
+            assert not (out_dir / "nan.scg1").exists()
+            runs.append((code, captured.out, captured.err))
+        assert runs[0] == runs[1]
+        assert runs[0][0] == 1
+        assert runs[0][1].splitlines() == ["ok good.wav"]
+        assert runs[0][2].startswith("failed nan.wav: ")
+        assert "non-finite" in runs[0][2]
 
     def test_empty_directory_exits_one(self, tmp_path):
         in_dir = tmp_path / "in"

@@ -133,6 +133,16 @@ class TestCsv:
         write_csv(np.array([[1.0, 2.0], [3.0, 4.0]]), path)
         assert path.read_text() == "1,2\n3,4\n"
 
+    def test_bytes_match_per_element_format(self, tmp_path):
+        rng = np.random.default_rng(5)
+        values = rng.standard_normal((64, 1250)) * 10.0 ** rng.integers(-300, 301, (64, 1250))
+        values[0, :7] = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, -5e-324]
+        values[1, :4] = [1e300, -1e-300, 1.0 / 3.0, 123456789.5]
+        path = tmp_path / "wide.csv"
+        write_csv(values, path)
+        expected = "".join(",".join(format(v, ".9g") for v in row) + "\n" for row in values)
+        assert path.read_bytes() == expected.encode("ascii")
+
 
 class TestMatrixFile:
     def test_round_trip_fields(self, tmp_path):

@@ -1,7 +1,13 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from scipy.signal import fftconvolve, firwin
+
+import wavehop
 
 from wavehop import (
     EmptySignal,
@@ -9,6 +15,7 @@ from wavehop import (
     InvalidSpec,
     IoFailure,
     MalformedRiff,
+    NonFiniteSamples,
     SignalBuffer,
     SynthSpec,
     UnsupportedEncoding,
@@ -17,7 +24,8 @@ from wavehop import (
     synthesize,
     write_wav,
 )
-from testutil import write_reference_wav
+from wavehop.signal_io import _lowpass_taps
+from testutil import max_rel_err, write_float32_wav, write_reference_wav
 
 
 class TestReadWav:
@@ -109,6 +117,12 @@ class TestReadWav:
         assert len(sig) == n
         assert sig.sample_rate == rate
 
+    def test_float32_nan_rejected(self, tmp_path):
+        path = tmp_path / "nan.wav"
+        write_float32_wav(path, [0.0, 0.25, np.nan, -0.5], 16_000)
+        with pytest.raises(NonFiniteSamples, match="index 2"):
+            read_wav(path)
+
     def test_unknown_chunks_are_skipped(self, tmp_path):
         import struct
 
@@ -199,6 +213,45 @@ class TestDecimate:
         mid = slice(100, -100)  # skip FIR edge transients
         assert np.max(np.abs(filtered[mid] - plain[mid])) < 0.02
 
+    # scipy.signal is the oracle here; the package itself must not import it.
+    @pytest.mark.parametrize("hop", [1, 2, 3, 8, 16, 32, 128])
+    def test_lowpass_taps_match_firwin(self, hop):
+        np.testing.assert_allclose(
+            _lowpass_taps(10 * hop + 1, 0.9 / hop), firwin(10 * hop + 1, 0.9 / hop),
+            rtol=0, atol=1e-15,
+        )
+
+    @pytest.mark.parametrize("n,hop", [
+        (1, 4), (30, 4), (41, 4), (1000, 3), (1001, 8), (2000, 32), (160_000, 128),
+    ])
+    def test_anti_alias_matches_firwin_fftconvolve(self, n, hop):
+        x = np.random.default_rng(n).standard_normal(n)
+        expected = fftconvolve(x, firwin(10 * hop + 1, 0.9 / hop), mode="same")[::hop]
+        out = decimate(SignalBuffer(x, 16_000), hop, anti_alias=True)
+        assert out.samples.shape == expected.shape
+        assert max_rel_err(out.samples, expected) <= 1e-12
+        assert out.sample_rate == 16_000 / hop
+
+
+def test_import_leaves_scipy_signal_unloaded():
+    package_dir = os.path.dirname(os.path.abspath(wavehop.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (os.path.dirname(package_dir), env.get("PYTHONPATH")) if p
+    )
+    code = (
+        "import sys, wavehop, wavehop.cli; "
+        "print(wavehop.__file__); print('scipy.signal' in sys.modules)"
+    )
+    child = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True
+    )
+    detail = f"stdout={child.stdout!r} stderr={child.stderr!r}"
+    assert child.returncode == 0, detail
+    child_file, loaded = child.stdout.splitlines()
+    assert os.path.samefile(child_file, wavehop.__file__), detail
+    assert loaded == "False", detail
+
 
 class TestSynthesize:
     def test_impulse(self):
@@ -246,6 +299,11 @@ class TestSignalBuffer:
     def test_empty_rejected(self):
         with pytest.raises(EmptySignal):
             SignalBuffer(np.array([]), 16_000)
+
+    @pytest.mark.parametrize("samples", [[0.0, np.nan], [np.inf], [1.0, -np.inf, 0.5]])
+    def test_non_finite_rejected(self, samples):
+        with pytest.raises(NonFiniteSamples):
+            SignalBuffer(samples, 16_000)
 
     def test_nonpositive_rate_rejected(self):
         with pytest.raises(ValueError):

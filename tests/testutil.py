@@ -1,5 +1,6 @@
 """Shared test helpers."""
 
+import struct
 import wave
 
 import numpy as np
@@ -32,3 +33,13 @@ def write_reference_wav(path, frames, rate):
         handle.setsampwidth(2)
         handle.setframerate(rate)
         handle.writeframes(frames.tobytes())
+
+
+def write_float32_wav(path, samples, rate):
+    """Write mono 32-bit IEEE float WAV bytes directly (any value, NaN included)."""
+    payload = np.asarray(samples, dtype="<f4").tobytes()
+    fmt = struct.pack("<HHIIHH", 3, 1, rate, rate * 4, 4, 32)
+    body = b"WAVEfmt " + struct.pack("<I", len(fmt)) + fmt
+    body += b"data" + struct.pack("<I", len(payload)) + payload
+    with open(path, "wb") as handle:
+        handle.write(b"RIFF" + struct.pack("<I", len(body)) + body)
