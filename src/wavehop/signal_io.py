@@ -19,6 +19,7 @@ import scipy.fft as sfft
 from .errors import (
     EmptySignal,
     InvalidHop,
+    InvalidParameter,
     InvalidSpec,
     IoFailure,
     MalformedRiff,
@@ -59,7 +60,9 @@ class SignalBuffer:
             )
         self.sample_rate = float(self.sample_rate)
         if not (self.sample_rate > 0 and math.isfinite(self.sample_rate)):
-            raise ValueError(f"sample_rate must be positive, got {self.sample_rate}")
+            raise InvalidParameter(
+                f"sample_rate must be positive and finite, got {self.sample_rate}"
+            )
 
     def __len__(self) -> int:
         return self.samples.size
@@ -93,8 +96,8 @@ class SynthSpec:
             raise InvalidSpec(f"unknown synth kind {self.kind!r}")
         if self.length_samples < 1:
             raise InvalidSpec("length_samples must be >= 1")
-        if self.sample_rate <= 0:
-            raise InvalidSpec("sample_rate must be positive")
+        if not (self.sample_rate > 0 and math.isfinite(self.sample_rate)):
+            raise InvalidSpec(f"sample_rate must be positive and finite, got {self.sample_rate}")
         nyquist = self.sample_rate / 2.0
         if self.kind == "sine" and not 0 < self.frequency < nyquist:
             raise InvalidSpec(

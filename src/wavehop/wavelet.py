@@ -7,7 +7,8 @@ Four paths produce a :class:`CoefficientMatrix`:
 ``cwt_fft``       the same transform per scale row via FFT convolution.
 ``cwth_strided``  coefficients only at translations 0, H, 2H, ...; each
                   retained column is mathematically the full-transform
-                  column at that position.
+                  column at that position.  Each row goes direct or
+                  spectral, as ``route_rows`` prices it.
 ``cwth_decimate`` decimate the signal by H first, then run the full FFT
                   transform on the shorter signal.
 
@@ -191,24 +192,15 @@ def cwt_fft(
     *,
     threads: int = 1,
 ) -> CoefficientMatrix:
-    """Full transform via FFT convolution, one circular convolution per row.
+    """Full transform via FFT convolution: every row is a spectral row at hop 1.
 
     Matches ``cwt_direct`` elementwise up to floating-point roundoff.
     ``threads`` > 1 computes scale rows concurrently; results are
     identical regardless of row evaluation order.
     """
     params = params or MorletParams()
-    x = signal.samples
-    n = x.size
     taps_per_row = [sample_wavelet(params, s) for s in grid.scales]
-    fft_len = _common_fft_len(n, taps_per_row)
-    spectrum = sfft.fft(x, fft_len)
-    out = np.empty((grid.count, n), dtype=np.complex128)
-
-    def one_row(row: int) -> None:
-        out[row] = _fft_row_dense(spectrum, taps_per_row[row], n, fft_len)
-
-    _run_rows(one_row, grid.count, threads)
+    out = _transform(signal.samples, taps_per_row, 1, [True] * grid.count, threads)
     return CoefficientMatrix(out, 1, signal.sample_rate, _copy_grid(grid))
 
 
@@ -223,48 +215,24 @@ def cwth_strided(
     """Transform evaluated only at translations 0, hop, 2*hop, ...
 
     Column k equals column k*hop of the full transform; nothing else is
-    computed.  Per scale row the work is either ceil(N/hop) windowed dot
-    products (cost frames * tap_count MACs) or, when that exceeds the
-    cost of one dense FFT convolution (~M*log2(M) units, each unit worth
-    ``_kernels.DIRECT_TO_FFT_COST_RATIO`` MACs of the direct kernel), a
-    dense row that is then subsampled.  At hop = 1 the routing therefore
-    degenerates to the FFT path; at large hops every row stays on the
-    frame-proportional direct path.
+    computed.  Each scale row takes whichever of two routes
+    ``route_rows`` predicts to be faster:
+
+    - direct: ceil(N/hop) windowed dot products by
+      ``_kernels.strided_correlate``, a cost proportional to the frames;
+    - spectral: the row's product with the signal spectrum, folded into
+      ``hop`` aliased bands, then one inverse FFT of length M/hop (the
+      same row function ``cwt_fft`` uses, where hop is 1).
+
+    The choice depends only on the signal length, the tap counts and the
+    hop, so repeated calls give bit-identical coefficients.
     """
     params = params or MorletParams()
     hop = _check_hop(hop)
     x = signal.samples
-    n = x.size
-    frames = -(-n // hop)
     taps_per_row = [sample_wavelet(params, s) for s in grid.scales]
-    fft_len = _common_fft_len(n, taps_per_row)
-    fft_unit_macs = _kernels.DIRECT_TO_FFT_COST_RATIO * fft_len * math.log2(fft_len)
-
-    max_half = max(t.size for t in taps_per_row) // 2
-    # tail sized so the direct kernel's block reshape stays in bounds
-    xpad = np.zeros(max_half + n + max_half + 2 * hop)
-    xpad[max_half:max_half + n] = x
-
-    spectrum = None
-    if any(frames * t.size > fft_unit_macs for t in taps_per_row):
-        spectrum = sfft.fft(x, fft_len)
-
-    out = np.empty((grid.count, frames), dtype=np.complex128)
-
-    def one_row(row: int) -> None:
-        taps = taps_per_row[row]
-        half = taps.size // 2
-        if frames * taps.size > fft_unit_macs:
-            dense = _fft_row_dense(spectrum, taps, n, fft_len)
-            out[row] = dense[::hop]
-            return
-        base = xpad[max_half - half:]
-        taps_re = np.ascontiguousarray(taps.real)
-        taps_im = np.ascontiguousarray(taps.imag)
-        re, im = _kernels.strided_correlate(base, taps_re, taps_im, hop, frames)
-        out[row] = re + 1j * im
-
-    _run_rows(one_row, grid.count, threads)
+    spectral = route_rows(x.size, [t.size for t in taps_per_row], hop)
+    out = _transform(x, taps_per_row, hop, spectral, threads)
     return CoefficientMatrix(out, hop, signal.sample_rate, _copy_grid(grid))
 
 
@@ -296,17 +264,87 @@ def _copy_grid(grid: ScaleGrid) -> ScaleGrid:
     return ScaleGrid(grid.scales.copy())
 
 
-def _common_fft_len(n: int, taps_per_row) -> int:
-    longest = max(t.size for t in taps_per_row)
-    return sfft.next_fast_len(n + longest - 1)
+def fold_len(n: int, widths, hop: int) -> int:
+    """FFT length M of the spectral rows: a multiple of ``hop``, free of wrap-around.
+
+    A kernel centred at index 0 reaches ``half = width // 2`` samples
+    either side, so translations 0..n-1 need M >= n + half; M/hop is a
+    fast FFT length.
+    """
+    half = max(widths) // 2
+    return hop * sfft.next_fast_len(-(-(n + half) // hop))
 
 
-def _fft_row_dense(spectrum, taps, n, fft_len):
-    """One full-row circular convolution; returns translations 0..n-1."""
+def route_rows(n: int, widths, hop: int) -> list[bool]:
+    """Per scale row, True where the spectral route is predicted faster.
+
+    A pure function of the signal length, the tap counts and the hop,
+    priced in seconds by ``_kernels.direct_seconds`` and
+    ``_kernels.spectral_seconds``.  The signal spectrum that spectral
+    rows share is paid once; when the rows that would go spectral save
+    less than it costs, every row stays direct.
+    """
+    frames = -(-n // hop)
+    fft_len = fold_len(n, widths, hop)
+    spectral_s = _kernels.spectral_seconds(fft_len, hop)
+    savings = [_kernels.direct_seconds(w, hop, frames) - spectral_s for w in widths]
+    if sum(s for s in savings if s > 0) <= _kernels.fft_seconds(fft_len):
+        return [False] * len(widths)
+    return [s > 0 for s in savings]
+
+
+def _transform(x, taps_per_row, hop: int, spectral, threads: int) -> np.ndarray:
+    """Columns 0, hop, 2*hop, ... of every row, each by the route ``spectral`` names."""
+    n = x.size
+    frames = -(-n // hop)
+    widths = [t.size for t in taps_per_row]
+    max_half = max(widths) // 2
+    spectrum = sfft.fft(x, fold_len(n, widths, hop)) if any(spectral) else None
+    if not all(spectral):
+        # tail sized so the direct kernel's block reshape stays in bounds
+        xpad = np.zeros(max_half + n + max_half + 2 * hop)
+        xpad[max_half:max_half + n] = x
+    out = np.empty((len(taps_per_row), frames), dtype=np.complex128)
+
+    def one_row(row: int) -> None:
+        taps = taps_per_row[row]
+        if spectral[row]:
+            out[row] = _spectral_row(spectrum, taps, hop, frames)
+            return
+        base = xpad[max_half - taps.size // 2:]
+        taps_re = np.ascontiguousarray(taps.real)
+        taps_im = np.ascontiguousarray(taps.imag)
+        re, im = _kernels.strided_correlate(base, taps_re, taps_im, hop, frames)
+        out[row] = re + 1j * im
+
+    _run_rows(one_row, len(taps_per_row), threads)
+    return out
+
+
+def _spectral_row(spectrum, taps, hop: int, frames: int) -> np.ndarray:
+    """Translations 0, hop, ..., (frames-1)*hop of one row, from the signal spectrum.
+
+    The reversed taps sit centred at index 0 (wrapping circularly), so
+    the circular convolution's sample b is the row's translation b.
+    Keeping every hop-th sample of it equals summing the hop aliased
+    bands of its spectrum and taking one inverse FFT of length M/hop
+    (Crochiere & Rabiner, Multirate Digital Signal Processing, 1983).
+    At hop 1 the fold is the identity and this is the dense row.
+    """
+    m = spectrum.size
     half = taps.size // 2
-    kernel = sfft.fft(taps[::-1], fft_len)
-    dense = sfft.ifft(spectrum * kernel)
-    return dense[half:half + n]
+    # when the taps outgrow the signal the two ends overlap, but only at
+    # lags of n or more (m >= n + half), which meet no sample
+    kernel = np.zeros(m, dtype=np.complex128)
+    kernel[:half + 1] = taps[half::-1]
+    kernel[m - half:] = taps[:half:-1]
+    product = sfft.fft(kernel, overwrite_x=True)
+    product *= spectrum
+    if hop > 1:
+        product = product.reshape(hop, m // hop).sum(axis=0)
+    row = sfft.ifft(product, overwrite_x=True)[:frames]
+    row /= hop
+    return row
 
 
 def _run_rows(one_row, count: int, threads: int) -> None:

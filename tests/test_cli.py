@@ -63,6 +63,13 @@ class TestSynthCommand:
         assert code == 0
         assert len(read_wav(out)) == 100
 
+    @pytest.mark.parametrize("rate", ["nan", "inf"])
+    def test_non_finite_rate_exits_one(self, tmp_path, capsys, rate):
+        out = tmp_path / "x.wav"
+        code = run_cli(["synth", "noise", "--rate", rate, "--length", "10", "--out", str(out)])
+        assert_error_exit(code, capsys)
+        assert not out.exists()
+
 
 class TestTransformCommand:
     def test_strided_frame_count_on_ten_second_file(self, tmp_path):
@@ -153,6 +160,15 @@ class TestTransformCommand:
         code = run_cli([
             "transform", "noise", "--length", "400", "--out", str(tmp_path / "x.scg1"),
             "--wavelet-b", "0",
+        ])
+        assert_error_exit(code, capsys)
+        assert not (tmp_path / "x.scg1").exists()
+
+    @pytest.mark.parametrize("rate", ["nan", "inf"])
+    def test_non_finite_rate_exits_one(self, tmp_path, capsys, rate):
+        code = run_cli([
+            "transform", "noise", "--rate", rate, "--length", "400",
+            "--out", str(tmp_path / "x.scg1"),
         ])
         assert_error_exit(code, capsys)
         assert not (tmp_path / "x.scg1").exists()

@@ -25,7 +25,3 @@ def test_numpy_kernel_matches_plain_loop(hop, width, frames):
     want = _reference_loop(xpad, taps_re, taps_im, hop, frames)
     np.testing.assert_allclose(got[0], want[0], rtol=1e-12, atol=1e-12)
     np.testing.assert_allclose(got[1], want[1], rtol=1e-12, atol=1e-12)
-
-
-def test_cost_ratio_is_positive():
-    assert _kernels.DIRECT_TO_FFT_COST_RATIO > 0

@@ -12,6 +12,7 @@ import wavehop
 from wavehop import (
     EmptySignal,
     InvalidHop,
+    InvalidParameter,
     InvalidSpec,
     IoFailure,
     MalformedRiff,
@@ -288,6 +289,9 @@ class TestSynthesize:
             dict(kind="impulse", length_samples=16, sample_rate=16_000, position=-1),
             dict(kind="sine", length_samples=0, sample_rate=16_000, frequency=100.0),
             dict(kind="wobble", length_samples=16, sample_rate=16_000),
+            dict(kind="white_noise", length_samples=16, sample_rate=float("nan")),
+            dict(kind="white_noise", length_samples=16, sample_rate=float("inf")),
+            dict(kind="white_noise", length_samples=16, sample_rate=0),
         ],
     )
     def test_invalid_specs(self, spec_kwargs):
@@ -308,3 +312,8 @@ class TestSignalBuffer:
     def test_nonpositive_rate_rejected(self):
         with pytest.raises(ValueError):
             SignalBuffer([1.0], 0)
+
+    @pytest.mark.parametrize("rate", [0, -1.0, float("nan"), float("inf")])
+    def test_bad_rate_is_typed(self, rate):
+        with pytest.raises(InvalidParameter):
+            SignalBuffer([1.0], rate)

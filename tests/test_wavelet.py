@@ -23,9 +23,14 @@ from wavehop import (
     scale_to_frequency,
     synthesize,
 )
+from wavehop import _kernels
+from wavehop.wavelet import route_rows
 from testutil import assert_rel_close
 
 PARAMS = MorletParams()
+# the grids of wavebench's corpus_scan (desk scale) and hop_sweep workloads
+DESK_GRID = make_scale_grid(20.0, 7200.0, 64, 16_000.0)
+SWEEP_GRID = make_scale_grid(20.0, 7200.0, 8, 16_000.0)
 
 
 def noise(n, seed, rate=16_000.0):
@@ -282,6 +287,49 @@ class TestCwthStrided:
         grid = make_scale_grid(500.0, 4000.0, 3, 16_000.0, PARAMS)
         with pytest.raises(InvalidHop):
             cwth_strided(noise(100, seed=0), grid, PARAMS, 0)
+
+
+def tap_counts(grid):
+    return [sample_wavelet(PARAMS, s).size for s in grid.scales]
+
+
+class TestRouting:
+    def test_desk_grid_routes_every_row_direct(self, monkeypatch):
+        assert route_rows(160_000, tap_counts(DESK_GRID), 128) == [False] * 64
+        calls = []
+        kernel = _kernels.strided_correlate
+
+        def counted(*args):
+            calls.append(args[3])
+            return kernel(*args)
+
+        monkeypatch.setattr(_kernels, "strided_correlate", counted)
+        cwth_strided(noise(160_000, seed=30), DESK_GRID, PARAMS, 128)
+        assert calls == [128] * 64
+
+    @pytest.mark.parametrize("n", [2_000, 320_000])
+    def test_hop_one_routes_long_rows_spectral(self, n):
+        widths = tap_counts(SWEEP_GRID)
+        routes = route_rows(n, widths, 1)
+        # at hop 1 the direct kernel can only win on the shortest rows
+        assert routes == sorted(routes)
+        assert all(spectral for spectral, w in zip(routes, widths) if w >= 127)
+        sig = noise(n, seed=31)
+        full = cwt_fft(sig, SWEEP_GRID, PARAMS).values
+        hopped = cwth_strided(sig, SWEEP_GRID, PARAMS, 1).values
+        # a spectral row at hop 1 is cwt_fft's row, bit for bit
+        np.testing.assert_array_equal(hopped[routes], full[routes])
+        assert_rel_close(hopped, full, 1e-12)
+
+    @pytest.mark.parametrize("hop", [1, 8, 32, 128])
+    def test_repeat_calls_are_bit_identical(self, hop):
+        sig = noise(20_000, seed=32)
+        first = cwth_strided(sig, SWEEP_GRID, PARAMS, hop).values
+        second = cwth_strided(sig, SWEEP_GRID, PARAMS, hop).values
+        np.testing.assert_array_equal(first, second)
+
+    def test_prime_hop_makes_the_fft_dearer(self):
+        assert _kernels.fft_seconds(127 * 2592) > 2 * _kernels.fft_seconds(128 * 2592)
 
 
 class TestCwthDecimate:
