@@ -85,14 +85,14 @@ def spectral(rng):
             for width in (WIDTHS[0], WIDTHS[-1]):
                 m = wavelet.fold_len(n, [width], hop)
                 spectrum = np.fft.fft(x, m)
-                taps = rng.standard_normal(width) + 1j * rng.standard_normal(width)
+                taps_re, taps_im = rng.standard_normal((2, width))
                 frames = -(-n // hop)
                 p = m // hop
                 rows.append([m * math.log2(m) + p * math.log2(max(p, 2)),
                              m * _kernels._large_prime_sum(m) + p * _kernels._large_prime_sum(p),
                              m])
                 seconds.append(median_seconds(
-                    lambda: wavelet._spectral_row(spectrum, taps, hop, frames)))
+                    lambda: wavelet._spectral_row(spectrum, taps_re, taps_im, hop, frames)))
     print("# spectral fold row: its two FFTs, and the rest per spectrum point")
     fit(rows, seconds, ["FFT_S", "FFT_PRIME_S", "SPECTRAL_POINT_S"])
 

@@ -22,6 +22,9 @@ import numpy as np
 
 __all__ = ["direct_seconds", "fft_seconds", "spectral_seconds", "strided_correlate"]
 
+# Products of more elements (32 MB) are computed a run of frames at a time.
+CHUNK_PRODUCTS = 1 << 22
+
 # Direct kernel, windowed form (hop <= 2).
 WINDOW_MAC_S = 8.9e-10      # per multiply-accumulate
 # Direct kernel, polyphase form (hop > 2).
@@ -48,9 +51,12 @@ def strided_correlate(xpad, taps_re, taps_im, hop, frames):
     into one contiguous matmul, (2*blocks, hop) x (hop, frames+blocks-1),
     plus a sum over q of rows shifted by q -- no windowed copies.  The
     product is laid out one block per row, so that sum reads contiguous
-    memory whatever the block count.  For hop <= 2 the block split saves
-    nothing (the intermediate grows to ~2/hop times a plain window copy),
-    so dense windows win there.
+    memory whatever the block count.  When the whole product would
+    exceed ``CHUNK_PRODUCTS`` elements it is computed a run of frames at
+    a time, each run at least ``blocks`` frames long, so memory grows
+    with the tap count rather than with the signal.  For hop <= 2 the
+    block split saves nothing (the intermediate grows to ~2/hop times a
+    plain window copy), so dense windows win there.
     """
     width = taps_re.shape[0]
     if hop <= 2:
@@ -68,11 +74,21 @@ def strided_correlate(xpad, taps_re, taps_im, hop, frames):
     taps2d = np.zeros((2, blocks * hop))
     taps2d[0, :width] = taps_re
     taps2d[1, :width] = taps_im
-    # products[c*blocks + q, i] = taps2d[c, q*hop:(q+1)*hop] . x2d[i]
-    products = taps2d.reshape(2 * blocks, hop) @ x2d.T
-    out = products[::blocks, :frames].copy()
-    for q in range(1, blocks):
-        out += products[q::blocks, q: q + frames]
+    taps2d = taps2d.reshape(2 * blocks, hop)
+    chunk = frames
+    if 2 * blocks * rows > CHUNK_PRODUCTS:
+        chunk = max(blocks, CHUNK_PRODUCTS // (2 * blocks) - blocks + 1)
+    parts = []
+    for start in range(0, frames, chunk):
+        count = min(chunk, frames - start)
+        # products[c*blocks + q, i] = taps2d[c*blocks + q] . x2d[start + i]
+        products = taps2d @ x2d[start:start + count + blocks - 1].T
+        part = products[::blocks, :count].copy()
+        for q in range(1, blocks):
+            part += products[q::blocks, q: q + count]
+        parts.append(part)
+        del products  # free this run's product before the next one is allocated
+    out = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
     return out[0], out[1]
 
 

@@ -7,13 +7,14 @@ Subcommands: transform, scalogram, bench, auc, synth, scan.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from .bench import bench_single, reports_to_jsonl
-from .errors import InvalidSpec, WavehopError
+from .errors import InvalidSpec, IoFailure, WavehopError
 from .metrics import LabeledScores, auc_roc
 from .scalogram import (
     MAG_MODES,
@@ -31,6 +32,7 @@ from .wavelet import (
     cwth_decimate,
     cwth_strided,
     make_scale_grid,
+    plan_for,
 )
 
 _SPEC_HELP = 'synth spec like "sine:frequency=1000,amplitude=0.5" or "white_noise:seed=7"'
@@ -93,11 +95,15 @@ def _add_transform_flags(parser: argparse.ArgumentParser) -> None:
     _add_grid_flags(parser)
 
 
-def _transform_matrix(signal: SignalBuffer, args):
+def _params_and_grid(signal: SignalBuffer, args):
     params = MorletParams(center_frequency=args.wavelet_c, bandwidth=args.wavelet_b)
     grid_rate = signal.sample_rate / args.hop if args.mode == "decimate" else signal.sample_rate
     fmax = args.fmax if args.fmax is not None else 0.45 * grid_rate
-    grid = make_scale_grid(args.fmin, fmax, args.scales, grid_rate, params)
+    return params, make_scale_grid(args.fmin, fmax, args.scales, grid_rate, params)
+
+
+def _transform_matrix(signal: SignalBuffer, args):
+    params, grid = _params_and_grid(signal, args)
     if args.mode == "full":
         return cwt_fft(signal, grid, params)
     if args.mode == "strided":
@@ -113,10 +119,26 @@ def _emit_outputs(matrix, args) -> None:
         write_pgm(render(magnitude(matrix, args.mag)), args.pgm)
 
 
+def _write_explain(signal: SignalBuffer, matrix, args) -> None:
+    """One JSON line per scale row: its route and both routes' predicted seconds."""
+    plan = plan_for(*_params_and_grid(signal, args))
+    if args.mode == "strided":
+        records = plan.explain(len(signal), args.hop)
+    else:  # cwt_fft on the (decimated) signal: every row spectral at hop 1
+        records = plan.explain(matrix.columns, 1, routes=[True] * plan.count)
+    text = "".join(json.dumps(record) + "\n" for record in records)
+    try:
+        Path(args.explain).write_text(text)
+    except OSError as exc:
+        raise IoFailure(f"cannot write {args.explain}: {exc}") from exc
+
+
 def _cmd_transform(args) -> int:
     signal = _load_input(args.input, args.length, args.rate)
     matrix = _transform_matrix(signal, args)
     _emit_outputs(matrix, args)
+    if args.explain:
+        _write_explain(signal, matrix, args)
     return 0
 
 
@@ -238,6 +260,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output .scg1 path")
     p.add_argument("--csv", default=None, help="also write a magnitude CSV here")
     p.add_argument("--pgm", default=None, help="also write a rendered PGM here")
+    p.add_argument("--explain", default=None,
+                   help="also write each scale row's route and predicted seconds here (JSON lines)")
     p.add_argument("--length", type=int, default=160_000, help="synth input length")
     p.add_argument("--rate", type=float, default=16_000.0, help="synth input rate, Hz")
     _add_transform_flags(p)

@@ -85,20 +85,32 @@ def dwt_decompose(signal: SignalBuffer, bank: FilterBank, levels: int) -> DwtDec
     n = len(signal)
     if 2 ** levels > n:
         raise TooManyLevels(f"{levels} levels need at least {2 ** levels} samples, have {n}")
+    filters = np.stack([bank.highpass, bank.lowpass], axis=1)
     current = signal.samples
     details = []
     for _ in range(levels):
-        details.append(_analysis_step(current, bank.highpass))
-        current = _analysis_step(current, bank.lowpass)
+        both = _analysis_step(current, filters)
+        details.append(both[:, 0].copy())
+        current = both[:, 1].copy()
     return DwtDecomposition(levels, details, current, n)
 
 
-def _analysis_step(x: np.ndarray, taps: np.ndarray) -> np.ndarray:
-    # y[k] = sum_j taps[j] * x[(2k + j) mod n], k = 0 .. ceil(n/2)-1
+def _analysis_step(x: np.ndarray, filters: np.ndarray) -> np.ndarray:
+    """Both filters of one level: column c of the result is
+    y[k] = sum_j filters[j, c] * x[(2k + j) mod n], k = 0 .. ceil(n/2)-1.
+
+    ``x`` is extended periodically by taps-1 samples (wrapping more than
+    once when it is shorter than the filters), so every stride-2 window
+    is contiguous and one matrix product serves both filters.
+    """
     n = x.size
-    half = (n + 1) // 2
-    positions = (2 * np.arange(half)[:, None] + np.arange(taps.size)[None, :]) % n
-    return x[positions] @ taps
+    taps = filters.shape[0]
+    extended = np.resize(x, n + taps - 1)  # np.resize repeats x cyclically
+    stride = extended.strides[0]
+    windows = np.lib.stride_tricks.as_strided(
+        extended, shape=((n + 1) // 2, taps), strides=(2 * stride, stride), writeable=False
+    )
+    return windows @ filters
 
 
 def dwt_scalogram(decomp: DwtDecomposition) -> np.ndarray:

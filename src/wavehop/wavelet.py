@@ -13,12 +13,16 @@ Four paths produce a :class:`CoefficientMatrix`:
                   transform on the shorter signal.
 
 The two hop-size interpretations are deliberately separate operations:
-they do not produce the same coefficients.
+they do not produce the same coefficients.  ``cwt_fft`` and
+``cwth_strided`` (and so ``cwth_decimate``) run on a :class:`CwtPlan`,
+the grid's taps sampled once and kept in a small cache (``plan_for``).
 """
 
 from __future__ import annotations
 
 import math
+import threading
+from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -195,12 +199,13 @@ def cwt_fft(
     """Full transform via FFT convolution: every row is a spectral row at hop 1.
 
     Matches ``cwt_direct`` elementwise up to floating-point roundoff.
-    ``threads`` > 1 computes scale rows concurrently; results are
-    identical regardless of row evaluation order.
+    The taps come from the cached :class:`CwtPlan` of (params, grid), so
+    only the first call on a grid samples them.  ``threads`` > 1 computes
+    scale rows concurrently; results are identical regardless of row
+    evaluation order.
     """
-    params = params or MorletParams()
-    taps_per_row = [sample_wavelet(params, s) for s in grid.scales]
-    out = _transform(signal.samples, taps_per_row, 1, [True] * grid.count, threads)
+    plan = plan_for(params or MorletParams(), grid)
+    out = plan.execute(signal.samples, 1, threads, routes=[True] * plan.count)
     return CoefficientMatrix(out, 1, signal.sample_rate, _copy_grid(grid))
 
 
@@ -215,8 +220,9 @@ def cwth_strided(
     """Transform evaluated only at translations 0, hop, 2*hop, ...
 
     Column k equals column k*hop of the full transform; nothing else is
-    computed.  Each scale row takes whichever of two routes
-    ``route_rows`` predicts to be faster:
+    computed.  The taps come from the cached :class:`CwtPlan` of
+    (params, grid), and each scale row takes whichever of two routes
+    ``CwtPlan.routes`` (that is, ``route_rows``) predicts to be faster:
 
     - direct: ceil(N/hop) windowed dot products by
       ``_kernels.strided_correlate``, a cost proportional to the frames;
@@ -227,12 +233,9 @@ def cwth_strided(
     The choice depends only on the signal length, the tap counts and the
     hop, so repeated calls give bit-identical coefficients.
     """
-    params = params or MorletParams()
     hop = _check_hop(hop)
-    x = signal.samples
-    taps_per_row = [sample_wavelet(params, s) for s in grid.scales]
-    spectral = route_rows(x.size, [t.size for t in taps_per_row], hop)
-    out = _transform(x, taps_per_row, hop, spectral, threads)
+    plan = plan_for(params or MorletParams(), grid)
+    out = plan.execute(signal.samples, hop, threads)
     return CoefficientMatrix(out, hop, signal.sample_rate, _copy_grid(grid))
 
 
@@ -255,6 +258,123 @@ def cwth_decimate(
     reduced = decimate(signal, hop, anti_alias)
     inner = cwt_fft(reduced, grid, params, threads=threads)
     return CoefficientMatrix(inner.values, hop, reduced.sample_rate, inner.scale_grid)
+
+
+# --- plans and their cache ---------------------------------------------------
+
+
+class CwtPlan:
+    """One grid's wavelet taps, sampled once, and the row loop that runs on them.
+
+    Taps do not depend on the signal, so a plan serves every length and
+    hop.  Each row is held once, as read-only contiguous arrays of its
+    real and imaginary parts: the direct kernel takes them as they are,
+    and the spectral row writes them into its kernel's real and
+    imaginary parts.  Kernel spectra depend on the FFT length, so a plan
+    holds none.
+    """
+
+    def __init__(self, params: MorletParams, grid: ScaleGrid):
+        self.scales = grid.scales.copy()
+        self.scales.setflags(write=False)
+        self.taps = []
+        for scale in self.scales:
+            # looked up at call time, so a rebinding of sample_wavelet is seen
+            taps = sample_wavelet(params, scale)
+            parts = (np.ascontiguousarray(taps.real), np.ascontiguousarray(taps.imag))
+            for part in parts:
+                part.setflags(write=False)
+            self.taps.append(parts)
+        self.widths = [re.size for re, _ in self.taps]
+
+    @property
+    def count(self) -> int:
+        return len(self.taps)
+
+    def routes(self, n: int, hop: int) -> list[bool]:
+        """Per row, True where the spectral route is taken: ``route_rows``."""
+        return route_rows(n, self.widths, hop)
+
+    def explain(self, n: int, hop: int, routes=None) -> list[dict]:
+        """One record per row: its scale, tap count, route and both routes' predicted seconds.
+
+        ``routes`` defaults to ``routes(n, hop)``, as for ``execute``.
+        """
+        frames = -(-n // hop)
+        spectral_s = _kernels.spectral_seconds(fold_len(n, self.widths, hop), hop)
+        if routes is None:
+            routes = self.routes(n, hop)
+        return [
+            {
+                "scale": float(scale),
+                "taps": width,
+                "route": "spectral" if spectral else "direct",
+                "direct_s": _kernels.direct_seconds(width, hop, frames),
+                "spectral_s": spectral_s,
+            }
+            for scale, width, spectral in zip(self.scales, self.widths, routes)
+        ]
+
+    def execute(self, x: np.ndarray, hop: int, threads: int = 1, routes=None) -> np.ndarray:
+        """Columns 0, hop, 2*hop, ... of every row of the transform of ``x``.
+
+        Each row takes the route ``routes`` names (True: spectral),
+        by default ``routes(x.size, hop)``.
+        """
+        n = x.size
+        if routes is None:
+            routes = self.routes(n, hop)
+        frames = -(-n // hop)
+        max_half = max(self.widths) // 2
+        spectrum = sfft.fft(x, fold_len(n, self.widths, hop)) if any(routes) else None
+        if not all(routes):
+            # tail sized so the direct kernel's block reshape stays in bounds
+            xpad = np.zeros(max_half + n + max_half + 2 * hop)
+            xpad[max_half:max_half + n] = x
+        out = np.empty((self.count, frames), dtype=np.complex128)
+
+        def one_row(row: int) -> None:
+            taps_re, taps_im = self.taps[row]
+            if routes[row]:
+                out[row] = _spectral_row(spectrum, taps_re, taps_im, hop, frames)
+                return
+            base = xpad[max_half - taps_re.size // 2:]
+            re, im = _kernels.strided_correlate(base, taps_re, taps_im, hop, frames)
+            out[row] = re + 1j * im
+
+        _run_rows(one_row, self.count, threads)
+        return out
+
+
+PLAN_CACHE_SIZE = 8
+_plans: OrderedDict = OrderedDict()
+_plans_lock = threading.Lock()
+
+
+def plan_for(params: MorletParams, grid: ScaleGrid) -> CwtPlan:
+    """The cached plan of (params, grid), built on a miss; least recently used go first.
+
+    The key is the parameter values and the scale bytes, never the
+    objects, so mutating a ``MorletParams`` or passing a new grid with
+    other scales builds a new plan.  Safe to call from several threads.
+    """
+    key = (params.center_frequency, params.bandwidth, params.support_radius,
+           grid.scales.tobytes())
+    with _plans_lock:
+        plan = _plans.get(key)
+        if plan is None:
+            plan = _plans[key] = CwtPlan(params, grid)
+            while len(_plans) > PLAN_CACHE_SIZE:
+                _plans.popitem(last=False)
+        else:
+            _plans.move_to_end(key)
+        return plan
+
+
+def clear_plan_cache() -> None:
+    """Drop every cached plan."""
+    with _plans_lock:
+        _plans.clear()
 
 
 # --- shared row machinery ----------------------------------------------------
@@ -293,35 +413,7 @@ def route_rows(n: int, widths, hop: int) -> list[bool]:
     return [s > 0 for s in savings]
 
 
-def _transform(x, taps_per_row, hop: int, spectral, threads: int) -> np.ndarray:
-    """Columns 0, hop, 2*hop, ... of every row, each by the route ``spectral`` names."""
-    n = x.size
-    frames = -(-n // hop)
-    widths = [t.size for t in taps_per_row]
-    max_half = max(widths) // 2
-    spectrum = sfft.fft(x, fold_len(n, widths, hop)) if any(spectral) else None
-    if not all(spectral):
-        # tail sized so the direct kernel's block reshape stays in bounds
-        xpad = np.zeros(max_half + n + max_half + 2 * hop)
-        xpad[max_half:max_half + n] = x
-    out = np.empty((len(taps_per_row), frames), dtype=np.complex128)
-
-    def one_row(row: int) -> None:
-        taps = taps_per_row[row]
-        if spectral[row]:
-            out[row] = _spectral_row(spectrum, taps, hop, frames)
-            return
-        base = xpad[max_half - taps.size // 2:]
-        taps_re = np.ascontiguousarray(taps.real)
-        taps_im = np.ascontiguousarray(taps.imag)
-        re, im = _kernels.strided_correlate(base, taps_re, taps_im, hop, frames)
-        out[row] = re + 1j * im
-
-    _run_rows(one_row, len(taps_per_row), threads)
-    return out
-
-
-def _spectral_row(spectrum, taps, hop: int, frames: int) -> np.ndarray:
+def _spectral_row(spectrum, taps_re, taps_im, hop: int, frames: int) -> np.ndarray:
     """Translations 0, hop, ..., (frames-1)*hop of one row, from the signal spectrum.
 
     The reversed taps sit centred at index 0 (wrapping circularly), so
@@ -332,12 +424,13 @@ def _spectral_row(spectrum, taps, hop: int, frames: int) -> np.ndarray:
     At hop 1 the fold is the identity and this is the dense row.
     """
     m = spectrum.size
-    half = taps.size // 2
+    half = taps_re.size // 2
     # when the taps outgrow the signal the two ends overlap, but only at
     # lags of n or more (m >= n + half), which meet no sample
     kernel = np.zeros(m, dtype=np.complex128)
-    kernel[:half + 1] = taps[half::-1]
-    kernel[m - half:] = taps[:half:-1]
+    for part, taps in ((kernel.real, taps_re), (kernel.imag, taps_im)):
+        part[:half + 1] = taps[half::-1]
+        part[m - half:] = taps[:half:-1]
     product = sfft.fft(kernel, overwrite_x=True)
     product *= spectrum
     if hop > 1:

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 import wavehop.cli
-from wavehop import read_matrix_bin, read_wav
+from wavehop import MorletParams, read_matrix_bin, read_wav, sample_wavelet
 from wavehop.cli import parse_synth_spec, run_cli
+from wavehop.wavelet import route_rows
 from testutil import write_float32_wav, write_reference_wav
 
 
@@ -121,6 +122,35 @@ class TestTransformCommand:
         matrix = read_matrix_bin(out)
         assert matrix.columns == 2048
         assert matrix.hop == 1
+
+    @pytest.mark.parametrize("mode,hop", [("strided", 128), ("strided", 1), ("full", 1),
+                                          ("decimate", 4)])
+    def test_explain_writes_one_line_per_row(self, tmp_path, mode, hop):
+        out, explain = tmp_path / "out.scg1", tmp_path / "explain.jsonl"
+        code = run_cli([
+            "transform", "noise:seed=3", "--length", "16000", "--rate", "16000",
+            "--out", str(out), "--mode", mode, "--hop", str(hop), "--scales", "12",
+            "--fmin", "100", "--fmax", "1500", "--explain", str(explain),
+        ])
+        assert code == 0
+        matrix = read_matrix_bin(out)
+        records = [json.loads(line) for line in explain.read_text().splitlines()]
+        assert [r["scale"] for r in records] == list(matrix.scale_grid.scales)
+        widths = [sample_wavelet(MorletParams(), s).size for s in matrix.scale_grid.scales]
+        assert [r["taps"] for r in records] == widths
+        if mode == "strided":
+            want = route_rows(16_000, widths, hop)
+        else:  # cwt_fft: every row spectral
+            want = [True] * len(widths)
+        assert [r["route"] == "spectral" for r in records] == want
+        assert all(r["direct_s"] > 0 and r["spectral_s"] > 0 for r in records)
+
+    def test_explain_to_unwritable_path_exits_one(self, tmp_path, capsys):
+        code = run_cli([
+            "transform", "noise:seed=3", "--length", "2000", "--out", str(tmp_path / "o.scg1"),
+            "--scales", "4", "--explain", str(tmp_path / "missing" / "explain.jsonl"),
+        ])
+        assert_error_exit(code, capsys)
 
     def test_csv_and_pgm_outputs(self, tmp_path):
         out = tmp_path / "o.scg1"

@@ -90,6 +90,28 @@ class TestDwtDecompose:
             dwt_decompose(SignalBuffer(np.zeros(8), 16_000.0), HAAR, 0)
 
 
+def loop_analysis(x, taps):
+    n = x.size
+    return np.array([sum(taps[j] * x[(2 * k + j) % n] for j in range(taps.size))
+                     for k in range((n + 1) // 2)])
+
+
+@pytest.mark.parametrize("bank", [HAAR, DB4], ids=["haar", "db4"])
+@pytest.mark.parametrize("n,levels", [(2, 1), (3, 1), (5, 1), (7, 2), (9, 3), (17, 4),
+                                      (101, 5), (1001, 6), (4096, 6)])
+def test_matches_plain_loop_oracle(bank, n, levels):
+    """Odd lengths and lengths below the tap count wrap the signal more than once."""
+    x = noise(n, seed=n).samples
+    decomp = dwt_decompose(SignalBuffer(x, 16_000.0), bank, levels)
+    current = x
+    for level in range(levels):
+        want = loop_analysis(current, bank.highpass)
+        np.testing.assert_allclose(decomp.details[level], want, rtol=0, atol=1e-13 * np.abs(want).max())
+        current = loop_analysis(current, bank.lowpass)
+    np.testing.assert_allclose(decomp.approximation, current, rtol=0,
+                               atol=1e-13 * np.abs(current).max())
+
+
 class TestDwtScalogram:
     def test_shape_and_runs(self):
         out = dwt_decompose(noise(8, seed=1), HAAR, 3)

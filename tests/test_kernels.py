@@ -1,7 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from wavehop import _kernels
+from wavehop import MorletParams, _kernels, make_scale_grid, sample_wavelet
 
 
 def _reference_loop(xpad, taps_re, taps_im, hop, frames):
@@ -25,3 +27,56 @@ def test_numpy_kernel_matches_plain_loop(hop, width, frames):
     want = _reference_loop(xpad, taps_re, taps_im, hop, frames)
     np.testing.assert_allclose(got[0], want[0], rtol=1e-12, atol=1e-12)
     np.testing.assert_allclose(got[1], want[1], rtol=1e-12, atol=1e-12)
+
+
+def _padded_case(n, hop, width, seed):
+    rng = np.random.default_rng(seed)
+    half = width // 2
+    xpad = np.zeros(half + n + half + 2 * hop)
+    xpad[half:half + n] = rng.standard_normal(n)
+    taps_re, taps_im = rng.standard_normal((2, width))
+    return xpad, taps_re.copy(), taps_im.copy(), -(-n // hop)
+
+
+def test_long_row_memory_is_bounded():
+    """n=320 000, hop 8, 8 315 taps: the whole product would be 683 MB."""
+    hop, width = 8, 8315
+    xpad, taps_re, taps_im, frames = _padded_case(320_000, hop, width, seed=1)
+    tracemalloc.start()
+    try:
+        re, im = _kernels.strided_correlate(xpad, taps_re, taps_im, hop, frames)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20, f"peak {peak / 2**20:.1f} MB"
+    # every run boundary, both ends and a random sample, against plain dot products
+    blocks = -(-width // hop)
+    picks = {0, frames - 1} | set(np.random.default_rng(2).integers(0, frames, 40).tolist())
+    picks |= {k + d for k in range(blocks, frames, blocks) for d in (-1, 0) if k + d < frames}
+    picks = sorted(picks)
+    want_re = np.array([xpad[k * hop: k * hop + width] @ taps_re for k in picks])
+    want_im = np.array([xpad[k * hop: k * hop + width] @ taps_im for k in picks])
+    scale = max(np.max(np.abs(want_re)), np.max(np.abs(want_im)))
+    assert np.max(np.abs(re[picks] - want_re)) <= 1e-12 * scale
+    assert np.max(np.abs(im[picks] - want_im)) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("budget", [1, 200_000, 500_000])
+def test_chunked_product_matches_unchunked(monkeypatch, budget):
+    xpad, taps_re, taps_im, frames = _padded_case(30_001, 8, 801, seed=3)
+    whole = _kernels.strided_correlate(xpad, taps_re, taps_im, 8, frames)
+    monkeypatch.setattr(_kernels, "CHUNK_PRODUCTS", budget)
+    chunked = _kernels.strided_correlate(xpad, taps_re, taps_im, 8, frames)
+    scale = max(np.max(np.abs(whole[0])), np.max(np.abs(whole[1])))
+    for got, want in zip(chunked, whole):
+        assert np.max(np.abs(got - want)) <= 1e-12 * scale
+
+
+def test_no_corpus_shape_is_chunked():
+    """Desk scale (64 scales up to 8 315 taps, hop 128, up to 10 s at 16 kHz) stays one run."""
+    widths = [sample_wavelet(MorletParams(), s).size
+              for s in make_scale_grid(20.0, 7200.0, 64, 16_000.0).scales]
+    frames = -(-160_000 // 128)
+    for width in widths:
+        blocks = -(-width // 128)
+        assert 2 * blocks * (frames + blocks - 1) <= _kernels.CHUNK_PRODUCTS

@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -23,9 +25,10 @@ from wavehop import (
     scale_to_frequency,
     synthesize,
 )
-from wavehop import _kernels
-from wavehop.wavelet import route_rows
-from testutil import assert_rel_close
+from wavehop import _kernels, wavelet
+from wavehop.cli import run_cli
+from wavehop.wavelet import clear_plan_cache, plan_for, route_rows
+from testutil import assert_rel_close, write_reference_wav
 
 PARAMS = MorletParams()
 # the grids of wavebench's corpus_scan (desk scale) and hop_sweep workloads
@@ -330,6 +333,154 @@ class TestRouting:
 
     def test_prime_hop_makes_the_fft_dearer(self):
         assert _kernels.fft_seconds(127 * 2592) > 2 * _kernels.fft_seconds(128 * 2592)
+
+
+@pytest.fixture
+def cold_cache():
+    clear_plan_cache()
+    yield
+    clear_plan_cache()
+
+
+@pytest.mark.usefixtures("cold_cache")
+class TestPlanCache:
+    @pytest.mark.parametrize("hop", [1, 8, 32, 128])
+    def test_cached_call_equals_cold_call(self, hop):
+        sig = noise(20_000, seed=40)
+        cwth_strided(sig, SWEEP_GRID, PARAMS, hop)
+        cached = cwth_strided(sig, SWEEP_GRID, PARAMS, hop).values
+        cached_full = cwt_fft(sig, SWEEP_GRID, PARAMS).values
+        clear_plan_cache()
+        cold = cwth_strided(sig, SWEEP_GRID, PARAMS, hop).values
+        clear_plan_cache()
+        cold_full = cwt_fft(sig, SWEEP_GRID, PARAMS).values
+        np.testing.assert_array_equal(cached, cold)
+        np.testing.assert_array_equal(cached_full, cold_full)
+
+    def test_key_is_the_parameter_values_and_scales(self):
+        params = MorletParams()
+        plan = plan_for(params, SWEEP_GRID)
+        assert plan_for(MorletParams(), ScaleGrid(SWEEP_GRID.scales.copy())) is plan
+        params.bandwidth = 2.0
+        mutated = plan_for(params, SWEEP_GRID)
+        assert mutated is not plan
+        np.testing.assert_array_equal(
+            mutated.taps[3][0], sample_wavelet(MorletParams(bandwidth=2.0), SWEEP_GRID.scales[3]).real
+        )
+        other = plan_for(PARAMS, ScaleGrid(SWEEP_GRID.scales * 1.5))
+        assert other is not plan and other.widths != plan.widths
+
+    def test_mutated_params_change_the_coefficients(self):
+        sig = noise(5_000, seed=41)
+        params = MorletParams()
+        before = cwth_strided(sig, SWEEP_GRID, params, 8).values
+        params.bandwidth = 2.5
+        after = cwth_strided(sig, SWEEP_GRID, params, 8).values
+        want = cwth_strided(sig, SWEEP_GRID, MorletParams(bandwidth=2.5), 8).values
+        assert not np.array_equal(before, after)
+        np.testing.assert_array_equal(after, want)
+
+    def test_cache_never_exceeds_its_bound(self):
+        grids = [make_scale_grid(100.0 + 10 * i, 4000.0, 3, 16_000.0) for i in range(20)]
+        for grid in grids:
+            plan_for(PARAMS, grid)
+            assert len(wavelet._plans) <= wavelet.PLAN_CACHE_SIZE
+        assert len(wavelet._plans) == wavelet.PLAN_CACHE_SIZE
+        # least recently used go first: touching the oldest survivor keeps it
+        oldest = grids[-wavelet.PLAN_CACHE_SIZE]
+        kept = plan_for(PARAMS, oldest)
+        plan_for(PARAMS, grids[0])
+        assert plan_for(PARAMS, oldest) is kept
+
+    def test_taps_are_sampled_only_on_the_first_call(self, monkeypatch):
+        calls = []
+        original = wavelet.sample_wavelet
+
+        def counted(params, scale):
+            calls.append(scale)
+            return original(params, scale)
+
+        monkeypatch.setattr(wavelet, "sample_wavelet", counted)
+        sig = noise(4_000, seed=42)
+        cwth_strided(sig, SWEEP_GRID, PARAMS, 32)
+        assert len(calls) == SWEEP_GRID.count
+        cwth_strided(sig, SWEEP_GRID, PARAMS, 32)
+        cwt_fft(sig, SWEEP_GRID, PARAMS)
+        assert len(calls) == SWEEP_GRID.count
+
+    def test_concurrent_lookups_keep_the_bound_and_the_keys(self):
+        grids = [make_scale_grid(100.0 + 10 * i, 4000.0, 3, 16_000.0) for i in range(12)]
+        errors = []
+
+        def worker(offset):
+            try:
+                for k in range(60):
+                    grid = grids[(offset + k) % len(grids)]
+                    plan = plan_for(PARAMS, grid)
+                    if not np.array_equal(plan.scales, grid.scales):
+                        errors.append("plan of another grid")
+                    if len(wavelet._plans) > wavelet.PLAN_CACHE_SIZE:
+                        errors.append("bound exceeded")
+            except Exception as exc:  # noqa: BLE001 - reported by the assertion below
+                errors.append(repr(exc))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(i,)) for i in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert len(wavelet._plans) == wavelet.PLAN_CACHE_SIZE
+
+    def test_cached_arrays_are_read_only(self):
+        plan = plan_for(PARAMS, SWEEP_GRID)
+        taps_re, taps_im = plan.taps[0]
+        for array in (plan.scales, taps_re, taps_im):
+            with pytest.raises(ValueError):
+                array[0] = 0.0
+
+    def test_threaded_scan_of_identical_files_is_byte_identical(self, tmp_path):
+        in_dir = tmp_path / "in"
+        in_dir.mkdir()
+        samples = np.random.default_rng(43).integers(-20_000, 20_000, 6_000, dtype=np.int16)
+        for i in range(6):
+            write_reference_wav(in_dir / f"f{i}.wav", samples, 16_000)
+        base = ["--hop", "16", "--scales", "6", "--fmin", "200", "--fmax", "6000"]
+        assert run_cli(["scan", str(in_dir), "--out-dir", str(tmp_path / "t"),
+                        "--threads", "2"] + base) == 0
+        clear_plan_cache()
+        assert run_cli(["scan", str(in_dir), "--out-dir", str(tmp_path / "s")] + base) == 0
+        blobs = {(tmp_path / d / f"f{i}.scg1").read_bytes() for d in "ts" for i in range(6)}
+        assert len(blobs) == 1
+
+
+class TestExplain:
+    @pytest.mark.parametrize("grid,n,hop", [(DESK_GRID, 160_000, 128), (DESK_GRID, 160_000, 1),
+                                            (SWEEP_GRID, 2_000, 1), (SWEEP_GRID, 320_000, 8)])
+    def test_routes_match_the_router(self, grid, n, hop):
+        records = plan_for(PARAMS, grid).explain(n, hop)
+        widths = tap_counts(grid)
+        routes = route_rows(n, widths, hop)
+        assert [r["route"] == "spectral" for r in records] == routes
+        assert [r["taps"] for r in records] == widths
+        assert [r["scale"] for r in records] == list(grid.scales)
+        if grid is DESK_GRID and hop == 128:
+            assert not any(routes)
+        frames = -(-n // hop)
+        fft_len = wavelet.fold_len(n, widths, hop)
+        for record in records:
+            assert record["direct_s"] == _kernels.direct_seconds(record["taps"], hop, frames)
+            assert record["spectral_s"] == _kernels.spectral_seconds(fft_len, hop)
+
+    def test_forced_routes(self):
+        records = plan_for(PARAMS, SWEEP_GRID).explain(1_000, 1, routes=[True] * 8)
+        assert {r["route"] for r in records} == {"spectral"}
 
 
 class TestCwthDecimate:
