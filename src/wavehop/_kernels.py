@@ -1,14 +1,15 @@
 """The strided transform's direct kernel, and the seconds model of both row routes.
 
 ``cwth_strided`` computes each scale row by one of two routes: this
-module's direct kernel, ``strided_correlate``, or the spectral fold row
-in ``wavelet.py`` (one FFT of the kernel, a product with the signal
-spectrum, a fold of the product into ``hop`` aliased bands and one
-inverse FFT of length ``fft_len / hop``).  ``direct_seconds`` and
-``spectral_seconds`` predict the wall time of each route from the row's
-shape alone, so the route is a pure function of (length, taps, hop) and
-never changes a result: both routes give the same columns to within
-roundoff.
+module's direct kernel, ``strided_correlate``, or the block spectral
+row in ``wavelet.py`` (overlap-save: the kernel's FFT at the block
+length, its product with the class's batched segment spectra, a fold
+of each block into ``hop`` aliased bands and one batched inverse FFT of
+length ``block_len / hop``).  ``direct_seconds`` and ``spectral_seconds``
+predict the wall time of each route from the row's shape alone, and
+``fft_seconds`` the segment spectra a width class shares, so the route
+is a pure function of (length, taps, hop) and never changes a result:
+both routes give the same columns to within roundoff.
 
 The constants below were fitted by
 ``PYTHONPATH=src python scripts/calibrate_router.py`` on a 2-vCPU x86
@@ -16,6 +17,7 @@ host (numpy 2.4, scipy 1.17, one BLAS thread); rerun it and paste its
 output here to price the routes for another machine.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -26,19 +28,22 @@ __all__ = ["direct_seconds", "fft_seconds", "spectral_seconds", "strided_correla
 CHUNK_PRODUCTS = 1 << 22
 
 # Direct kernel, windowed form (hop <= 2).
-WINDOW_MAC_S = 8.9e-10      # per multiply-accumulate
+WINDOW_MAC_S = 4.6e-10      # per multiply-accumulate
 # Direct kernel, polyphase form (hop > 2).
-CALL_S = 2.9e-06            # fixed cost of one call
-BLOCK_S = 2.7e-06           # per tap block: one slice-add of the shifted sum
-SAMPLE_S = 6.1e-10          # per signal sample streamed through the matmul
-PRODUCT_S = 1e-09           # per element of the (2*blocks, rows) product matrix
-MAC_S = 4.1e-11             # per multiply-accumulate inside that product
-PAGED_S = 2.3e-09           # per element again when the product outgrows PAGED_PRODUCTS
+CALL_S = 1.6e-06            # fixed cost of one call
+BLOCK_S = 9.5e-07           # per tap block: one slice-add of the shifted sum
+SAMPLE_S = 2.8e-10          # per signal sample streamed through the matmul
+PRODUCT_S = 6.4e-10         # per element of the (2*blocks, rows) product matrix
+MAC_S = 1.9e-11             # per multiply-accumulate inside that product
+PAGED_S = 5.1e-10           # per element again when the product outgrows PAGED_PRODUCTS
 PAGED_PRODUCTS = 1 << 22    # 32 MB: larger arrays are fresh pages from the OS on every call
-# Spectral fold row.
-FFT_S = 1.2e-09             # per point per log2(length) of a complex FFT
-FFT_PRIME_S = 3.5e-10       # per point per unit of each prime factor > 11 of the length
-SPECTRAL_POINT_S = 5.6e-09  # per spectrum point: kernel placement, product and fold
+# Block spectral row.
+FFT_CALL_S = 3.8e-06        # fixed cost of one scipy.fft call
+FFT_S = 5.2e-10             # per point per log2(length) of a complex FFT taken alone
+FFT_BATCH_S = 4.3e-10       # the same, for each FFT of a batch of several
+FFT_PRIME_S = 1e-10         # per point per unit of each prime factor > 11 of the length
+ROW_CALL_S = 7.5e-06        # fixed cost of one block row beyond its FFT calls
+SPECTRAL_POINT_S = 2.4e-09  # per block-spectrum point: product and fold
 
 
 def strided_correlate(xpad, taps_re, taps_im, hop, frames):
@@ -104,19 +109,33 @@ def direct_seconds(width: int, hop: int, frames: int) -> float:
             + products * (PRODUCT_S + MAC_S * hop + paged))
 
 
-def fft_seconds(length: int) -> float:
-    """Predicted seconds of one complex FFT of ``length`` points.
+def fft_seconds(length: int, count: int = 1) -> float:
+    """Predicted seconds of ``count`` complex FFTs of ``length`` points, taken in one call.
 
     Lengths built from 2, 3, 5, 7 and 11 run at about ``FFT_S`` per
-    point per log2(length); each larger prime factor p adds a generic
-    radix pass of cost proportional to p.
+    point per log2(length) alone, and at ``FFT_BATCH_S`` each in a batch
+    of several; each larger prime factor p adds a generic radix pass of
+    cost proportional to p.
     """
-    return length * (FFT_S * math.log2(max(length, 2)) + FFT_PRIME_S * _large_prime_sum(length))
+    return FFT_CALL_S + count * _each_fft_seconds(length, count > 1)
 
 
-def spectral_seconds(fft_len: int, hop: int) -> float:
-    """Predicted seconds of one spectral fold row, the shared signal spectrum excluded."""
-    return fft_seconds(fft_len) + SPECTRAL_POINT_S * fft_len + fft_seconds(fft_len // hop)
+@functools.lru_cache(maxsize=1024)
+def _each_fft_seconds(length: int, batched: bool) -> float:
+    """Seconds of one FFT of a call, the call's fixed cost excluded."""
+    rate = FFT_BATCH_S if batched else FFT_S
+    return length * (rate * math.log2(max(length, 2)) + FFT_PRIME_S * _large_prime_sum(length))
+
+
+def spectral_seconds(block_len: int, hop: int, blocks: int = 1) -> float:
+    """Predicted seconds of one block row, the block spectra its class shares excluded.
+
+    The kernel's FFT at ``block_len``, its product with the ``blocks``
+    segment spectra and their fold, and the batched inverse FFTs of
+    length ``block_len / hop``.
+    """
+    return (ROW_CALL_S + fft_seconds(block_len) + SPECTRAL_POINT_S * blocks * block_len
+            + fft_seconds(block_len // hop, blocks))
 
 
 def _large_prime_sum(m: int) -> int:

@@ -1,9 +1,11 @@
 """Wall-clock comparison of the transform paths.
 
 Each timed method gets one untimed warm-up call, then ``reps`` timed
-runs; the report carries the median and minimum and the speedup of the
+runs; the report carries the median and minimum, the speedup of the
 method's median over the full FFT transform's median on the same signal
-and grid.
+and grid, and, for ``cwt_fft`` and ``cwth_strided``, the seconds the
+router's model predicts for the call.  ``bench_env`` records what the
+timings depend on: library versions, CPUs and thread settings.
 
 Timings cover the transform only: no file I/O, no rendering.  Runs are
 sequential on one thread unless ``threads`` is raised, and the same
@@ -14,9 +16,14 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import statistics
+import sys
 import time
 from dataclasses import asdict, dataclass
+
+import numpy as np
+import scipy
 
 from .dwt import DB4, FilterBank, dwt_decompose
 from .errors import InvalidCount
@@ -28,9 +35,11 @@ from .wavelet import (
     cwt_fft,
     cwth_decimate,
     cwth_strided,
+    plan_for,
 )
 
 FULL_METHOD = "cwt_fft"
+THREAD_ENV = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 @dataclass
@@ -43,9 +52,22 @@ class BenchReport:
     median_seconds: float
     min_seconds: float
     speedup_vs_full: float
+    predicted_seconds: float | None = None  # the seconds model's price, where it prices the method
 
     def to_json(self) -> str:
         return json.dumps(asdict(self))
+
+
+def bench_env(threads: int = 1) -> dict:
+    """The environment timings depend on: versions, CPU count, BLAS/OpenMP thread settings."""
+    return {
+        "python": "{}.{}.{}".format(*sys.version_info),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "cpu_count": os.cpu_count(),
+        "thread_env": {name: os.environ.get(name) for name in THREAD_ENV},
+        "threads": threads,
+    }
 
 
 def _time_repeated(fn, reps: int) -> list[float]:
@@ -103,6 +125,11 @@ def bench_single(
 
     measured = {name: summarize(_time_repeated(fn, reps)) for name, fn in jobs}
     full_median = measured[FULL_METHOD][0]
+    plan = plan_for(params, grid)
+    predicted = {
+        FULL_METHOD: plan.predicted_seconds(len(signal), 1, [True] * plan.count),
+        "cwth_strided": plan.predicted_seconds(len(signal), hop),
+    }
 
     reports = []
     for name, _ in jobs:
@@ -117,6 +144,7 @@ def bench_single(
                 median_seconds=median,
                 min_seconds=best,
                 speedup_vs_full=full_median / median,
+                predicted_seconds=predicted.get(name),
             )
         )
     return reports

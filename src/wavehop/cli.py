@@ -13,7 +13,7 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
-from .bench import bench_single, reports_to_jsonl
+from .bench import bench_env, bench_single, reports_to_jsonl
 from .errors import InvalidSpec, IoFailure, WavehopError
 from .metrics import LabeledScores, auc_roc
 from .scalogram import (
@@ -156,19 +156,22 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    spec = SynthSpec("white_noise", args.length, args.rate, seed=args.seed)
-    signal = synthesize(spec)
     params = MorletParams(center_frequency=args.wavelet_c, bandwidth=args.wavelet_b)
-    fmax = args.fmax if args.fmax is not None else 0.45 * signal.sample_rate
-    grid = make_scale_grid(args.fmin, fmax, args.scales, signal.sample_rate, params)
-    reports = bench_single(
-        signal, grid, params, args.hop, args.reps,
-        include_decimate=args.include_decimate,
-        include_dwt=args.include_dwt,
-        include_direct=args.include_direct,
-        threads=args.threads,
-    )
-    sys.stdout.write(reports_to_jsonl(reports))
+    fmax = args.fmax if args.fmax is not None else 0.45 * args.rate
+    grid = make_scale_grid(args.fmin, fmax, args.scales, args.rate, params)
+    sys.stdout.write(json.dumps({"env": bench_env(args.threads)}) + "\n")
+    for length in args.lengths or [args.length]:
+        signal = synthesize(SynthSpec("white_noise", length, args.rate, seed=args.seed))
+        for hop in args.hops or [args.hop]:
+            reports = bench_single(
+                signal, grid, params, hop, args.reps,
+                include_decimate=args.include_decimate,
+                include_dwt=args.include_dwt,
+                include_direct=args.include_direct,
+                threads=args.threads,
+            )
+            sys.stdout.write(reports_to_jsonl(reports))
+            sys.stdout.flush()
     return 0
 
 
@@ -237,6 +240,15 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _positive_ints(text: str) -> list[int]:
+    """A comma-separated list of integers >= 1."""
+    try:
+        return [_positive_int(item) for item in text.split(",")]
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(
+            f"expected integers >= 1 separated by commas, got {text!r}") from exc
+
+
 def _env_threads(parser: argparse.ArgumentParser) -> int:
     """Thread count from the THREADS env var, under the same rule as --threads."""
     env = os.environ.get("THREADS", "")
@@ -274,10 +286,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-flip", action="store_true", help="keep matrix row order in the image")
     p.set_defaults(func=_cmd_scalogram)
 
-    p = sub.add_parser("bench", help="time full vs hopped transforms, JSON lines on stdout")
+    p = sub.add_parser("bench", help="time full vs hopped transforms, JSON lines on stdout "
+                                     "(the environment first)")
     p.add_argument("--length", type=int, default=160_000)
     p.add_argument("--rate", type=float, default=16_000.0)
     p.add_argument("--hop", type=int, default=128)
+    p.add_argument("--lengths", type=_positive_ints, default=None,
+                   help="comma-separated signal lengths to sweep (instead of --length)")
+    p.add_argument("--hops", type=_positive_ints, default=None,
+                   help="comma-separated hops to sweep at each length (instead of --hop)")
     p.add_argument("--reps", type=int, default=5)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--include-decimate", action="store_true")

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import IoFailure, MalformedHeader, TruncatedPayload
+from .errors import InvalidHop, IoFailure, MalformedHeader, TruncatedPayload
 from .wavelet import CoefficientMatrix, ScaleGrid
 
 MAGIC = b"SCG1"
@@ -99,8 +99,13 @@ def write_csv(values: np.ndarray, path) -> None:
 
 
 def write_matrix_bin(matrix: CoefficientMatrix, path) -> None:
-    """Serialize a coefficient matrix; values are stored in single precision."""
+    """Serialize a coefficient matrix; values are stored in single precision.
+
+    Raises InvalidHop for a hop the header's u32 cannot hold.
+    """
     rows, cols = matrix.values.shape
+    if matrix.hop > 0xFFFF_FFFF:
+        raise InvalidHop(f"SCG1 stores the hop as u32, and {matrix.hop} does not fit")
     blob = MAGIC + _HEADER.pack(rows, cols, matrix.hop, matrix.source_rate)
     blob += matrix.scale_grid.scales.astype("<f8").tobytes()
     blob += matrix.values.astype("<c8").tobytes()

@@ -153,8 +153,9 @@ def decimate(signal: SignalBuffer, hop: int, anti_alias: bool = False) -> Signal
     if anti_alias:
         # 10*hop+1 taps keeps the transition band a fixed fraction of the
         # target Nyquist across hops; the centred trim cancels the FIR delay.
+        # Taps more than len(x) - 1 from the centre meet no sample.
         numtaps = 10 * hop + 1
-        taps = _lowpass_taps(numtaps, 0.9 / hop)  # cutoff normalized to Nyquist
+        taps = _lowpass_taps(numtaps, 0.9 / hop, reach=x.size - 1)  # cutoff relative to Nyquist
         x = _convolve_same(x, taps)
     elif hop == 1:
         return SignalBuffer(x.copy(), signal.sample_rate, signal.source_label)
@@ -163,11 +164,30 @@ def decimate(signal: SignalBuffer, hop: int, anti_alias: bool = False) -> Signal
     )
 
 
-def _lowpass_taps(numtaps: int, cutoff: float) -> np.ndarray:
-    """Hamming-windowed sinc low-pass; ``cutoff`` is relative to Nyquist."""
-    m = np.arange(numtaps) - 0.5 * (numtaps - 1)
-    taps = np.sinc(cutoff * m) * np.hamming(numtaps)
-    return taps / taps.sum()
+def _lowpass_taps(numtaps: int, cutoff: float, reach: float = math.inf) -> np.ndarray:
+    """Hamming-windowed sinc low-pass; ``cutoff`` is relative to Nyquist.
+
+    Only the taps within ``reach`` of the centre are returned, scaled as
+    the whole filter is, to unit DC gain.  The DC sum runs over all
+    ``numtaps`` a chunk at a time, so memory stays bounded by ``reach``.
+    """
+    centre = 0.5 * (numtaps - 1)
+
+    def part(start: int, stop: int) -> np.ndarray:
+        j = np.arange(start, stop)
+        if numtaps == 1:
+            return np.sinc(cutoff * (j - centre))
+        # np.hamming(numtaps)[j], computed as numpy computes it
+        window = 0.54 + 0.46 * np.cos(np.pi * (2.0 * j + 1 - numtaps) / (numtaps - 1))
+        return np.sinc(cutoff * (j - centre)) * window
+
+    total = sum(part(start, min(start + _TAP_CHUNK, numtaps)).sum()
+                for start in range(0, numtaps, _TAP_CHUNK))
+    first = 0 if reach >= centre else math.ceil(centre - reach)
+    return part(first, numtaps - first) / total
+
+
+_TAP_CHUNK = 1 << 16
 
 
 def _convolve_same(x: np.ndarray, taps: np.ndarray) -> np.ndarray:

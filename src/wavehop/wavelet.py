@@ -16,15 +16,26 @@ The two hop-size interpretations are deliberately separate operations:
 they do not produce the same coefficients.  ``cwt_fft`` and
 ``cwth_strided`` (and so ``cwth_decimate``) run on a :class:`CwtPlan`,
 the grid's taps sampled once and kept in a small cache (``plan_for``).
+
+There is one spectral route, the overlap-save block row: rows are
+grouped into width classes (``block_layout``), each class takes one
+batched FFT of overlapping signal segments, and each of its rows
+multiplies its kernel spectrum into them, folds every block into hop
+bands and takes one batched inverse FFT.  ``cwt_fft`` is its hop-1
+case.  Work is sized by what can reach a sample: at most 2N - 1 taps,
+and a hop of N or more computes as hop N.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import threading
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import scipy.fft as sfft
@@ -226,9 +237,10 @@ def cwth_strided(
 
     - direct: ceil(N/hop) windowed dot products by
       ``_kernels.strided_correlate``, a cost proportional to the frames;
-    - spectral: the row's product with the signal spectrum, folded into
-      ``hop`` aliased bands, then one inverse FFT of length M/hop (the
-      same row function ``cwt_fft`` uses, where hop is 1).
+    - spectral: the block row of the row's width class, whose segment
+      spectra are folded into ``hop`` aliased bands before one batched
+      inverse FFT of length block_len/hop (the same row function
+      ``cwt_fft`` uses, where hop is 1).
 
     The choice depends only on the signal length, the tap counts and the
     hop, so repeated calls give bit-identical coefficients.
@@ -269,9 +281,9 @@ class CwtPlan:
     Taps do not depend on the signal, so a plan serves every length and
     hop.  Each row is held once, as read-only contiguous arrays of its
     real and imaginary parts: the direct kernel takes them as they are,
-    and the spectral row writes them into its kernel's real and
-    imaginary parts.  Kernel spectra depend on the FFT length, so a plan
-    holds none.
+    and the block row writes them into its kernel's real and imaginary
+    parts.  Kernel spectra depend on the block length, hence on the
+    signal length, so a plan holds none.
     """
 
     def __init__(self, params: MorletParams, grid: ScaleGrid):
@@ -295,54 +307,80 @@ class CwtPlan:
         """Per row, True where the spectral route is taken: ``route_rows``."""
         return route_rows(n, self.widths, hop)
 
-    def explain(self, n: int, hop: int, routes=None) -> list[dict]:
-        """One record per row: its scale, tap count, route and both routes' predicted seconds.
+    def predicted_seconds(self, n: int, hop: int, routes=None) -> float:
+        """Seconds the model predicts for ``execute``: ``predicted_seconds`` on the tap counts."""
+        return predicted_seconds(n, self.widths, hop, routes)
 
+    def explain(self, n: int, hop: int, routes=None) -> list[dict]:
+        """One record per row: scale, tap count, route, predicted seconds and block layout.
+
+        ``direct_s`` and ``spectral_s`` are both routes' predicted
+        seconds, the latter for the row's block row without the block
+        spectra its width class shares; ``block_len``, ``blocks`` and
+        ``class`` (an index into ``block_layout``) give its layout.
         ``routes`` defaults to ``routes(n, hop)``, as for ``execute``.
         """
         frames = -(-n // hop)
-        spectral_s = _kernels.spectral_seconds(fold_len(n, self.widths, hop), hop)
         if routes is None:
             routes = self.routes(n, hop)
-        return [
-            {
-                "scale": float(scale),
-                "taps": width,
-                "route": "spectral" if spectral else "direct",
-                "direct_s": _kernels.direct_seconds(width, hop, frames),
-                "spectral_s": spectral_s,
-            }
-            for scale, width, spectral in zip(self.scales, self.widths, routes)
-        ]
+        widths, hop = _reach(n, self.widths, hop)
+        records = [None] * self.count
+        for index, cls in enumerate(block_layout(n, widths, hop)):
+            spectral_s = _kernels.spectral_seconds(cls.block_len, hop, cls.blocks)
+            for row in cls.rows:
+                records[row] = {
+                    "scale": float(self.scales[row]),
+                    "taps": self.widths[row],
+                    "route": "spectral" if routes[row] else "direct",
+                    "direct_s": _kernels.direct_seconds(widths[row], hop, frames),
+                    "spectral_s": spectral_s,
+                    "block_len": cls.block_len,
+                    "blocks": cls.blocks,
+                    "class": index,
+                }
+        return records
 
     def execute(self, x: np.ndarray, hop: int, threads: int = 1, routes=None) -> np.ndarray:
         """Columns 0, hop, 2*hop, ... of every row of the transform of ``x``.
 
         Each row takes the route ``routes`` names (True: spectral),
-        by default ``routes(x.size, hop)``.
+        by default ``routes(x.size, hop)``.  Spectral rows run one width
+        class at a time, so only that class's block spectra are held.
         """
         n = x.size
+        frames = -(-n // hop)
         if routes is None:
             routes = self.routes(n, hop)
-        frames = -(-n // hop)
-        max_half = max(self.widths) // 2
-        spectrum = sfft.fft(x, fold_len(n, self.widths, hop)) if any(routes) else None
-        if not all(routes):
+        widths, hop = _reach(n, self.widths, hop)
+        taps = [(re[(re.size - w) // 2:][:w], im[(im.size - w) // 2:][:w])
+                for (re, im), w in zip(self.taps, widths)]
+        direct = [row for row in range(self.count) if not routes[row]]
+        if direct:
+            pad = max(widths) // 2
             # tail sized so the direct kernel's block reshape stays in bounds
-            xpad = np.zeros(max_half + n + max_half + 2 * hop)
-            xpad[max_half:max_half + n] = x
+            xpad = np.zeros(pad + n + pad + 2 * hop)
+            xpad[pad:pad + n] = x
         out = np.empty((self.count, frames), dtype=np.complex128)
 
-        def one_row(row: int) -> None:
-            taps_re, taps_im = self.taps[row]
-            if routes[row]:
-                out[row] = _spectral_row(spectrum, taps_re, taps_im, hop, frames)
-                return
-            base = xpad[max_half - taps_re.size // 2:]
+        def direct_row(row: int) -> None:
+            taps_re, taps_im = taps[row]
+            base = xpad[pad - taps_re.size // 2:]
             re, im = _kernels.strided_correlate(base, taps_re, taps_im, hop, frames)
             out[row] = re + 1j * im
 
-        _run_rows(one_row, self.count, threads)
+        with _row_runner(threads) as run:
+            run(direct_row, direct)
+            for cls in block_layout(n, widths, hop):
+                rows = [row for row in cls.rows if routes[row]]
+                if not rows:
+                    continue
+                spectra = _block_spectra(x, cls)
+
+                def block_row(row: int, spectra=spectra, cls=cls) -> None:
+                    _block_row(out[row], spectra, cls, *taps[row], hop)
+
+                run(block_row, rows)
+                del spectra, block_row
         return out
 
 
@@ -384,66 +422,236 @@ def _copy_grid(grid: ScaleGrid) -> ScaleGrid:
     return ScaleGrid(grid.scales.copy())
 
 
-def fold_len(n: int, widths, hop: int) -> int:
-    """FFT length M of the spectral rows: a multiple of ``hop``, free of wrap-around.
+def _reach(n: int, widths, hop: int) -> tuple[tuple, int]:
+    """The tap counts and hop that matter on a signal of ``n`` samples.
 
-    A kernel centred at index 0 reaches ``half = width // 2`` samples
-    either side, so translations 0..n-1 need M >= n + half; M/hop is a
-    fast FFT length.
+    A lag of ``n`` or more meets no sample, so a row needs at most
+    2n - 1 taps; and any hop of ``n`` or more keeps column 0 alone, as a
+    hop of ``n`` does.  Work sized by these is bounded by the signal,
+    whatever the scale or the hop.
     """
-    half = max(widths) // 2
-    return hop * sfft.next_fast_len(-(-(n + half) // hop))
+    return tuple(min(w, 2 * n - 1) for w in widths), min(hop, n)
+
+
+# candidate block lengths, in units of a class's reach 2*pad + 1
+BLOCK_FACTORS = (2, 3, 4, 8)
+
+
+class BlockClass(NamedTuple):
+    """Rows whose spectral route shares one batch of block spectra.
+
+    Segment k is ``x[k*step - pad : k*step - pad + block_len]``, zeros
+    outside the signal; ``blocks`` segments cover translations
+    0..n-1, ``step`` of them each.  ``rows`` are the row indices.
+    """
+
+    pad: int
+    block_len: int
+    step: int
+    blocks: int
+    rows: tuple = ()
+
+    def spectra_seconds(self) -> float:
+        """Predicted seconds of the batched FFT of the segments, paid once per class."""
+        return _kernels.fft_seconds(self.block_len, self.blocks)
+
+    def row_seconds(self, hop: int) -> float:
+        """Predicted seconds of one of its rows: ``_kernels.spectral_seconds``."""
+        return _kernels.spectral_seconds(self.block_len, hop, self.blocks)
+
+
+def class_options(n: int, pad: int, hop: int) -> list[BlockClass]:
+    """The layouts a class of this pad may take: one block, then blocks of ``BLOCK_FACTORS``.
+
+    A single block of ``block_len >= n + pad`` is free of wrap-around:
+    only lags past the signal wrap, and they land in the zeros before
+    it; its step is the whole block.  Blocks of ``factor * (2*pad + 1)``
+    (rounded up to a fast multiple of ``hop``) are options while shorter
+    than that and holding at least one hop of step.
+    """
+    one = hop * sfft.next_fast_len(-(-(n + pad) // hop))
+    return [BlockClass(pad, one, one, 1)] + [
+        BlockClass(pad, block_len, step, -(-n // step))
+        for block_len, step in _factor_blocks(pad, hop) if block_len < one]
+
+
+@functools.lru_cache(maxsize=1024)
+def _factor_blocks(pad: int, hop: int) -> tuple:
+    """(block_len, step) of each of ``BLOCK_FACTORS`` whose step holds a hop."""
+    shapes = []
+    for factor in BLOCK_FACTORS:
+        block_len = hop * sfft.next_fast_len(-(-factor * (2 * pad + 1) // hop))
+        step = (block_len - 2 * pad) // hop * hop
+        if step >= hop:
+            shapes.append((block_len, step))
+    return tuple(shapes)
+
+
+@functools.lru_cache(maxsize=256)
+def block_layout(n: int, widths: tuple, hop: int) -> tuple[BlockClass, ...]:
+    """The width classes of the block rows of ``n`` samples at ``hop``.
+
+    A pure function of (n, every row's tap count, hop), never of which
+    rows are routed spectral, so ``cwt_fft`` and ``cwth_strided(hop=1)``
+    compute each spectral row alike.  Taken in order of tap count, the
+    rows are split into runs, each a class padded for its widest row in
+    the ``class_options`` layout the seconds model prices cheapest; the
+    split is the cheapest of all (a shortest-path pass over the run
+    ends), so it is never priced above one class of a single block.
+    """
+    order = sorted(range(len(widths)), key=widths.__getitem__)
+    options = [class_options(n, widths[row] // 2, hop) for row in order]
+    # prices[j, o]: (spectra, row) seconds of option o of a class ending at row j in order
+    prices = np.full((len(order), 1 + len(BLOCK_FACTORS), 2), np.inf)
+    for j, row_options in enumerate(options):
+        prices[j, :len(row_options)] = [(cls.spectra_seconds(), cls.row_seconds(hop))
+                                        for cls in row_options]
+    # best[j]: seconds of the cheapest layout of the first j rows in order,
+    # whose last class starts at row start[j] in the layout last[j]
+    best = np.zeros(len(order) + 1)
+    start, last = [0] * len(best), [None] * len(best)
+    counts = np.arange(len(order), 0, -1)
+    for end in range(1, len(best)):
+        # per option and first row of the run: the run's seconds
+        runs = prices[end - 1, :, :1] + prices[end - 1, :, 1:] * counts[-end:]
+        seconds = best[:end] + runs.min(axis=0)
+        first = int(seconds.argmin())
+        best[end], start[end] = seconds[first], first
+        last[end] = options[end - 1][int(runs[:, first].argmin())]
+    classes = []
+    end = len(order)
+    while end:
+        classes.append(last[end]._replace(rows=tuple(order[start[end]:end])))
+        end = start[end]
+    return tuple(reversed(classes))
 
 
 def route_rows(n: int, widths, hop: int) -> list[bool]:
     """Per scale row, True where the spectral route is predicted faster.
 
-    A pure function of the signal length, the tap counts and the hop,
-    priced in seconds by ``_kernels.direct_seconds`` and
-    ``_kernels.spectral_seconds``.  The signal spectrum that spectral
-    rows share is paid once; when the rows that would go spectral save
-    less than it costs, every row stays direct.
+    A pure function of the signal length, the tap counts and the hop.
+    The rows of at least some tap count go spectral: the count whose
+    routes ``predicted_seconds`` prices cheapest, a class's block
+    spectra included once if any of its rows is spectral.  When none is
+    cheaper than all-direct, every row stays direct.
+    """
+    return list(_routes(n, *_reach(n, widths, hop)))
+
+
+def predicted_seconds(n: int, widths, hop: int, routes=None) -> float:
+    """Seconds the model predicts for these rows of ``n`` samples at ``hop``.
+
+    Each row is priced by ``_kernels.direct_seconds`` or, where
+    ``routes`` (default ``route_rows``) is True, by
+    ``_kernels.spectral_seconds`` on its ``block_layout`` class; each
+    class with a spectral row adds its block spectra once.
+    """
+    widths, hop = _reach(n, widths, hop)
+    routes = _routes(n, widths, hop) if routes is None else tuple(routes)
+    return _routed_seconds(n, widths, hop, routes)
+
+
+@functools.lru_cache(maxsize=256)
+def _prices(n: int, widths: tuple, hop: int) -> tuple:
+    """The model's terms, in the order ``_routed_seconds`` sums them.
+
+    The all-direct seconds; the rows by descending tap count, each with
+    its class index and its spectral minus direct seconds; and each
+    class's block spectra.
     """
     frames = -(-n // hop)
-    fft_len = fold_len(n, widths, hop)
-    spectral_s = _kernels.spectral_seconds(fft_len, hop)
-    savings = [_kernels.direct_seconds(w, hop, frames) - spectral_s for w in widths]
-    if sum(s for s in savings if s > 0) <= _kernels.fft_seconds(fft_len):
-        return [False] * len(widths)
-    return [s > 0 for s in savings]
+    direct = [_kernels.direct_seconds(w, hop, frames) for w in widths]
+    steps = [None] * len(widths)
+    spectra = []
+    for index, cls in enumerate(block_layout(n, widths, hop)):
+        row_s = cls.row_seconds(hop)
+        for row in cls.rows:
+            steps[row] = (row, index, row_s - direct[row])
+        spectra.append(cls.spectra_seconds())
+    steps.sort(key=lambda step: (-widths[step[0]], step[0]))
+    return sum(direct), steps, spectra
 
 
-def _spectral_row(spectrum, taps_re, taps_im, hop: int, frames: int) -> np.ndarray:
-    """Translations 0, hop, ..., (frames-1)*hop of one row, from the signal spectrum.
+def _routed_seconds(n: int, widths: tuple, hop: int, routes: tuple) -> float:
+    """All rows direct, then each spectral row's difference, widest first,
+    with its class's block spectra where the class first has one."""
+    total, steps, spectra = _prices(n, widths, hop)
+    paid = set()
+    for row, index, delta in steps:
+        if routes[row]:
+            if index not in paid:
+                paid.add(index)
+                total += spectra[index]
+            total += delta
+    return total
 
-    The reversed taps sit centred at index 0 (wrapping circularly), so
-    the circular convolution's sample b is the row's translation b.
-    Keeping every hop-th sample of it equals summing the hop aliased
-    bands of its spectrum and taking one inverse FFT of length M/hop
-    (Crochiere & Rabiner, Multirate Digital Signal Processing, 1983).
-    At hop 1 the fold is the identity and this is the dense row.
+
+@functools.lru_cache(maxsize=256)
+def _routes(n: int, widths: tuple, hop: int) -> tuple:
+    # the sums of _routed_seconds for each tap-count threshold, widest first;
+    # ties keep more rows direct
+    total, steps, spectra = _prices(n, widths, hop)
+    best, least = total, math.inf
+    paid = set()
+    for k, (row, index, delta) in enumerate(steps):
+        if index not in paid:
+            paid.add(index)
+            total += spectra[index]
+        total += delta
+        if (k + 1 == len(steps) or widths[steps[k + 1][0]] != widths[row]) and total < best:
+            best, least = total, widths[row]
+    return tuple(w >= least for w in widths)
+
+
+def _block_spectra(x: np.ndarray, cls: BlockClass) -> np.ndarray:
+    """The ``(blocks, block_len)`` spectra of the class's segments of ``x``."""
+    xpad = np.zeros((cls.blocks - 1) * cls.step + cls.block_len)
+    xpad[cls.pad:cls.pad + x.size] = x
+    segments = np.lib.stride_tricks.sliding_window_view(xpad, cls.block_len)[::cls.step]
+    return sfft.fft(segments, axis=-1)
+
+
+def _block_row(out, spectra, cls: BlockClass, taps_re, taps_im, hop: int) -> None:
+    """Translations 0, hop, 2*hop, ... of one row into ``out``, from its class's block spectra.
+
+    Overlap-save (Stockham, "High-speed convolution and correlation",
+    1966): in each segment, output i is translation k*step + i, which
+    reaches segment samples pad + i - half .. pad + i + half, so the
+    first ``step`` outputs of every block are free of wrap-around.  Lag
+    d of the reversed taps sits at index -pad - d, modulo the block.
+    Keeping every hop-th output of a block equals summing the hop
+    aliased bands of its spectrum and taking one inverse FFT of
+    length block_len/hop (Crochiere & Rabiner, Multirate Digital Signal
+    Processing, 1983); at hop 1 the fold is the identity.
     """
-    m = spectrum.size
+    blocks, block_len = spectra.shape
     half = taps_re.size // 2
-    # when the taps outgrow the signal the two ends overlap, but only at
-    # lags of n or more (m >= n + half), which meet no sample
-    kernel = np.zeros(m, dtype=np.complex128)
-    for part, taps in ((kernel.real, taps_re), (kernel.imag, taps_im)):
-        part[:half + 1] = taps[half::-1]
-        part[m - half:] = taps[:half:-1]
-    product = sfft.fft(kernel, overwrite_x=True)
-    product *= spectrum
+    # one spare slot: lag -pad lands on index block_len, which is index 0
+    kernel = np.zeros(block_len + 1, dtype=np.complex128)
+    start = block_len - cls.pad - half
+    kernel.real[start:start + taps_re.size] = taps_re[::-1]
+    kernel.imag[start:start + taps_im.size] = taps_im[::-1]
+    kernel[0] = kernel[block_len]
+    product = sfft.fft(kernel[:block_len], overwrite_x=True) * spectra
     if hop > 1:
-        product = product.reshape(hop, m // hop).sum(axis=0)
-    row = sfft.ifft(product, overwrite_x=True)[:frames]
-    row /= hop
-    return row
+        product = product.reshape(blocks, hop, block_len // hop).sum(axis=1)
+    outputs = sfft.ifft(product, axis=-1, overwrite_x=True)
+    keep = cls.step // hop
+    whole, rest = divmod(out.size, keep)
+    np.divide(outputs[:whole, :keep], hop, out=out[:whole * keep].reshape(whole, keep))
+    if rest:
+        np.divide(outputs[whole, :rest], hop, out=out[whole * keep:])
 
 
-def _run_rows(one_row, count: int, threads: int) -> None:
+@contextmanager
+def _row_runner(threads: int):
+    """A ``run(one_row, rows)`` that calls ``one_row`` on each row, on ``threads`` threads."""
     if threads <= 1:
-        for row in range(count):
-            one_row(row)
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(one_row, range(count)))
+        def run(one_row, rows):
+            for row in rows:
+                one_row(row)
+
+        yield run
+        return
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        yield lambda one_row, rows: list(pool.map(one_row, rows))

@@ -1,4 +1,5 @@
 import json
+import os
 
 import numpy as np
 import pytest
@@ -13,7 +14,8 @@ from wavehop import (
     reports_to_jsonl,
     synthesize,
 )
-from wavehop.bench import BenchReport, summarize
+from wavehop.bench import BenchReport, bench_env, summarize
+from wavehop.wavelet import plan_for
 
 PARAMS = MorletParams()
 
@@ -83,6 +85,28 @@ class TestBenchSingle:
         assert 0.5 <= strided.speedup_vs_full <= 2.0
 
 
+class TestPredictions:
+    def test_modelled_methods_carry_the_model_seconds(self):
+        signal, grid = small_workload()
+        reports = bench_single(signal, grid, PARAMS, hop=64, reps=3, include_dwt=True)
+        by_method = {r.method: r for r in reports}
+        plan = plan_for(PARAMS, grid)
+        assert by_method["cwt_fft"].predicted_seconds == plan.predicted_seconds(
+            8192, 1, [True] * grid.count)
+        assert by_method["cwth_strided"].predicted_seconds == plan.predicted_seconds(8192, 64)
+        assert by_method["dwt"].predicted_seconds is None
+
+    def test_env_names_versions_cpus_and_threads(self, monkeypatch):
+        monkeypatch.setenv("OMP_NUM_THREADS", "1")
+        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+        env = bench_env(3)
+        assert env["numpy"] == np.__version__
+        assert env["cpu_count"] == os.cpu_count()
+        assert env["thread_env"]["OMP_NUM_THREADS"] == "1"
+        assert env["thread_env"]["MKL_NUM_THREADS"] is None
+        assert env["threads"] == 3
+
+
 class TestJsonOutput:
     def test_field_names_exact(self):
         report = BenchReport("cwt_fft", 100, 4, 1, 3, 0.5, 0.4, 1.0)
@@ -96,6 +120,7 @@ class TestJsonOutput:
             "median_seconds",
             "min_seconds",
             "speedup_vs_full",
+            "predicted_seconds",
         ]
 
     def test_jsonl_one_object_per_line(self):

@@ -210,6 +210,14 @@ class TestTransformCommand:
         assert_error_exit(code, capsys)
         assert not (tmp_path / "x.scg1").exists()
 
+    def test_hop_beyond_scg1_exits_one(self, tmp_path, capsys):
+        code = run_cli([
+            "transform", "noise", "--length", "1000", "--scales", "4",
+            "--hop", str(2**32), "--out", str(tmp_path / "x.scg1"),
+        ])
+        assert_error_exit(code, capsys)
+        assert not (tmp_path / "x.scg1").exists()
+
 
 class TestScalogramCommand:
     def test_scg1_to_pgm(self, tmp_path):
@@ -306,9 +314,29 @@ class TestBenchCommand:
         ])
         assert code == 0
         lines = capsys.readouterr().out.strip().split("\n")
-        decoded = [json.loads(line) for line in lines]
+        env, *decoded = [json.loads(line) for line in lines]
+        assert set(env) == {"env"}
         assert [d["method"] for d in decoded] == ["cwt_fft", "cwth_strided"]
         assert all(d["signal_length"] == 8192 for d in decoded)
+
+    def test_sweep_over_lengths_and_hops(self, capsys):
+        code = run_cli([
+            "bench", "--lengths", "2000,3000", "--hops", "1,8", "--rate", "16000",
+            "--reps", "3", "--scales", "4", "--fmin", "300", "--fmax", "3000",
+        ])
+        assert code == 0
+        env, *reports = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        assert env["env"]["threads"] == 1
+        cells = [(r["signal_length"], r["method"], r["hop"]) for r in reports]
+        assert cells == [(n, m, h if m == "cwth_strided" else 1)
+                         for n in (2000, 3000) for h in (1, 8)
+                         for m in ("cwt_fft", "cwth_strided")]
+        assert all(r["predicted_seconds"] > 0 for r in reports)
+
+    @pytest.mark.parametrize("value", ["1,0", "8,x", ""])
+    def test_bad_sweep_list_is_a_usage_error(self, value, capsys):
+        assert run_cli(["bench", "--hops", value]) == 2
+        assert "--hops" in capsys.readouterr().err
 
     def test_too_few_reps_exits_one(self, capsys):
         code = run_cli(["bench", "--length", "1024", "--reps", "2", "--scales", "4",

@@ -2,7 +2,6 @@
 
 import numpy as np
 import pytest
-import scipy.fft as sfft
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -17,7 +16,7 @@ from wavehop import (
     write_matrix_bin,
 )
 from wavehop import _kernels
-from wavehop.wavelet import _spectral_row, fold_len, route_rows
+from wavehop.wavelet import BlockClass, _block_row, _block_spectra, class_options, route_rows
 from testutil import assert_rel_close
 
 HOPS = (1, 2, 3, 7, 8, 32, 127, 128, 131)
@@ -51,17 +50,38 @@ def test_strided_equals_subsampled_full(data, hop, grid, seed):
     assert_rel_close(hopped, full[:, ::hop], 1e-9)
 
 
+@st.composite
+def block_classes(draw, n, half, hop):
+    """A block layout for a row of ``half`` taps a side: one block, or blocks of a drawn length.
+
+    The pad may exceed the row's half, as in a class of wider rows; the
+    drawn block lengths start at the shortest whose step holds one hop,
+    so taps nearly as wide as the block are drawn too.
+    """
+    pad = half + draw(st.one_of(st.just(0), st.integers(0, 200)), label="extra pad")
+    if draw(st.booleans(), label="one block"):
+        return class_options(n, pad, hop)[0]
+    shortest = -(-(2 * pad + hop) // hop)
+    block_len = hop * draw(st.integers(shortest, shortest + 64), label="block_len / hop")
+    step = (block_len - 2 * pad) // hop * hop
+    return BlockClass(pad, block_len, step, -(-n // step), (0,))
+
+
 @settings(max_examples=80, deadline=None)
 @given(data=st.data(), hop=hops, half=st.integers(0, 3000), seed=seeds)
 def test_spectral_row_matches_direct_kernel(data, hop, half, seed):
-    """Both routes of one row agree, whichever the router would pick."""
+    """A block row and the direct kernel agree on the same taps, whatever the block layout."""
     n = data.draw(lengths(hop), label="n")
     rng = np.random.default_rng(seed)
     x = rng.standard_normal(n)
     taps_re, taps_im = rng.standard_normal((2, 2 * half + 1))
     frames = -(-n // hop)
-    spectrum = sfft.fft(x, fold_len(n, [taps_re.size], hop))
-    spectral = _spectral_row(spectrum, taps_re, taps_im, hop, frames)
+    # as CwtPlan.execute: lags of n or more are cut, and a hop of n or more acts as n
+    reach = min(half, n - 1)
+    cut = slice(half - reach, half + reach + 1)
+    cls = data.draw(block_classes(n, reach, min(hop, n)), label="class")
+    spectral = np.empty(frames, dtype=np.complex128)
+    _block_row(spectral, _block_spectra(x, cls), cls, taps_re[cut], taps_im[cut], min(hop, n))
     xpad = np.zeros(half + n + half + 2 * hop)
     xpad[half:half + n] = x
     re, im = _kernels.strided_correlate(xpad, taps_re, taps_im, hop, frames)

@@ -3,6 +3,7 @@ import pytest
 
 from wavehop import (
     CoefficientMatrix,
+    InvalidHop,
     MalformedHeader,
     IoFailure,
     ScaleGrid,
@@ -145,6 +146,14 @@ class TestCsv:
 
 
 class TestMatrixFile:
+    def test_hop_beyond_u32_is_a_typed_error(self, tmp_path):
+        path = tmp_path / "m.scg1"
+        write_matrix_bin(matrix_of([[1j]], hop=2**32 - 1), path)
+        assert read_matrix_bin(path).hop == 2**32 - 1
+        with pytest.raises(InvalidHop):
+            write_matrix_bin(matrix_of([[1j]], hop=2**32), tmp_path / "n.scg1")
+        assert not (tmp_path / "n.scg1").exists()
+
     def test_round_trip_fields(self, tmp_path):
         matrix = random_matrix(np.random.default_rng(4))
         path = tmp_path / "m.scg1"

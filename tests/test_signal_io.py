@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -224,6 +225,7 @@ class TestDecimate:
 
     @pytest.mark.parametrize("n,hop", [
         (1, 4), (30, 4), (41, 4), (1000, 3), (1001, 8), (2000, 32), (160_000, 128),
+        (100, 1000),  # 10 001 taps, of which only the centre 199 can reach a sample
     ])
     def test_anti_alias_matches_firwin_fftconvolve(self, n, hop):
         x = np.random.default_rng(n).standard_normal(n)
@@ -232,6 +234,17 @@ class TestDecimate:
         assert out.samples.shape == expected.shape
         assert max_rel_err(out.samples, expected) <= 1e-12
         assert out.sample_rate == 16_000 / hop
+
+    def test_anti_alias_memory_follows_the_signal_not_the_hop(self):
+        x = np.random.default_rng(8).standard_normal(1000)
+        tracemalloc.start()
+        try:
+            out = decimate(SignalBuffer(x, 16_000), 2**18, anti_alias=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.samples.shape == (1,) and np.isfinite(out.samples).all()
+        assert peak < 8 * 2**20  # 2.6M taps would take 21 MB, and their convolution more
 
 
 def test_import_leaves_scipy_signal_unloaded():

@@ -1,6 +1,7 @@
 import math
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -334,6 +335,50 @@ class TestRouting:
     def test_prime_hop_makes_the_fft_dearer(self):
         assert _kernels.fft_seconds(127 * 2592) > 2 * _kernels.fft_seconds(128 * 2592)
 
+    def test_hop_far_beyond_the_signal_is_sized_by_the_signal(self):
+        sig = noise(1_000, seed=33)
+        grid = make_scale_grid(500.0, 4000.0, 4, 16_000.0)
+        at_n = cwth_strided(sig, grid, PARAMS, 1_000).values  # builds the plan first
+        tracemalloc.start()
+        try:
+            far = cwth_strided(sig, grid, PARAMS, 2**22)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert far.hop == 2**22 and far.columns == 1
+        assert_rel_close(far.values, at_n, 1e-12)
+        assert peak < 2**20  # a padding sized by the hop would alone take 64 MiB
+
+
+# the lengths and hops of the speedup surface that ``wavehop bench`` sweeps
+SURFACE_LENGTHS = (2_000, 8_000, 25_000, 80_000, 160_000, 320_000)
+SURFACE_HOPS = (1, 2, 4, 8, 32, 128, 512)
+
+
+@pytest.mark.parametrize("grid", [SWEEP_GRID, DESK_GRID], ids=["sweep", "desk"])
+class TestCostModel:
+    """Timing-free checks of the seconds model over the speedup surface."""
+
+    def test_strided_is_never_priced_above_cwt_fft(self, grid):
+        plan = plan_for(PARAMS, grid)
+        for n in SURFACE_LENGTHS:
+            full = plan.predicted_seconds(n, 1, [True] * plan.count)
+            for hop in SURFACE_HOPS:
+                assert plan.predicted_seconds(n, hop) <= full, (n, hop)
+
+    def test_layout_is_never_priced_above_one_block(self, grid):
+        widths = tap_counts(grid)
+        for n in SURFACE_LENGTHS:
+            reach = tuple(min(w, 2 * n - 1) for w in widths)
+            for hop in SURFACE_HOPS:
+                layout = wavelet.block_layout(n, reach, hop)
+                assert sorted(row for cls in layout for row in cls.rows) == list(range(len(reach)))
+                chosen = sum(cls.spectra_seconds() + len(cls.rows) * cls.row_seconds(hop)
+                             for cls in layout)
+                one = wavelet.class_options(n, max(reach) // 2, hop)[0]
+                assert one.blocks == 1 and one.block_len >= n + max(reach) // 2
+                assert chosen <= one.spectra_seconds() + len(reach) * one.row_seconds(hop), (n, hop)
+
 
 @pytest.fixture
 def cold_cache():
@@ -473,10 +518,15 @@ class TestExplain:
         if grid is DESK_GRID and hop == 128:
             assert not any(routes)
         frames = -(-n // hop)
-        fft_len = wavelet.fold_len(n, widths, hop)
-        for record in records:
-            assert record["direct_s"] == _kernels.direct_seconds(record["taps"], hop, frames)
-            assert record["spectral_s"] == _kernels.spectral_seconds(fft_len, hop)
+        # a lag of n or more meets no sample, so rows are priced on at most 2n - 1 taps
+        reach = tuple(min(w, 2 * n - 1) for w in widths)
+        layout = wavelet.block_layout(n, reach, hop)
+        for row, record in enumerate(records):
+            assert record["direct_s"] == _kernels.direct_seconds(reach[row], hop, frames)
+            cls = layout[record["class"]]
+            assert row in cls.rows
+            assert (record["block_len"], record["blocks"]) == (cls.block_len, cls.blocks)
+            assert record["spectral_s"] == _kernels.spectral_seconds(cls.block_len, hop, cls.blocks)
 
     def test_forced_routes(self):
         records = plan_for(PARAMS, SWEEP_GRID).explain(1_000, 1, routes=[True] * 8)
