@@ -5,11 +5,13 @@ whole block rows (``wavelet._block_row``) over a grid of shapes on one
 thread, and prints the constants of ``_kernels.direct_seconds``,
 ``_kernels.fft_seconds`` and ``_kernels.spectral_seconds`` in the form
 ``src/wavehop/_kernels.py`` holds them.  Each fit is non-negative least
-squares on relative error.  The FFT constants come from FFT timings
-alone, and ``ROW_CALL_S`` and ``SPECTRAL_POINT_S`` from what whole
-block rows take beyond their FFTs as priced by those constants, so the
-FFT and per-point costs never trade off against each other.  Takes
-about a minute.
+squares on relative error.  The direct kernel's rows and products are
+counted as it computes them, in the runs ``_kernels.product_runs``
+sets, so a chunked call counts each run's overlap.  The FFT constants
+come from FFT timings alone, and ``ROW_CALL_S`` and
+``SPECTRAL_POINT_S`` from what whole block rows take beyond their FFTs
+as priced by those constants, so the FFT and per-point costs never
+trade off against each other.  Takes about a minute.
 
     PYTHONPATH=src python scripts/calibrate_router.py
 """
@@ -79,15 +81,14 @@ def direct(rng):
                     windowed[1].append(t)
                 else:
                     blocks = -(-width // hop)
-                    rows = frames + blocks - 1
+                    _, rows = _kernels.product_runs(blocks, frames)
                     products = 2 * blocks * rows
-                    paged = products if products > _kernels.PAGED_PRODUCTS else 0
-                    blocked[0].append([1.0, blocks, rows * hop, products, products * hop, paged])
+                    blocked[0].append([1.0, blocks, rows * hop, products, products * hop])
                     blocked[1].append(t)
     print("# direct kernel, hop <= 2")
     fit(*windowed, ["WINDOW_MAC_S"])
     print("# direct kernel, hop > 2")
-    fit(*blocked, ["CALL_S", "BLOCK_S", "SAMPLE_S", "PRODUCT_S", "MAC_S", "PAGED_S"])
+    fit(*blocked, ["CALL_S", "BLOCK_S", "SAMPLE_S", "PRODUCT_S", "MAC_S"])
 
 
 def block_shapes():

@@ -9,12 +9,15 @@ length ``block_len / hop``).  ``direct_seconds`` and ``spectral_seconds``
 predict the wall time of each route from the row's shape alone, and
 ``fft_seconds`` the segment spectra a width class shares, so the route
 is a pure function of (length, taps, hop) and never changes a result:
-both routes give the same columns to within roundoff.
+both routes give the same columns to within roundoff.  A direct product
+too large for ``CHUNK_PRODUCTS`` is computed, and priced, in the runs
+``product_runs`` sets, each run's overlap included.
 
 The constants below were fitted by
 ``PYTHONPATH=src python scripts/calibrate_router.py`` on a 2-vCPU x86
-host (numpy 2.4, scipy 1.17, one BLAS thread); rerun it and paste its
-output here to price the routes for another machine.
+host (numpy 2.4, scipy 1.17, one BLAS thread), in a fit that still
+carried a surcharge per element of products above 32 MB; rerun it and
+paste its output here to price the routes for another machine.
 """
 
 import functools
@@ -24,7 +27,7 @@ import numpy as np
 
 __all__ = ["direct_seconds", "fft_seconds", "spectral_seconds", "strided_correlate"]
 
-# Products of more elements (32 MB) are computed a run of frames at a time.
+# Products of more elements (32 MB) are computed a run of frames at a time: ``product_runs``.
 CHUNK_PRODUCTS = 1 << 22
 
 # Direct kernel, windowed form (hop <= 2).
@@ -35,8 +38,6 @@ BLOCK_S = 9.5e-07           # per tap block: one slice-add of the shifted sum
 SAMPLE_S = 2.8e-10          # per signal sample streamed through the matmul
 PRODUCT_S = 6.4e-10         # per element of the (2*blocks, rows) product matrix
 MAC_S = 1.9e-11             # per multiply-accumulate inside that product
-PAGED_S = 5.1e-10           # per element again when the product outgrows PAGED_PRODUCTS
-PAGED_PRODUCTS = 1 << 22    # 32 MB: larger arrays are fresh pages from the OS on every call
 # Block spectral row.
 FFT_CALL_S = 3.8e-06        # fixed cost of one scipy.fft call
 FFT_S = 5.2e-10             # per point per log2(length) of a complex FFT taken alone
@@ -56,10 +57,9 @@ def strided_correlate(xpad, taps_re, taps_im, hop, frames):
     into one contiguous matmul, (2*blocks, hop) x (hop, frames+blocks-1),
     plus a sum over q of rows shifted by q -- no windowed copies.  The
     product is laid out one block per row, so that sum reads contiguous
-    memory whatever the block count.  When the whole product would
-    exceed ``CHUNK_PRODUCTS`` elements it is computed a run of frames at
-    a time, each run at least ``blocks`` frames long, so memory grows
-    with the tap count rather than with the signal.  For hop <= 2 the
+    memory whatever the block count.  The product is computed in the
+    runs of frames ``product_runs`` sets, so memory grows with the tap
+    count rather than with the signal.  For hop <= 2 the
     block split saves nothing (the intermediate grows to ~2/hop times a
     plain window copy), so dense windows win there.
     """
@@ -80,9 +80,7 @@ def strided_correlate(xpad, taps_re, taps_im, hop, frames):
     taps2d[0, :width] = taps_re
     taps2d[1, :width] = taps_im
     taps2d = taps2d.reshape(2 * blocks, hop)
-    chunk = frames
-    if 2 * blocks * rows > CHUNK_PRODUCTS:
-        chunk = max(blocks, CHUNK_PRODUCTS // (2 * blocks) - blocks + 1)
+    chunk, _ = product_runs(blocks, frames)
     parts = []
     for start in range(0, frames, chunk):
         count = min(chunk, frames - start)
@@ -97,16 +95,30 @@ def strided_correlate(xpad, taps_re, taps_im, hop, frames):
     return out[0], out[1]
 
 
+def product_runs(blocks: int, frames: int) -> tuple[int, int]:
+    """(frames per run, signal rows multiplied) of the polyphase product of ``blocks`` tap blocks.
+
+    The whole product, ``2 * blocks * (frames + blocks - 1)`` elements,
+    is one run unless it exceeds ``CHUNK_PRODUCTS``.  Then each run
+    holds as many frames as keep its product within that budget, and
+    at least ``blocks``; every run multiplies ``blocks - 1`` signal rows
+    beyond its frames.
+    """
+    chunk = frames
+    if 2 * blocks * (frames + blocks - 1) > CHUNK_PRODUCTS:
+        chunk = max(blocks, CHUNK_PRODUCTS // (2 * blocks) - blocks + 1)
+    return chunk, frames + -(-frames // chunk) * (blocks - 1)
+
+
 def direct_seconds(width: int, hop: int, frames: int) -> float:
-    """Predicted seconds of one ``strided_correlate`` call."""
+    """Predicted seconds of one ``strided_correlate`` call, its runs' overlap included."""
     if hop <= 2:
         return WINDOW_MAC_S * 2 * frames * width
     blocks = -(-width // hop)
-    rows = frames + blocks - 1
+    _, rows = product_runs(blocks, frames)
     products = 2 * blocks * rows
-    paged = PAGED_S if products > PAGED_PRODUCTS else 0.0
     return (CALL_S + BLOCK_S * blocks + SAMPLE_S * rows * hop
-            + products * (PRODUCT_S + MAC_S * hop + paged))
+            + products * (PRODUCT_S + MAC_S * hop))
 
 
 def fft_seconds(length: int, count: int = 1) -> float:

@@ -36,6 +36,7 @@ from .wavelet import (
     cwth_decimate,
     cwth_strided,
     plan_for,
+    schedule,
 )
 
 FULL_METHOD = "cwt_fft"
@@ -125,10 +126,10 @@ def bench_single(
 
     measured = {name: summarize(_time_repeated(fn, reps)) for name, fn in jobs}
     full_median = measured[FULL_METHOD][0]
-    plan = plan_for(params, grid)
+    widths = plan_for(params, grid).widths
     predicted = {
-        FULL_METHOD: plan.predicted_seconds(len(signal), 1, [True] * plan.count),
-        "cwth_strided": plan.predicted_seconds(len(signal), hop),
+        FULL_METHOD: schedule(len(signal), widths, 1, full=True).seconds,
+        "cwth_strided": schedule(len(signal), widths, hop).seconds,
     }
 
     reports = []

@@ -125,7 +125,7 @@ def _write_explain(signal: SignalBuffer, matrix, args) -> None:
     if args.mode == "strided":
         records = plan.explain(len(signal), args.hop)
     else:  # cwt_fft on the (decimated) signal: every row spectral at hop 1
-        records = plan.explain(matrix.columns, 1, routes=[True] * plan.count)
+        records = plan.explain(matrix.columns, 1, full=True)
     text = "".join(json.dumps(record) + "\n" for record in records)
     try:
         Path(args.explain).write_text(text)
@@ -160,9 +160,9 @@ def _cmd_bench(args) -> int:
     fmax = args.fmax if args.fmax is not None else 0.45 * args.rate
     grid = make_scale_grid(args.fmin, fmax, args.scales, args.rate, params)
     sys.stdout.write(json.dumps({"env": bench_env(args.threads)}) + "\n")
-    for length in args.lengths or [args.length]:
+    for length in args.length:
         signal = synthesize(SynthSpec("white_noise", length, args.rate, seed=args.seed))
-        for hop in args.hops or [args.hop]:
+        for hop in args.hop:
             reports = bench_single(
                 signal, grid, params, hop, args.reps,
                 include_decimate=args.include_decimate,
@@ -288,13 +288,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="time full vs hopped transforms, JSON lines on stdout "
                                      "(the environment first)")
-    p.add_argument("--length", type=int, default=160_000)
+    p.add_argument("--length", type=_positive_ints, default=[160_000],
+                   help="signal length, or comma-separated lengths to sweep")
     p.add_argument("--rate", type=float, default=16_000.0)
-    p.add_argument("--hop", type=int, default=128)
-    p.add_argument("--lengths", type=_positive_ints, default=None,
-                   help="comma-separated signal lengths to sweep (instead of --length)")
-    p.add_argument("--hops", type=_positive_ints, default=None,
-                   help="comma-separated hops to sweep at each length (instead of --hop)")
+    p.add_argument("--hop", type=_positive_ints, default=[128],
+                   help="hop, or comma-separated hops to sweep at each length")
     p.add_argument("--reps", type=int, default=5)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--include-decimate", action="store_true")

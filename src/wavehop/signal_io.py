@@ -267,7 +267,9 @@ def read_wav(path) -> SignalBuffer:
         raise EmptySignal(f"{path}: data chunk holds no samples")
 
     values = np.frombuffer(data[: n_frames * frame_bytes], dtype=dtype)
-    values = values.reshape(n_frames, channels).astype(np.float64)
+    # a signalling NaN warns as it is cast; SignalBuffer rejects it as NonFiniteSamples
+    with np.errstate(invalid="ignore"):
+        values = values.reshape(n_frames, channels).astype(np.float64)
     if format_code == _FMT_PCM:
         values /= PCM16_FULL_SCALE
     mono = values.mean(axis=1) if channels > 1 else values[:, 0]

@@ -8,7 +8,7 @@ Four paths produce a :class:`CoefficientMatrix`:
 ``cwth_strided``  coefficients only at translations 0, H, 2H, ...; each
                   retained column is mathematically the full-transform
                   column at that position.  Each row goes direct or
-                  spectral, as ``route_rows`` prices it.
+                  spectral, as its ``schedule`` prices it.
 ``cwth_decimate`` decimate the signal by H first, then run the full FFT
                   transform on the shorter signal.
 
@@ -16,6 +16,8 @@ The two hop-size interpretations are deliberately separate operations:
 they do not produce the same coefficients.  ``cwt_fft`` and
 ``cwth_strided`` (and so ``cwth_decimate``) run on a :class:`CwtPlan`,
 the grid's taps sampled once and kept in a small cache (``plan_for``).
+Which rows go spectral, in which block layout and at what predicted
+price is one cached, pure function of (length, taps, hop): ``schedule``.
 
 There is one spectral route, the overlap-save block row: rows are
 grouped into width classes (``block_layout``), each class takes one
@@ -216,7 +218,7 @@ def cwt_fft(
     evaluation order.
     """
     plan = plan_for(params or MorletParams(), grid)
-    out = plan.execute(signal.samples, 1, threads, routes=[True] * plan.count)
+    out = plan.execute(signal.samples, 1, threads, full=True)
     return CoefficientMatrix(out, 1, signal.sample_rate, _copy_grid(grid))
 
 
@@ -233,7 +235,7 @@ def cwth_strided(
     Column k equals column k*hop of the full transform; nothing else is
     computed.  The taps come from the cached :class:`CwtPlan` of
     (params, grid), and each scale row takes whichever of two routes
-    ``CwtPlan.routes`` (that is, ``route_rows``) predicts to be faster:
+    its ``schedule`` predicts to be faster:
 
     - direct: ceil(N/hop) windowed dot products by
       ``_kernels.strided_correlate``, a cost proportional to the frames;
@@ -303,36 +305,26 @@ class CwtPlan:
     def count(self) -> int:
         return len(self.taps)
 
-    def routes(self, n: int, hop: int) -> list[bool]:
-        """Per row, True where the spectral route is taken: ``route_rows``."""
-        return route_rows(n, self.widths, hop)
-
-    def predicted_seconds(self, n: int, hop: int, routes=None) -> float:
-        """Seconds the model predicts for ``execute``: ``predicted_seconds`` on the tap counts."""
-        return predicted_seconds(n, self.widths, hop, routes)
-
-    def explain(self, n: int, hop: int, routes=None) -> list[dict]:
+    def explain(self, n: int, hop: int, full: bool = False) -> list[dict]:
         """One record per row: scale, tap count, route, predicted seconds and block layout.
 
-        ``direct_s`` and ``spectral_s`` are both routes' predicted
-        seconds, the latter for the row's block row without the block
-        spectra its width class shares; ``block_len``, ``blocks`` and
-        ``class`` (an index into ``block_layout``) give its layout.
-        ``routes`` defaults to ``routes(n, hop)``, as for ``execute``.
+        Read from ``schedule(n, widths, hop, full)``, as ``execute``
+        reads it.  ``direct_s`` and ``spectral_s`` are both routes'
+        predicted seconds, the latter for the row's block row without the
+        block spectra its width class shares; ``block_len``, ``blocks``
+        and ``class`` (an index into the schedule's ``classes``) give its
+        layout.
         """
-        frames = -(-n // hop)
-        if routes is None:
-            routes = self.routes(n, hop)
-        widths, hop = _reach(n, self.widths, hop)
+        sched = schedule(n, self.widths, hop, full)
         records = [None] * self.count
-        for index, cls in enumerate(block_layout(n, widths, hop)):
-            spectral_s = _kernels.spectral_seconds(cls.block_len, hop, cls.blocks)
+        for index, cls in enumerate(sched.classes):
+            spectral_s = cls.row_seconds(sched.hop)
             for row in cls.rows:
                 records[row] = {
                     "scale": float(self.scales[row]),
                     "taps": self.widths[row],
-                    "route": "spectral" if routes[row] else "direct",
-                    "direct_s": _kernels.direct_seconds(widths[row], hop, frames),
+                    "route": "spectral" if sched.routes[row] else "direct",
+                    "direct_s": sched.direct_s[row],
                     "spectral_s": spectral_s,
                     "block_len": cls.block_len,
                     "blocks": cls.blocks,
@@ -340,18 +332,17 @@ class CwtPlan:
                 }
         return records
 
-    def execute(self, x: np.ndarray, hop: int, threads: int = 1, routes=None) -> np.ndarray:
+    def execute(self, x: np.ndarray, hop: int, threads: int = 1, full: bool = False) -> np.ndarray:
         """Columns 0, hop, 2*hop, ... of every row of the transform of ``x``.
 
-        Each row takes the route ``routes`` names (True: spectral),
-        by default ``routes(x.size, hop)``.  Spectral rows run one width
-        class at a time, so only that class's block spectra are held.
+        Each row takes the route ``schedule(x.size, widths, hop, full)``
+        names; ``full`` sends every row spectral.  Spectral rows run one
+        width class at a time, so only that class's block spectra are
+        held.
         """
         n = x.size
-        frames = -(-n // hop)
-        if routes is None:
-            routes = self.routes(n, hop)
-        widths, hop = _reach(n, self.widths, hop)
+        sched = schedule(n, self.widths, hop, full)
+        widths, hop, frames, routes = sched.widths, sched.hop, sched.frames, sched.routes
         taps = [(re[(re.size - w) // 2:][:w], im[(im.size - w) // 2:][:w])
                 for (re, im), w in zip(self.taps, widths)]
         direct = [row for row in range(self.count) if not routes[row]]
@@ -370,7 +361,7 @@ class CwtPlan:
 
         with _row_runner(threads) as run:
             run(direct_row, direct)
-            for cls in block_layout(n, widths, hop):
+            for cls in sched.classes:
                 rows = [row for row in cls.rows if routes[row]]
                 if not rows:
                     continue
@@ -526,81 +517,61 @@ def block_layout(n: int, widths: tuple, hop: int) -> tuple[BlockClass, ...]:
     return tuple(reversed(classes))
 
 
-def route_rows(n: int, widths, hop: int) -> list[bool]:
-    """Per scale row, True where the spectral route is predicted faster.
+class Schedule(NamedTuple):
+    """How one transform call computes its rows, and what the model predicts it costs.
 
-    A pure function of the signal length, the tap counts and the hop.
-    The rows of at least some tap count go spectral: the count whose
-    routes ``predicted_seconds`` prices cheapest, a class's block
-    spectra included once if any of its rows is spectral.  When none is
-    cheaper than all-direct, every row stays direct.
+    ``widths`` and ``hop`` are what reaches the signal (``_reach``),
+    ``frames`` the retained columns and ``classes`` the rows'
+    ``block_layout``.  ``direct_s`` is each row's direct-route seconds,
+    ``routes`` is True where a row goes spectral, and ``seconds`` prices
+    the call: each row by its route, plus the block spectra of each
+    class with a spectral row, once.
     """
-    return list(_routes(n, *_reach(n, widths, hop)))
+
+    widths: tuple
+    hop: int
+    frames: int
+    classes: tuple
+    direct_s: tuple
+    routes: tuple
+    seconds: float
 
 
-def predicted_seconds(n: int, widths, hop: int, routes=None) -> float:
-    """Seconds the model predicts for these rows of ``n`` samples at ``hop``.
+def schedule(n: int, widths, hop: int, full: bool = False) -> Schedule:
+    """The :class:`Schedule` of rows of these tap counts on ``n`` samples at ``hop``.
 
-    Each row is priced by ``_kernels.direct_seconds`` or, where
-    ``routes`` (default ``route_rows``) is True, by
-    ``_kernels.spectral_seconds`` on its ``block_layout`` class; each
-    class with a spectral row adds its block spectra once.
+    A pure function of the signal length, the tap counts, the hop and
+    ``full``, cached.  The rows of at least some tap count go spectral:
+    the count whose routes the model prices cheapest.  When none is
+    cheaper than all-direct, every row stays direct.  ``full`` sends
+    every row spectral, as ``cwt_fft`` does, on the same classes.
     """
-    widths, hop = _reach(n, widths, hop)
-    routes = _routes(n, widths, hop) if routes is None else tuple(routes)
-    return _routed_seconds(n, widths, hop, routes)
+    return _schedule(n, *_reach(n, widths, hop), full)
 
 
 @functools.lru_cache(maxsize=256)
-def _prices(n: int, widths: tuple, hop: int) -> tuple:
-    """The model's terms, in the order ``_routed_seconds`` sums them.
-
-    The all-direct seconds; the rows by descending tap count, each with
-    its class index and its spectral minus direct seconds; and each
-    class's block spectra.
-    """
+def _schedule(n: int, widths: tuple, hop: int, full: bool) -> Schedule:
     frames = -(-n // hop)
-    direct = [_kernels.direct_seconds(w, hop, frames) for w in widths]
-    steps = [None] * len(widths)
-    spectra = []
-    for index, cls in enumerate(block_layout(n, widths, hop)):
-        row_s = cls.row_seconds(hop)
-        for row in cls.rows:
-            steps[row] = (row, index, row_s - direct[row])
-        spectra.append(cls.spectra_seconds())
-    steps.sort(key=lambda step: (-widths[step[0]], step[0]))
-    return sum(direct), steps, spectra
-
-
-def _routed_seconds(n: int, widths: tuple, hop: int, routes: tuple) -> float:
-    """All rows direct, then each spectral row's difference, widest first,
-    with its class's block spectra where the class first has one."""
-    total, steps, spectra = _prices(n, widths, hop)
-    paid = set()
-    for row, index, delta in steps:
-        if routes[row]:
-            if index not in paid:
-                paid.add(index)
-                total += spectra[index]
-            total += delta
-    return total
-
-
-@functools.lru_cache(maxsize=256)
-def _routes(n: int, widths: tuple, hop: int) -> tuple:
-    # the sums of _routed_seconds for each tap-count threshold, widest first;
-    # ties keep more rows direct
-    total, steps, spectra = _prices(n, widths, hop)
-    best, least = total, math.inf
-    paid = set()
-    for k, (row, index, delta) in enumerate(steps):
+    classes = block_layout(n, widths, hop)
+    direct_s = tuple(_kernels.direct_seconds(w, hop, frames) for w in widths)
+    owner = {row: index for index, cls in enumerate(classes) for row in cls.rows}
+    row_s = [cls.row_seconds(hop) for cls in classes]
+    # the total of each tap-count threshold: all rows direct, then each row's
+    # spectral minus direct seconds, widest first, with its class's block
+    # spectra where the class first has one; ties keep more rows direct
+    order = sorted(range(len(widths)), key=lambda row: (-widths[row], row))
+    total = best = sum(direct_s)
+    least, paid = math.inf, set()
+    for k, row in enumerate(order):
+        index = owner[row]
         if index not in paid:
             paid.add(index)
-            total += spectra[index]
-        total += delta
-        if (k + 1 == len(steps) or widths[steps[k + 1][0]] != widths[row]) and total < best:
+            total += classes[index].spectra_seconds()
+        total += row_s[index] - direct_s[row]
+        if (k + 1 == len(order) or widths[order[k + 1]] != widths[row]) and (full or total < best):
             best, least = total, widths[row]
-    return tuple(w >= least for w in widths)
+    routes = tuple(w >= least for w in widths)
+    return Schedule(widths, hop, frames, classes, direct_s, routes, best)
 
 
 def _block_spectra(x: np.ndarray, cls: BlockClass) -> np.ndarray:

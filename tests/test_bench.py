@@ -15,7 +15,7 @@ from wavehop import (
     synthesize,
 )
 from wavehop.bench import BenchReport, bench_env, summarize
-from wavehop.wavelet import plan_for
+from wavehop.wavelet import plan_for, schedule
 
 PARAMS = MorletParams()
 
@@ -90,10 +90,9 @@ class TestPredictions:
         signal, grid = small_workload()
         reports = bench_single(signal, grid, PARAMS, hop=64, reps=3, include_dwt=True)
         by_method = {r.method: r for r in reports}
-        plan = plan_for(PARAMS, grid)
-        assert by_method["cwt_fft"].predicted_seconds == plan.predicted_seconds(
-            8192, 1, [True] * grid.count)
-        assert by_method["cwth_strided"].predicted_seconds == plan.predicted_seconds(8192, 64)
+        widths = plan_for(PARAMS, grid).widths
+        assert by_method["cwt_fft"].predicted_seconds == schedule(8192, widths, 1, full=True).seconds
+        assert by_method["cwth_strided"].predicted_seconds == schedule(8192, widths, 64).seconds
         assert by_method["dwt"].predicted_seconds is None
 
     def test_env_names_versions_cpus_and_threads(self, monkeypatch):

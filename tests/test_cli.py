@@ -6,7 +6,7 @@ import pytest
 import wavehop.cli
 from wavehop import MorletParams, read_matrix_bin, read_wav, sample_wavelet
 from wavehop.cli import parse_synth_spec, run_cli
-from wavehop.wavelet import route_rows
+from wavehop.wavelet import schedule
 from testutil import write_float32_wav, write_reference_wav
 
 
@@ -139,7 +139,7 @@ class TestTransformCommand:
         widths = [sample_wavelet(MorletParams(), s).size for s in matrix.scale_grid.scales]
         assert [r["taps"] for r in records] == widths
         if mode == "strided":
-            want = route_rows(16_000, widths, hop)
+            want = list(schedule(16_000, widths, hop).routes)
         else:  # cwt_fft: every row spectral
             want = [True] * len(widths)
         assert [r["route"] == "spectral" for r in records] == want
@@ -321,7 +321,7 @@ class TestBenchCommand:
 
     def test_sweep_over_lengths_and_hops(self, capsys):
         code = run_cli([
-            "bench", "--lengths", "2000,3000", "--hops", "1,8", "--rate", "16000",
+            "bench", "--length", "2000,3000", "--hop", "1,8", "--rate", "16000",
             "--reps", "3", "--scales", "4", "--fmin", "300", "--fmax", "3000",
         ])
         assert code == 0
@@ -335,8 +335,9 @@ class TestBenchCommand:
 
     @pytest.mark.parametrize("value", ["1,0", "8,x", ""])
     def test_bad_sweep_list_is_a_usage_error(self, value, capsys):
-        assert run_cli(["bench", "--hops", value]) == 2
-        assert "--hops" in capsys.readouterr().err
+        for flag in ("--length", "--hop"):
+            assert run_cli(["bench", flag, value]) == 2
+            assert flag in capsys.readouterr().err
 
     def test_too_few_reps_exits_one(self, capsys):
         code = run_cli(["bench", "--length", "1024", "--reps", "2", "--scales", "4",

@@ -72,6 +72,36 @@ def test_chunked_product_matches_unchunked(monkeypatch, budget):
         assert np.max(np.abs(got - want)) <= 1e-12 * scale
 
 
+class _CountedRows(np.ndarray):
+    """An array that records the signal rows of each matmul it takes part in as the right operand."""
+
+    seen = []
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if ufunc is np.matmul:
+            _CountedRows.seen.append(inputs[1].shape[1])
+        return getattr(ufunc, method)(*(np.asarray(a) for a in inputs), **kwargs)
+
+
+@pytest.mark.parametrize("budget", [1, 200_000, 500_000, 1 << 22])
+def test_priced_rows_are_the_rows_the_runs_multiply(monkeypatch, budget):
+    hop, width = 8, 801
+    xpad, taps_re, taps_im, frames = _padded_case(30_001, hop, width, seed=4)
+    whole_s = _kernels.direct_seconds(width, hop, frames)
+    monkeypatch.setattr(_kernels, "CHUNK_PRODUCTS", budget)
+    monkeypatch.setattr(_CountedRows, "seen", [])
+    _kernels.strided_correlate(xpad.view(_CountedRows), taps_re, taps_im, hop, frames)
+    blocks = -(-width // hop)
+    chunk, rows = _kernels.product_runs(blocks, frames)
+    assert len(_CountedRows.seen) == -(-frames // chunk)
+    assert sum(_CountedRows.seen) == rows  # each run's blocks - 1 overlap included
+    if len(_CountedRows.seen) > 1:
+        assert _kernels.direct_seconds(width, hop, frames) > whole_s
+    else:
+        assert rows == frames + blocks - 1
+        assert _kernels.direct_seconds(width, hop, frames) == whole_s
+
+
 def test_no_corpus_shape_is_chunked():
     """Desk scale (64 scales up to 8 315 taps, hop 128, up to 10 s at 16 kHz) stays one run."""
     widths = [sample_wavelet(MorletParams(), s).size

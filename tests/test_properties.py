@@ -1,4 +1,6 @@
-"""Property tests of the hopped transform's exactness, of its two row routes and of SCG1."""
+"""Property tests of the hopped transform's exactness, of its two row routes, of SCG1 and of WAV input."""
+
+import struct
 
 import numpy as np
 import pytest
@@ -10,13 +12,15 @@ from wavehop import (
     MorletParams,
     ScaleGrid,
     SignalBuffer,
+    WavehopError,
     cwt_fft,
     cwth_strided,
     read_matrix_bin,
+    read_wav,
     write_matrix_bin,
 )
 from wavehop import _kernels
-from wavehop.wavelet import BlockClass, _block_row, _block_spectra, class_options, route_rows
+from wavehop.wavelet import BlockClass, _block_row, _block_spectra, class_options, schedule
 from testutil import assert_rel_close
 
 HOPS = (1, 2, 3, 7, 8, 32, 127, 128, 131)
@@ -96,11 +100,11 @@ def test_spectral_row_matches_direct_kernel(data, hop, half, seed):
 )
 def test_routes_are_monotone_in_tap_count(n, hop, widths):
     """A row never goes direct while a shorter row of the same call goes spectral."""
-    routes = route_rows(n, widths, hop)
+    routes = schedule(n, widths, hop).routes
     assert len(routes) == len(widths)
     by_width = [r for _, r in sorted(zip(widths, routes))]
     assert by_width == sorted(by_width)
-    assert routes == route_rows(n, widths, hop)
+    assert routes == schedule(n, widths, hop).routes
 
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
@@ -132,3 +136,58 @@ def test_scg1_round_trips_bit_exactly(tmp_path_factory, matrix):
     assert back.hop == matrix.hop
     assert back.source_rate == matrix.source_rate
     assert back.scale_grid.scales.tobytes() == matrix.scale_grid.scales.tobytes()
+
+
+def wav_blob(format_code, channels, rate, bits, payload):
+    fmt = struct.pack("<HHIIHH", format_code, channels, rate, 0, 0, bits)
+    body = b"WAVEfmt " + struct.pack("<I", len(fmt)) + fmt
+    body += b"data" + struct.pack("<I", len(payload)) + payload
+    return b"RIFF" + struct.pack("<I", len(body)) + body
+
+
+# offsets of the RIFF, fmt and data chunk sizes in an unmutated ``wav_blob``
+SIZE_FIELDS = (4, 16, 40)
+u16 = st.integers(0, 2**16 - 1)
+u32 = st.integers(0, 2**32 - 1)
+
+
+@st.composite
+def riff_files(draw):
+    """WAV bytes of drawn format fields, then truncated, resized, overwritten or given extra chunks."""
+    format_code, bits = draw(st.sampled_from([(1, 16), (3, 32)])
+                             | st.tuples(st.sampled_from([1, 3]) | u16,
+                                         st.sampled_from([0, 8, 24, 64]) | u16))
+    blob = bytearray(wav_blob(format_code, draw(st.integers(1, 9) | u16),
+                              draw(st.integers(1, 192_000) | u32), bits,
+                              draw(st.binary(max_size=256))))
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(["truncate", "size", "byte", "chunk"]))
+        if kind == "truncate":
+            del blob[draw(st.integers(0, len(blob))):]
+        elif kind == "size":
+            offset = draw(st.sampled_from(SIZE_FIELDS))
+            if offset + 4 <= len(blob):
+                blob[offset:offset + 4] = struct.pack("<I", draw(st.sampled_from([0, 1, 15, 17]) | u32))
+        elif kind == "byte" and blob:
+            blob[draw(st.integers(0, len(blob) - 1))] = draw(st.integers(0, 255))
+        elif kind == "chunk":
+            body = draw(st.binary(max_size=24))
+            size = draw(st.just(len(body)) | u32)
+            at = draw(st.sampled_from([12, len(blob)]))
+            blob[at:at] = draw(st.sampled_from([b"fmt ", b"data", b"LIST"])) + struct.pack("<I", size) + body
+    return bytes(blob)
+
+
+@pytest.mark.filterwarnings("error")  # a warning escaping read_wav is not a typed error
+@settings(max_examples=300, deadline=None)
+@given(blob=riff_files())
+def test_mutated_wav_bytes_read_or_raise_only_typed_errors(tmp_path_factory, blob):
+    path = tmp_path_factory.mktemp("wav") / "m.wav"
+    path.write_bytes(blob)
+    try:
+        signal = read_wav(path)
+    except WavehopError:
+        return
+    assert signal.samples.size >= 1
+    assert np.all(np.isfinite(signal.samples))
+    assert signal.sample_rate > 0

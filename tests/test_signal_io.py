@@ -125,6 +125,13 @@ class TestReadWav:
         with pytest.raises(NonFiniteSamples, match="index 2"):
             read_wav(path)
 
+    @pytest.mark.filterwarnings("error")
+    def test_float32_signalling_nan_rejected_without_a_warning(self, tmp_path):
+        path = tmp_path / "snan.wav"
+        write_float32_wav(path, np.array([0, 0x7F800001], dtype="<u4").view("<f4"), 16_000)
+        with pytest.raises(NonFiniteSamples, match="index 1"):
+            read_wav(path)
+
     def test_unknown_chunks_are_skipped(self, tmp_path):
         import struct
 

@@ -28,7 +28,7 @@ from wavehop import (
 )
 from wavehop import _kernels, wavelet
 from wavehop.cli import run_cli
-from wavehop.wavelet import clear_plan_cache, plan_for, route_rows
+from wavehop.wavelet import clear_plan_cache, plan_for, schedule
 from testutil import assert_rel_close, write_reference_wav
 
 PARAMS = MorletParams()
@@ -299,7 +299,7 @@ def tap_counts(grid):
 
 class TestRouting:
     def test_desk_grid_routes_every_row_direct(self, monkeypatch):
-        assert route_rows(160_000, tap_counts(DESK_GRID), 128) == [False] * 64
+        assert schedule(160_000, tap_counts(DESK_GRID), 128).routes == (False,) * 64
         calls = []
         kernel = _kernels.strided_correlate
 
@@ -314,7 +314,7 @@ class TestRouting:
     @pytest.mark.parametrize("n", [2_000, 320_000])
     def test_hop_one_routes_long_rows_spectral(self, n):
         widths = tap_counts(SWEEP_GRID)
-        routes = route_rows(n, widths, 1)
+        routes = list(schedule(n, widths, 1).routes)
         # at hop 1 the direct kernel can only win on the shortest rows
         assert routes == sorted(routes)
         assert all(spectral for spectral, w in zip(routes, widths) if w >= 127)
@@ -360,11 +360,34 @@ class TestCostModel:
     """Timing-free checks of the seconds model over the speedup surface."""
 
     def test_strided_is_never_priced_above_cwt_fft(self, grid):
+        widths = tap_counts(grid)
+        for n in SURFACE_LENGTHS:
+            full = schedule(n, widths, 1, full=True).seconds
+            for hop in SURFACE_HOPS:
+                assert schedule(n, widths, hop).seconds <= full, (n, hop)
+
+    def test_full_routes_every_row_spectral_on_the_routed_classes(self, grid):
+        # cwt_fft and cwth_strided(hop=1) share spectral rows bit for bit only on one layout
+        widths = tap_counts(grid)
+        for n in SURFACE_LENGTHS:
+            for hop in SURFACE_HOPS:
+                routed, full = schedule(n, widths, hop), schedule(n, widths, hop, full=True)
+                assert full.routes == (True,) * len(widths), (n, hop)
+                assert full.classes == routed.classes, (n, hop)
+
+    @pytest.mark.parametrize("full", [False, True], ids=["routed", "full"])
+    def test_seconds_are_the_explained_rows_and_class_spectra(self, grid, full):
         plan = plan_for(PARAMS, grid)
         for n in SURFACE_LENGTHS:
-            full = plan.predicted_seconds(n, 1, [True] * plan.count)
             for hop in SURFACE_HOPS:
-                assert plan.predicted_seconds(n, hop) <= full, (n, hop)
+                sched = schedule(n, plan.widths, hop, full)
+                records = plan.explain(n, hop, full=full)
+                assert [r["route"] == "spectral" for r in records] == list(sched.routes)
+                spectral = {r["class"] for r in records if r["route"] == "spectral"}
+                rebuilt = sum(r["spectral_s"] if r["route"] == "spectral" else r["direct_s"]
+                              for r in records)
+                rebuilt += sum(sched.classes[index].spectra_seconds() for index in spectral)
+                assert math.isclose(sched.seconds, rebuilt, rel_tol=1e-12), (n, hop)
 
     def test_layout_is_never_priced_above_one_block(self, grid):
         widths = tap_counts(grid)
@@ -511,7 +534,7 @@ class TestExplain:
     def test_routes_match_the_router(self, grid, n, hop):
         records = plan_for(PARAMS, grid).explain(n, hop)
         widths = tap_counts(grid)
-        routes = route_rows(n, widths, hop)
+        routes = list(schedule(n, widths, hop).routes)
         assert [r["route"] == "spectral" for r in records] == routes
         assert [r["taps"] for r in records] == widths
         assert [r["scale"] for r in records] == list(grid.scales)
@@ -527,10 +550,6 @@ class TestExplain:
             assert row in cls.rows
             assert (record["block_len"], record["blocks"]) == (cls.block_len, cls.blocks)
             assert record["spectral_s"] == _kernels.spectral_seconds(cls.block_len, hop, cls.blocks)
-
-    def test_forced_routes(self):
-        records = plan_for(PARAMS, SWEEP_GRID).explain(1_000, 1, routes=[True] * 8)
-        assert {r["route"] for r in records} == {"spectral"}
 
 
 class TestCwthDecimate:
