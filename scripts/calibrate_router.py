@@ -7,7 +7,8 @@ thread, and prints the constants of ``_kernels.direct_seconds``,
 ``src/wavehop/_kernels.py`` holds them.  Each fit is non-negative least
 squares on relative error.  The direct kernel's rows and products are
 counted as it computes them, in the runs ``_kernels.product_runs``
-sets, so a chunked call counts each run's overlap.  The FFT constants
+sets: a chunked call counts each run's overlap, and its fixed cost and
+tap blocks once per run.  The FFT constants
 come from FFT timings alone, and ``ROW_CALL_S`` and
 ``SPECTRAL_POINT_S`` from what whole block rows take beyond their FFTs
 as priced by those constants, so the FFT and per-point costs never
@@ -81,9 +82,10 @@ def direct(rng):
                     windowed[1].append(t)
                 else:
                     blocks = -(-width // hop)
-                    _, rows = _kernels.product_runs(blocks, frames)
+                    chunk, rows = _kernels.product_runs(blocks, frames)
+                    runs = -(-frames // chunk)
                     products = 2 * blocks * rows
-                    blocked[0].append([1.0, blocks, rows * hop, products, products * hop])
+                    blocked[0].append([runs, runs * blocks, rows * hop, products, products * hop])
                     blocked[1].append(t)
     print("# direct kernel, hop <= 2")
     fit(*windowed, ["WINDOW_MAC_S"])

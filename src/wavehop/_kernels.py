@@ -11,13 +11,16 @@ predict the wall time of each route from the row's shape alone, and
 is a pure function of (length, taps, hop) and never changes a result:
 both routes give the same columns to within roundoff.  A direct product
 too large for ``CHUNK_PRODUCTS`` is computed, and priced, in the runs
-``product_runs`` sets, each run's overlap included.
+``product_runs`` sets: each run is priced as a call of its own, its
+overlap rows, its matmul and its slice-adds included.
 
 The constants below were fitted by
 ``PYTHONPATH=src python scripts/calibrate_router.py`` on a 2-vCPU x86
 host (numpy 2.4, scipy 1.17, one BLAS thread), in a fit that still
-carried a surcharge per element of products above 32 MB; rerun it and
-paste its output here to price the routes for another machine.
+carried a surcharge per element of products above 32 MB and counted
+``CALL_S`` and ``BLOCK_S`` once per call rather than once per run;
+rerun it and paste its output here to price the routes for another
+machine.
 """
 
 import functools
@@ -33,8 +36,8 @@ CHUNK_PRODUCTS = 1 << 22
 # Direct kernel, windowed form (hop <= 2).
 WINDOW_MAC_S = 4.6e-10      # per multiply-accumulate
 # Direct kernel, polyphase form (hop > 2).
-CALL_S = 1.6e-06            # fixed cost of one call
-BLOCK_S = 9.5e-07           # per tap block: one slice-add of the shifted sum
+CALL_S = 1.6e-06            # fixed cost of one run (one matmul)
+BLOCK_S = 9.5e-07           # per tap block per run: one slice-add of the shifted sum
 SAMPLE_S = 2.8e-10          # per signal sample streamed through the matmul
 PRODUCT_S = 6.4e-10         # per element of the (2*blocks, rows) product matrix
 MAC_S = 1.9e-11             # per multiply-accumulate inside that product
@@ -111,13 +114,17 @@ def product_runs(blocks: int, frames: int) -> tuple[int, int]:
 
 
 def direct_seconds(width: int, hop: int, frames: int) -> float:
-    """Predicted seconds of one ``strided_correlate`` call, its runs' overlap included."""
+    """Predicted seconds of one ``strided_correlate`` call: the sum of its runs.
+
+    Each run pays a matmul call and ``blocks`` slice-adds; every signal
+    row and product element is paid in the run that multiplies it.
+    """
     if hop <= 2:
         return WINDOW_MAC_S * 2 * frames * width
     blocks = -(-width // hop)
-    _, rows = product_runs(blocks, frames)
+    chunk, rows = product_runs(blocks, frames)
     products = 2 * blocks * rows
-    return (CALL_S + BLOCK_S * blocks + SAMPLE_S * rows * hop
+    return (-(-frames // chunk) * (CALL_S + BLOCK_S * blocks) + SAMPLE_S * rows * hop
             + products * (PRODUCT_S + MAC_S * hop))
 
 

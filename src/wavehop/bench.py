@@ -25,7 +25,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 import scipy
 
-from .dwt import DB4, FilterBank, dwt_decompose
+from .dwt import DB4, dwt_decompose
 from .errors import InvalidCount
 from .signal_io import SignalBuffer
 from .wavelet import (
@@ -96,15 +96,14 @@ def bench_single(
     include_decimate: bool = False,
     include_dwt: bool = False,
     include_direct: bool = False,
-    dwt_bank: FilterBank = DB4,
-    dwt_levels: int | None = None,
     threads: int = 1,
 ) -> list[BenchReport]:
     """Time the full transform against its hopped variants on one signal.
 
     Always measures ``cwt_fft`` (the reference for speedup_vs_full) and
     ``cwth_strided``; flags add the decimate path, the dyadic DWT, and
-    the direct-summation path (avoid the latter on long signals).
+    the direct-summation path (avoid the latter on long signals).  The
+    DWT is db4 at min(12, log2 N) levels.
     """
     if reps < 3:
         raise InvalidCount(f"reps must be >= 3, got {reps}")
@@ -119,8 +118,8 @@ def bench_single(
             ("cwth_decimate", lambda: cwth_decimate(signal, grid, params, hop, threads=threads))
         )
     if include_dwt:
-        levels = dwt_levels or min(12, int(math.log2(len(signal))))
-        jobs.append(("dwt", lambda: dwt_decompose(signal, dwt_bank, levels)))
+        levels = min(12, int(math.log2(len(signal))))
+        jobs.append(("dwt", lambda: dwt_decompose(signal, DB4, levels)))
     if include_direct:
         jobs.append(("cwt_direct", lambda: cwt_direct(signal, grid, params)))
 
@@ -128,7 +127,7 @@ def bench_single(
     full_median = measured[FULL_METHOD][0]
     widths = plan_for(params, grid).widths
     predicted = {
-        FULL_METHOD: schedule(len(signal), widths, 1, full=True).seconds,
+        FULL_METHOD: schedule(len(signal), widths, 1).seconds,
         "cwth_strided": schedule(len(signal), widths, hop).seconds,
     }
 

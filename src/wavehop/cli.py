@@ -14,7 +14,7 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from .bench import bench_env, bench_single, reports_to_jsonl
-from .errors import InvalidSpec, IoFailure, WavehopError
+from .errors import InvalidParameter, InvalidSpec, IoFailure, WavehopError
 from .metrics import LabeledScores, auc_roc
 from .scalogram import (
     MAG_MODES,
@@ -120,12 +120,11 @@ def _emit_outputs(matrix, args) -> None:
 
 
 def _write_explain(signal: SignalBuffer, matrix, args) -> None:
-    """One JSON line per scale row: its route and both routes' predicted seconds."""
-    plan = plan_for(*_params_and_grid(signal, args))
-    if args.mode == "strided":
-        records = plan.explain(len(signal), args.hop)
-    else:  # cwt_fft on the (decimated) signal: every row spectral at hop 1
-        records = plan.explain(matrix.columns, 1, full=True)
+    """One JSON line per scale row of the transform as it ran: its route and predicted seconds."""
+    # the decimate mode ran at hop 1 on a signal of ``columns`` samples at a lower rate
+    n, hop = ((len(signal), matrix.hop) if matrix.source_rate == signal.sample_rate
+              else (matrix.columns, 1))
+    records = plan_for(*_params_and_grid(signal, args)).explain(n, hop)
     text = "".join(json.dumps(record) + "\n" for record in records)
     try:
         Path(args.explain).write_text(text)
@@ -180,20 +179,18 @@ def _cmd_auc(args) -> int:
     labels = []
     try:
         text = Path(args.input).read_text()
-    except OSError as exc:
-        print(f"error: cannot read {args.input}: {exc}", file=sys.stderr)
-        return 1
-    try:
-        for line in text.splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            score_part, _, label_part = line.partition(",")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise IoFailure(f"cannot read {args.input}: {exc}") from exc
+    for line in text.splitlines():
+        line = line.strip()
+        if not line:
+            continue
+        score_part, _, label_part = line.partition(",")
+        try:
             scores.append(float(score_part))
             labels.append(int(label_part))
-    except ValueError as exc:
-        print(f"error: bad score,label line: {exc}", file=sys.stderr)
-        return 1
+        except ValueError as exc:
+            raise InvalidParameter(f"bad score,label line {line!r}: {exc}") from exc
     print(f"{auc_roc(LabeledScores(scores, labels)):.6f}")
     return 0
 

@@ -4,18 +4,18 @@ Four paths produce a :class:`CoefficientMatrix`:
 
 ``cwt_direct``    windowed dot products at every translation; the slow,
                   readable reference.
-``cwt_fft``       the same transform per scale row via FFT convolution.
 ``cwth_strided``  coefficients only at translations 0, H, 2H, ...; each
                   retained column is mathematically the full-transform
                   column at that position.  Each row goes direct or
                   spectral, as its ``schedule`` prices it.
-``cwth_decimate`` decimate the signal by H first, then run the full FFT
+``cwt_fft``       the full transform: ``cwth_strided`` at H = 1.
+``cwth_decimate`` decimate the signal by H first, then run the full
                   transform on the shorter signal.
 
 The two hop-size interpretations are deliberately separate operations:
-they do not produce the same coefficients.  ``cwt_fft`` and
-``cwth_strided`` (and so ``cwth_decimate``) run on a :class:`CwtPlan`,
-the grid's taps sampled once and kept in a small cache (``plan_for``).
+they do not produce the same coefficients.  ``cwth_strided`` (and so
+``cwt_fft`` and ``cwth_decimate``) runs on a :class:`CwtPlan`, the
+grid's taps sampled once and kept in a small cache (``plan_for``).
 Which rows go spectral, in which block layout and at what predicted
 price is one cached, pure function of (length, taps, hop): ``schedule``.
 
@@ -23,17 +23,15 @@ There is one spectral route, the overlap-save block row: rows are
 grouped into width classes (``block_layout``), each class takes one
 batched FFT of overlapping signal segments, and each of its rows
 multiplies its kernel spectrum into them, folds every block into hop
-bands and takes one batched inverse FFT.  ``cwt_fft`` is its hop-1
-case.  Work is sized by what can reach a sample: at most 2N - 1 taps,
-and a hop of N or more computes as hop N.
+bands and takes one batched inverse FFT; at hop 1 the fold is the
+identity.  Work is sized by what can reach a sample: at most 2N - 1
+taps, and a hop of N or more computes as hop N.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import threading
-from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -209,17 +207,14 @@ def cwt_fft(
     *,
     threads: int = 1,
 ) -> CoefficientMatrix:
-    """Full transform via FFT convolution: every row is a spectral row at hop 1.
+    """The full transform: ``cwth_strided`` at hop 1, its rows routed as at any hop.
 
-    Matches ``cwt_direct`` elementwise up to floating-point roundoff.
-    The taps come from the cached :class:`CwtPlan` of (params, grid), so
-    only the first call on a grid samples them.  ``threads`` > 1 computes
-    scale rows concurrently; results are identical regardless of row
-    evaluation order.
+    Matches ``cwt_direct`` elementwise up to floating-point roundoff,
+    whichever route each row takes.  ``threads`` > 1 computes scale rows
+    concurrently; results are identical regardless of row evaluation
+    order.
     """
-    plan = plan_for(params or MorletParams(), grid)
-    out = plan.execute(signal.samples, 1, threads, full=True)
-    return CoefficientMatrix(out, 1, signal.sample_rate, _copy_grid(grid))
+    return cwth_strided(signal, grid, params, 1, threads=threads)
 
 
 def cwth_strided(
@@ -241,8 +236,7 @@ def cwth_strided(
       ``_kernels.strided_correlate``, a cost proportional to the frames;
     - spectral: the block row of the row's width class, whose segment
       spectra are folded into ``hop`` aliased bands before one batched
-      inverse FFT of length block_len/hop (the same row function
-      ``cwt_fft`` uses, where hop is 1).
+      inverse FFT of length block_len/hop.
 
     The choice depends only on the signal length, the tap counts and the
     hop, so repeated calls give bit-identical coefficients.
@@ -262,7 +256,7 @@ def cwth_decimate(
     *,
     threads: int = 1,
 ) -> CoefficientMatrix:
-    """Decimate the signal by ``hop``, then run the full FFT transform.
+    """Decimate the signal by ``hop``, then run the full transform, ``cwt_fft``.
 
     Unlike ``cwth_strided`` this changes the signal the wavelets see:
     the scales now act on the decimated rate, and frequencies above the
@@ -305,17 +299,17 @@ class CwtPlan:
     def count(self) -> int:
         return len(self.taps)
 
-    def explain(self, n: int, hop: int, full: bool = False) -> list[dict]:
+    def explain(self, n: int, hop: int) -> list[dict]:
         """One record per row: scale, tap count, route, predicted seconds and block layout.
 
-        Read from ``schedule(n, widths, hop, full)``, as ``execute``
-        reads it.  ``direct_s`` and ``spectral_s`` are both routes'
-        predicted seconds, the latter for the row's block row without the
-        block spectra its width class shares; ``block_len``, ``blocks``
-        and ``class`` (an index into the schedule's ``classes``) give its
+        Read from ``schedule(n, widths, hop)``, as ``execute`` reads it.
+        ``direct_s`` and ``spectral_s`` are both routes' predicted
+        seconds, the latter for the row's block row without the block
+        spectra its width class shares; ``block_len``, ``blocks`` and
+        ``class`` (an index into the schedule's ``classes``) give its
         layout.
         """
-        sched = schedule(n, self.widths, hop, full)
+        sched = schedule(n, self.widths, hop)
         records = [None] * self.count
         for index, cls in enumerate(sched.classes):
             spectral_s = cls.row_seconds(sched.hop)
@@ -332,16 +326,15 @@ class CwtPlan:
                 }
         return records
 
-    def execute(self, x: np.ndarray, hop: int, threads: int = 1, full: bool = False) -> np.ndarray:
+    def execute(self, x: np.ndarray, hop: int, threads: int = 1) -> np.ndarray:
         """Columns 0, hop, 2*hop, ... of every row of the transform of ``x``.
 
-        Each row takes the route ``schedule(x.size, widths, hop, full)``
-        names; ``full`` sends every row spectral.  Spectral rows run one
-        width class at a time, so only that class's block spectra are
-        held.
+        Each row takes the route ``schedule(x.size, widths, hop)`` names.
+        Spectral rows run one width class at a time, so only that class's
+        block spectra are held.
         """
         n = x.size
-        sched = schedule(n, self.widths, hop, full)
+        sched = schedule(n, self.widths, hop)
         widths, hop, frames, routes = sched.widths, sched.hop, sched.frames, sched.routes
         taps = [(re[(re.size - w) // 2:][:w], im[(im.size - w) // 2:][:w])
                 for (re, im), w in zip(self.taps, widths)]
@@ -376,8 +369,6 @@ class CwtPlan:
 
 
 PLAN_CACHE_SIZE = 8
-_plans: OrderedDict = OrderedDict()
-_plans_lock = threading.Lock()
 
 
 def plan_for(params: MorletParams, grid: ScaleGrid) -> CwtPlan:
@@ -387,23 +378,18 @@ def plan_for(params: MorletParams, grid: ScaleGrid) -> CwtPlan:
     objects, so mutating a ``MorletParams`` or passing a new grid with
     other scales builds a new plan.  Safe to call from several threads.
     """
-    key = (params.center_frequency, params.bandwidth, params.support_radius,
-           grid.scales.tobytes())
-    with _plans_lock:
-        plan = _plans.get(key)
-        if plan is None:
-            plan = _plans[key] = CwtPlan(params, grid)
-            while len(_plans) > PLAN_CACHE_SIZE:
-                _plans.popitem(last=False)
-        else:
-            _plans.move_to_end(key)
-        return plan
+    return _build_plan(params.center_frequency, params.bandwidth, params.support_radius,
+                       grid.scales.tobytes())
 
 
-def clear_plan_cache() -> None:
-    """Drop every cached plan."""
-    with _plans_lock:
-        _plans.clear()
+@functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
+def _build_plan(center_frequency: float, bandwidth: float, support_radius: float,
+                scales: bytes) -> CwtPlan:
+    return CwtPlan(MorletParams(center_frequency, bandwidth, support_radius),
+                   ScaleGrid(np.frombuffer(scales)))
+
+
+clear_plan_cache = _build_plan.cache_clear
 
 
 # --- shared row machinery ----------------------------------------------------
@@ -478,17 +464,16 @@ def _factor_blocks(pad: int, hop: int) -> tuple:
     return tuple(shapes)
 
 
-@functools.lru_cache(maxsize=256)
 def block_layout(n: int, widths: tuple, hop: int) -> tuple[BlockClass, ...]:
     """The width classes of the block rows of ``n`` samples at ``hop``.
 
     A pure function of (n, every row's tap count, hop), never of which
-    rows are routed spectral, so ``cwt_fft`` and ``cwth_strided(hop=1)``
-    compute each spectral row alike.  Taken in order of tap count, the
-    rows are split into runs, each a class padded for its widest row in
-    the ``class_options`` layout the seconds model prices cheapest; the
-    split is the cheapest of all (a shortest-path pass over the run
-    ends), so it is never priced above one class of a single block.
+    rows are routed spectral; ``schedule`` caches it.  Taken in order of
+    tap count, the rows are split into runs, each a class padded for its
+    widest row in the ``class_options`` layout the seconds model prices
+    cheapest; the split is the cheapest of all (a shortest-path pass
+    over the run ends), so it is never priced above one class of a
+    single block.
     """
     order = sorted(range(len(widths)), key=widths.__getitem__)
     options = [class_options(n, widths[row] // 2, hop) for row in order]
@@ -537,20 +522,19 @@ class Schedule(NamedTuple):
     seconds: float
 
 
-def schedule(n: int, widths, hop: int, full: bool = False) -> Schedule:
+def schedule(n: int, widths, hop: int) -> Schedule:
     """The :class:`Schedule` of rows of these tap counts on ``n`` samples at ``hop``.
 
-    A pure function of the signal length, the tap counts, the hop and
-    ``full``, cached.  The rows of at least some tap count go spectral:
-    the count whose routes the model prices cheapest.  When none is
-    cheaper than all-direct, every row stays direct.  ``full`` sends
-    every row spectral, as ``cwt_fft`` does, on the same classes.
+    A pure function of the signal length, the tap counts and the hop,
+    cached.  The rows of at least some tap count go spectral: the count
+    whose routes the model prices cheapest.  When none is cheaper than
+    all-direct, every row stays direct.
     """
-    return _schedule(n, *_reach(n, widths, hop), full)
+    return _schedule(n, *_reach(n, widths, hop))
 
 
 @functools.lru_cache(maxsize=256)
-def _schedule(n: int, widths: tuple, hop: int, full: bool) -> Schedule:
+def _schedule(n: int, widths: tuple, hop: int) -> Schedule:
     frames = -(-n // hop)
     classes = block_layout(n, widths, hop)
     direct_s = tuple(_kernels.direct_seconds(w, hop, frames) for w in widths)
@@ -568,7 +552,7 @@ def _schedule(n: int, widths: tuple, hop: int, full: bool) -> Schedule:
             paid.add(index)
             total += classes[index].spectra_seconds()
         total += row_s[index] - direct_s[row]
-        if (k + 1 == len(order) or widths[order[k + 1]] != widths[row]) and (full or total < best):
+        if (k + 1 == len(order) or widths[order[k + 1]] != widths[row]) and total < best:
             best, least = total, widths[row]
     routes = tuple(w >= least for w in widths)
     return Schedule(widths, hop, frames, classes, direct_s, routes, best)

@@ -91,7 +91,7 @@ class TestPredictions:
         reports = bench_single(signal, grid, PARAMS, hop=64, reps=3, include_dwt=True)
         by_method = {r.method: r for r in reports}
         widths = plan_for(PARAMS, grid).widths
-        assert by_method["cwt_fft"].predicted_seconds == schedule(8192, widths, 1, full=True).seconds
+        assert by_method["cwt_fft"].predicted_seconds == schedule(8192, widths, 1).seconds
         assert by_method["cwth_strided"].predicted_seconds == schedule(8192, widths, 64).seconds
         assert by_method["dwt"].predicted_seconds is None
 

@@ -138,10 +138,9 @@ class TestTransformCommand:
         assert [r["scale"] for r in records] == list(matrix.scale_grid.scales)
         widths = [sample_wavelet(MorletParams(), s).size for s in matrix.scale_grid.scales]
         assert [r["taps"] for r in records] == widths
-        if mode == "strided":
-            want = list(schedule(16_000, widths, hop).routes)
-        else:  # cwt_fft: every row spectral
-            want = [True] * len(widths)
+        # decimate mode ran cwt_fft, at hop 1, on the 16 000 / hop samples it kept
+        n, ran_hop = (matrix.columns, 1) if mode == "decimate" else (16_000, hop)
+        want = list(schedule(n, widths, ran_hop).routes)
         assert [r["route"] == "spectral" for r in records] == want
         assert all(r["direct_s"] > 0 and r["spectral_s"] > 0 for r in records)
 
@@ -289,6 +288,16 @@ class TestAucCommand:
         csv = tmp_path / "scores.csv"
         csv.write_text("0.9,hello\n")
         assert run_cli(["auc", str(csv)]) == 1
+        assert capsys.readouterr().err.startswith("error: InvalidParameter")
+
+    @pytest.mark.parametrize("kind", ["directory", "binary"])
+    def test_unreadable_file_exits_one(self, tmp_path, kind, capsys):
+        path = tmp_path
+        if kind == "binary":
+            path = tmp_path / "scores.csv"
+            path.write_bytes(b"\xff\xfe\x00,1\n")
+        assert run_cli(["auc", str(path)]) == 1
+        assert capsys.readouterr().err.startswith("error: IoFailure")
 
     def test_label_out_of_range_exits_one(self, tmp_path, capsys):
         csv = tmp_path / "scores.csv"

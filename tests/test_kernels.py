@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -100,6 +101,20 @@ def test_priced_rows_are_the_rows_the_runs_multiply(monkeypatch, budget):
     else:
         assert rows == frames + blocks - 1
         assert _kernels.direct_seconds(width, hop, frames) == whole_s
+
+
+@pytest.mark.parametrize("n,hop,width", [
+    (320_000, 8, 3615), (160_000, 3, 2001), (320_000, 32, 8315), (160_000, 3, 127), (80_000, 4, 3615)])
+def test_chunked_call_is_priced_as_the_sum_of_its_runs(n, hop, width):
+    frames = -(-n // hop)
+    blocks = -(-width // hop)
+    chunk, _ = _kernels.product_runs(blocks, frames)
+    assert chunk < frames and 2 * blocks * (chunk + blocks - 1) <= _kernels.CHUNK_PRODUCTS
+    counts = [min(chunk, frames - start) for start in range(0, frames, chunk)]
+    # each run, priced as a call of its own, is one run
+    assert all(_kernels.product_runs(blocks, count)[0] == count for count in counts)
+    runs_s = sum(_kernels.direct_seconds(width, hop, count) for count in counts)
+    assert math.isclose(_kernels.direct_seconds(width, hop, frames), runs_s, rel_tol=1e-12)
 
 
 def test_no_corpus_shape_is_chunked():

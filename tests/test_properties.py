@@ -54,6 +54,16 @@ def test_strided_equals_subsampled_full(data, hop, grid, seed):
     assert_rel_close(hopped, full[:, ::hop], 1e-9)
 
 
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 3_000), grid=grids(), seed=seeds)
+def test_cwt_fft_is_strided_at_hop_one(n, grid, seed):
+    """The full transform is the hopped transform at hop 1, routes included, bit for bit."""
+    sig = SignalBuffer(np.random.default_rng(seed).standard_normal(n), 16_000.0)
+    full = cwt_fft(sig, grid, PARAMS)
+    np.testing.assert_array_equal(full.values, cwth_strided(sig, grid, PARAMS, 1).values)
+    assert full.hop == 1
+
+
 @st.composite
 def block_classes(draw, n, half, hop):
     """A block layout for a row of ``half`` taps a side: one block, or blocks of a drawn length.

@@ -192,9 +192,14 @@ class TestCwtDirect:
 
 
 class TestCwtFft:
-    def test_matches_direct(self):
-        sig = noise(1024, seed=5)
+    # cwt_fft routes its rows as cwth_strided does at hop 1: on this grid, some go direct
+    # at 300 samples and none at 1 024
+    @pytest.mark.parametrize("n,has_direct_row", [(300, True), (1024, False)])
+    def test_matches_direct(self, n, has_direct_row):
+        sig = noise(n, seed=5)
         grid = make_scale_grid(200.0, 6000.0, 16, 16_000.0, PARAMS)
+        routes = schedule(n, plan_for(PARAMS, grid).widths, 1).routes
+        assert (not all(routes)) == has_direct_row
         reference = cwt_direct(sig, grid, PARAMS)
         fast = cwt_fft(sig, grid, PARAMS)
         assert_rel_close(fast.values, reference.values, 1e-9)
@@ -362,26 +367,16 @@ class TestCostModel:
     def test_strided_is_never_priced_above_cwt_fft(self, grid):
         widths = tap_counts(grid)
         for n in SURFACE_LENGTHS:
-            full = schedule(n, widths, 1, full=True).seconds
+            full = schedule(n, widths, 1).seconds  # cwt_fft
             for hop in SURFACE_HOPS:
                 assert schedule(n, widths, hop).seconds <= full, (n, hop)
 
-    def test_full_routes_every_row_spectral_on_the_routed_classes(self, grid):
-        # cwt_fft and cwth_strided(hop=1) share spectral rows bit for bit only on one layout
-        widths = tap_counts(grid)
-        for n in SURFACE_LENGTHS:
-            for hop in SURFACE_HOPS:
-                routed, full = schedule(n, widths, hop), schedule(n, widths, hop, full=True)
-                assert full.routes == (True,) * len(widths), (n, hop)
-                assert full.classes == routed.classes, (n, hop)
-
-    @pytest.mark.parametrize("full", [False, True], ids=["routed", "full"])
-    def test_seconds_are_the_explained_rows_and_class_spectra(self, grid, full):
+    def test_seconds_are_the_explained_rows_and_class_spectra(self, grid):
         plan = plan_for(PARAMS, grid)
         for n in SURFACE_LENGTHS:
             for hop in SURFACE_HOPS:
-                sched = schedule(n, plan.widths, hop, full)
-                records = plan.explain(n, hop, full=full)
+                sched = schedule(n, plan.widths, hop)
+                records = plan.explain(n, hop)
                 assert [r["route"] == "spectral" for r in records] == list(sched.routes)
                 spectral = {r["class"] for r in records if r["route"] == "spectral"}
                 rebuilt = sum(r["spectral_s"] if r["route"] == "spectral" else r["direct_s"]
@@ -401,6 +396,10 @@ class TestCostModel:
                 one = wavelet.class_options(n, max(reach) // 2, hop)[0]
                 assert one.blocks == 1 and one.block_len >= n + max(reach) // 2
                 assert chosen <= one.spectra_seconds() + len(reach) * one.row_seconds(hop), (n, hop)
+
+
+def plan_cache_size():
+    return wavelet._build_plan.cache_info().currsize
 
 
 @pytest.fixture
@@ -452,8 +451,8 @@ class TestPlanCache:
         grids = [make_scale_grid(100.0 + 10 * i, 4000.0, 3, 16_000.0) for i in range(20)]
         for grid in grids:
             plan_for(PARAMS, grid)
-            assert len(wavelet._plans) <= wavelet.PLAN_CACHE_SIZE
-        assert len(wavelet._plans) == wavelet.PLAN_CACHE_SIZE
+            assert plan_cache_size() <= wavelet.PLAN_CACHE_SIZE
+        assert plan_cache_size() == wavelet.PLAN_CACHE_SIZE
         # least recently used go first: touching the oldest survivor keeps it
         oldest = grids[-wavelet.PLAN_CACHE_SIZE]
         kept = plan_for(PARAMS, oldest)
@@ -487,7 +486,7 @@ class TestPlanCache:
                     plan = plan_for(PARAMS, grid)
                     if not np.array_equal(plan.scales, grid.scales):
                         errors.append("plan of another grid")
-                    if len(wavelet._plans) > wavelet.PLAN_CACHE_SIZE:
+                    if plan_cache_size() > wavelet.PLAN_CACHE_SIZE:
                         errors.append("bound exceeded")
             except Exception as exc:  # noqa: BLE001 - reported by the assertion below
                 errors.append(repr(exc))
@@ -504,7 +503,7 @@ class TestPlanCache:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert errors == []
-        assert len(wavelet._plans) == wavelet.PLAN_CACHE_SIZE
+        assert plan_cache_size() == wavelet.PLAN_CACHE_SIZE
 
     def test_cached_arrays_are_read_only(self):
         plan = plan_for(PARAMS, SWEEP_GRID)
