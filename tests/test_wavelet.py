@@ -192,10 +192,16 @@ class TestCwtDirect:
 
 
 class TestCwtFft:
-    # cwt_fft routes its rows as cwth_strided does at hop 1: on this grid, some go direct
-    # at 300 samples and none at 1 024
-    @pytest.mark.parametrize("n,has_direct_row", [(300, True), (1024, False)])
-    def test_matches_direct(self, n, has_direct_row):
+    def test_matches_direct(self):
+        self.check_matches_direct(1024, has_direct_row=False)
+
+    def test_matches_direct_with_direct_rows(self):
+        # cwt_fft routes its rows as cwth_strided does at hop 1: on this grid, some go direct
+        # at 300 samples and none at 1 024
+        self.check_matches_direct(300, has_direct_row=True)
+
+    @staticmethod
+    def check_matches_direct(n, has_direct_row):
         sig = noise(n, seed=5)
         grid = make_scale_grid(200.0, 6000.0, 16, 16_000.0, PARAMS)
         routes = schedule(n, plan_for(PARAMS, grid).widths, 1).routes
@@ -370,6 +376,19 @@ class TestCostModel:
             full = schedule(n, widths, 1).seconds  # cwt_fft
             for hop in SURFACE_HOPS:
                 assert schedule(n, widths, hop).seconds <= full, (n, hop)
+
+    def test_routes_are_never_priced_above_every_row_spectral(self, grid):
+        # every row spectral on the layout's classes is the routing cwt_fft once forced;
+        # it is now one of the thresholds the schedule weighs, at any hop
+        widths = tap_counts(grid)
+        for n in SURFACE_LENGTHS:
+            reach = tuple(min(w, 2 * n - 1) for w in widths)
+            for hop in SURFACE_HOPS:
+                sched = schedule(n, widths, hop)
+                assert sched.classes == wavelet.block_layout(n, reach, min(hop, n)), (n, hop)
+                spectral = sum(cls.spectra_seconds() + len(cls.rows) * cls.row_seconds(sched.hop)
+                               for cls in sched.classes)
+                assert sched.seconds <= spectral * (1 + 1e-12), (n, hop)
 
     def test_seconds_are_the_explained_rows_and_class_spectra(self, grid):
         plan = plan_for(PARAMS, grid)
