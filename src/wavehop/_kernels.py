@@ -14,6 +14,10 @@ too large for ``CHUNK_PRODUCTS`` is computed, and priced, in the runs
 ``product_runs`` sets: each run is priced as a call of its own, its
 overlap rows, its matmul and its slice-adds included.
 
+``signal_io.decimate`` is the kernel's other caller: with ``anti_alias``
+it evaluates the low-pass FIR at the kept samples alone, passing the
+reversed taps as the real part and zeros as the imaginary part.
+
 The constants below were fitted by
 ``PYTHONPATH=src python scripts/calibrate_router.py`` on a 2-vCPU x86
 host (numpy 2.4, scipy 1.17, one BLAS thread), in a fit that still

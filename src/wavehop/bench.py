@@ -31,7 +31,6 @@ from .signal_io import SignalBuffer
 from .wavelet import (
     MorletParams,
     ScaleGrid,
-    cwt_direct,
     cwt_fft,
     cwth_decimate,
     cwth_strided,
@@ -95,15 +94,13 @@ def bench_single(
     *,
     include_decimate: bool = False,
     include_dwt: bool = False,
-    include_direct: bool = False,
     threads: int = 1,
 ) -> list[BenchReport]:
     """Time the full transform against its hopped variants on one signal.
 
     Always measures ``cwt_fft`` (the reference for speedup_vs_full) and
-    ``cwth_strided``; flags add the decimate path, the dyadic DWT, and
-    the direct-summation path (avoid the latter on long signals).  The
-    DWT is db4 at min(12, log2 N) levels.
+    ``cwth_strided``; flags add the decimate path and the dyadic DWT.
+    The DWT is db4 at min(12, log2 N) levels.
     """
     if reps < 3:
         raise InvalidCount(f"reps must be >= 3, got {reps}")
@@ -120,8 +117,6 @@ def bench_single(
     if include_dwt:
         levels = min(12, int(math.log2(len(signal))))
         jobs.append(("dwt", lambda: dwt_decompose(signal, DB4, levels)))
-    if include_direct:
-        jobs.append(("cwt_direct", lambda: cwt_direct(signal, grid, params)))
 
     measured = {name: summarize(_time_repeated(fn, reps)) for name, fn in jobs}
     full_median = measured[FULL_METHOD][0]

@@ -87,7 +87,8 @@ def _add_grid_flags(parser: argparse.ArgumentParser) -> None:
 
 def _add_transform_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--mode", choices=("strided", "decimate", "full"), default="strided")
-    parser.add_argument("--hop", type=int, default=128, help="translation stride (default 128)")
+    parser.add_argument("--hop", type=_positive_int, default=128,
+                        help="translation stride (default 128)")
     parser.add_argument("--anti-alias", action="store_true",
                         help="low-pass filter before decimation (decimate mode only)")
     parser.add_argument("--mag", choices=MAG_MODES, default="abs",
@@ -166,7 +167,6 @@ def _cmd_bench(args) -> int:
                 signal, grid, params, hop, args.reps,
                 include_decimate=args.include_decimate,
                 include_dwt=args.include_dwt,
-                include_direct=args.include_direct,
                 threads=args.threads,
             )
             sys.stdout.write(reports_to_jsonl(reports))
@@ -294,7 +294,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--include-decimate", action="store_true")
     p.add_argument("--include-dwt", action="store_true")
-    p.add_argument("--include-direct", action="store_true")
     p.add_argument("--threads", type=_positive_int, default=None,
                    help="rows computed concurrently (default THREADS env or 1)")
     _add_grid_flags(p)

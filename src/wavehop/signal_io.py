@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-import scipy.fft as sfft
 
+from . import _kernels
 from .errors import (
     EmptySignal,
     InvalidHop,
@@ -96,6 +96,8 @@ class SynthSpec:
             raise InvalidSpec(f"unknown synth kind {self.kind!r}")
         if self.length_samples < 1:
             raise InvalidSpec("length_samples must be >= 1")
+        if self.seed < 0:
+            raise InvalidSpec(f"seed must be >= 0, got {self.seed}")
         if not (self.sample_rate > 0 and math.isfinite(self.sample_rate)):
             raise InvalidSpec(f"sample_rate must be positive and finite, got {self.sample_rate}")
         nyquist = self.sample_rate / 2.0
@@ -143,29 +145,33 @@ def decimate(signal: SignalBuffer, hop: int, anti_alias: bool = False) -> Signal
 
     Output length is ceil(N / hop) and the recorded sample rate is the
     input rate divided by hop.  With ``anti_alias`` a linear-phase FIR
-    low-pass (cutoff 0.45/hop of the input rate) is applied before index
-    selection; the default is plain selection.  The FIR is a
-    Hamming-windowed sinc scaled to unit DC gain, the same design as
-    SciPy's ``firwin`` with its default window.
+    low-pass (cutoff 0.45/hop of the input rate) is evaluated at the kept
+    samples alone, by ``_kernels.strided_correlate``, the kernel of
+    ``cwth_strided``'s direct rows; the default is plain selection.  The
+    FIR is a Hamming-windowed sinc scaled to unit DC gain, the same design
+    as SciPy's ``firwin`` with its default window.
     """
     hop = _check_hop(hop)
     x = signal.samples
-    if anti_alias:
-        # 10*hop+1 taps keeps the transition band a fixed fraction of the
-        # target Nyquist across hops; the centred trim cancels the FIR delay.
-        # Taps more than len(x) - 1 from the centre meet no sample.
-        numtaps = 10 * hop + 1
-        taps = _lowpass_taps(numtaps, 0.9 / hop, reach=x.size - 1)  # cutoff relative to Nyquist
-        x = _convolve_same(x, taps)
-    elif hop == 1:
-        return SignalBuffer(x.copy(), signal.sample_rate, signal.source_label)
-    return SignalBuffer(
-        x[::hop].copy(), signal.sample_rate / hop, signal.source_label
+    if not anti_alias:
+        return SignalBuffer(x[::hop].copy(), signal.sample_rate / hop, signal.source_label)
+    # 10*hop+1 taps keeps the transition band a fixed fraction of the
+    # target Nyquist across hops; the centred pad cancels the FIR delay.
+    # Taps more than len(x) - 1 from the centre meet no sample.
+    taps = _lowpass_taps(10 * hop + 1, 0.9 / hop, reach=x.size - 1)  # cutoff relative to Nyquist
+    pad = taps.size // 2
+    xpad = np.zeros(pad + x.size + pad)
+    xpad[pad:pad + x.size] = x
+    # a stride of n or more keeps sample 0 alone, as a stride of n does, and
+    # capping it keeps the kernel's work sized by the signal (``wavelet._reach``)
+    filtered, _ = _kernels.strided_correlate(
+        xpad, taps[::-1], np.zeros(taps.size), min(hop, x.size), -(-x.size // hop)
     )
+    return SignalBuffer(filtered, signal.sample_rate / hop, signal.source_label)
 
 
 def _lowpass_taps(numtaps: int, cutoff: float, reach: float = math.inf) -> np.ndarray:
-    """Hamming-windowed sinc low-pass; ``cutoff`` is relative to Nyquist.
+    """Hamming-windowed sinc low-pass of ``numtaps`` >= 2 taps, ``cutoff`` relative to Nyquist.
 
     Only the taps within ``reach`` of the centre are returned, scaled as
     the whole filter is, to unit DC gain.  The DC sum runs over all
@@ -175,8 +181,6 @@ def _lowpass_taps(numtaps: int, cutoff: float, reach: float = math.inf) -> np.nd
 
     def part(start: int, stop: int) -> np.ndarray:
         j = np.arange(start, stop)
-        if numtaps == 1:
-            return np.sinc(cutoff * (j - centre))
         # np.hamming(numtaps)[j], computed as numpy computes it
         window = 0.54 + 0.46 * np.cos(np.pi * (2.0 * j + 1 - numtaps) / (numtaps - 1))
         return np.sinc(cutoff * (j - centre)) * window
@@ -190,14 +194,6 @@ def _lowpass_taps(numtaps: int, cutoff: float, reach: float = math.inf) -> np.nd
 _TAP_CHUNK = 1 << 16
 
 
-def _convolve_same(x: np.ndarray, taps: np.ndarray) -> np.ndarray:
-    """Linear convolution trimmed to ``len(x)`` samples centred on the full result."""
-    size = sfft.next_fast_len(len(x) + len(taps) - 1, real=True)
-    spectrum = sfft.rfft(x, size) * sfft.rfft(taps, size)
-    start = (len(taps) - 1) // 2
-    return sfft.irfft(spectrum, size)[start:start + len(x)]
-
-
 def _check_hop(hop) -> int:
     if int(hop) != hop or hop < 1:
         raise InvalidHop(f"hop must be an integer >= 1, got {hop!r}")
@@ -208,6 +204,7 @@ def _check_hop(hop) -> int:
 
 _FMT_PCM = 1
 _FMT_IEEE_FLOAT = 3
+_U32_MAX = 0xFFFFFFFF
 
 
 def read_wav(path) -> SignalBuffer:
@@ -290,6 +287,10 @@ def write_wav(signal: SignalBuffer, path, encoding: str = "pcm16") -> None:
 
     rate = int(round(signal.sample_rate))
     block_align = bits // 8
+    if not 1 <= rate * block_align <= _U32_MAX:  # the header holds both as u32
+        raise InvalidParameter(
+            f"a WAV header cannot hold a rate of {signal.sample_rate} Hz at {bits} bits"
+        )
     fmt = struct.pack("<HHIIHH", format_code, 1, rate, rate * block_align, block_align, bits)
     body = b"WAVE" + b"fmt " + struct.pack("<I", len(fmt)) + fmt
     body += b"data" + struct.pack("<I", len(payload)) + payload

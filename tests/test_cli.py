@@ -4,7 +4,17 @@ import numpy as np
 import pytest
 
 import wavehop.cli
-from wavehop import MorletParams, read_matrix_bin, read_wav, sample_wavelet
+from wavehop import (
+    MorletParams,
+    SynthSpec,
+    cwt_fft,
+    decimate,
+    make_scale_grid,
+    read_matrix_bin,
+    read_wav,
+    sample_wavelet,
+    synthesize,
+)
 from wavehop.cli import parse_synth_spec, run_cli
 from wavehop.wavelet import schedule
 from testutil import write_float32_wav, write_reference_wav
@@ -15,11 +25,11 @@ def make_wav(path, n=16_000, rate=16_000, seed=0):
     write_reference_wav(path, rng.integers(-20_000, 20_000, n, dtype=np.int16), rate)
 
 
-def assert_error_exit(code, capsys):
+def assert_error_exit(code, capsys, kind=""):
     """A validation failure exits 1 with one error message, no traceback."""
     err = capsys.readouterr().err
     assert code == 1, err
-    assert err.startswith("error:"), err
+    assert err.startswith(f"error: {kind}"), err
     assert "Traceback" not in err
 
 
@@ -71,6 +81,13 @@ class TestSynthCommand:
         assert_error_exit(code, capsys)
         assert not out.exists()
 
+    @pytest.mark.parametrize("rate", ["0.4", "1e12"])
+    def test_rate_outside_wav_header_exits_one(self, tmp_path, capsys, rate):
+        out = tmp_path / "x.wav"
+        code = run_cli(["synth", "noise", "--rate", rate, "--length", "10", "--out", str(out)])
+        assert_error_exit(code, capsys, "InvalidParameter")
+        assert not out.exists()
+
 
 class TestTransformCommand:
     def test_strided_frame_count_on_ten_second_file(self, tmp_path):
@@ -110,6 +127,22 @@ class TestTransformCommand:
         assert matrix.source_rate == 4000.0
         assert matrix.hop == 4
         assert matrix.columns == 4000
+
+    def test_decimate_mode_anti_alias_filters_before_the_transform(self, tmp_path):
+        args = [
+            "transform", "noise:seed=1", "--length", "16000", "--rate", "16000",
+            "--mode", "decimate", "--hop", "4",
+            "--scales", "6", "--fmin", "100", "--fmax", "1500",
+        ]
+        filtered, plain = tmp_path / "filtered.scg1", tmp_path / "plain.scg1"
+        assert run_cli(args + ["--anti-alias", "--out", str(filtered)]) == 0
+        assert run_cli(args + ["--out", str(plain)]) == 0
+        sig = synthesize(SynthSpec("white_noise", 16_000, 16_000.0, seed=1))
+        grid = make_scale_grid(100, 1500, 6, 4000.0, MorletParams())
+        # SCG1 holds complex64
+        want = cwt_fft(decimate(sig, 4, anti_alias=True), grid).values.astype(np.complex64)
+        np.testing.assert_array_equal(read_matrix_bin(filtered).values, want)
+        assert not np.array_equal(read_matrix_bin(plain).values, want)
 
     def test_full_mode(self, tmp_path):
         out = tmp_path / "full.scg1"
@@ -184,6 +217,12 @@ class TestTransformCommand:
         ])
         assert code == 1
         assert "error" in capsys.readouterr().err
+
+    def test_negative_seed_exits_one(self, tmp_path, capsys):
+        out = tmp_path / "x.scg1"
+        code = run_cli(["transform", "white_noise:seed=-1", "--length", "400", "--out", str(out)])
+        assert_error_exit(code, capsys, "InvalidSpec")
+        assert not out.exists()
 
     def test_invalid_wavelet_exits_one(self, tmp_path, capsys):
         code = run_cli([
@@ -261,6 +300,19 @@ class TestUsageErrors:
             assert run_cli(argv + ["--threads", threads]) == 2
             assert "--threads: must be >= 1" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("hop", ["0", "-2"])
+    @pytest.mark.parametrize("mode", ["strided", "decimate"])
+    def test_hop_below_one_exits_two(self, tmp_path, mode, hop, capsys):
+        wavs = tmp_path / "wavs"
+        wavs.mkdir()
+        make_wav(wavs / "a.wav", n=1000)
+        for argv in (["transform", "noise", "--length", "1000", "--out", str(tmp_path / "x.scg1")],
+                     ["scan", str(wavs), "--out-dir", str(tmp_path / "out")]):
+            assert run_cli(argv + ["--mode", mode, "--hop", hop]) == 2
+            err = capsys.readouterr().err
+            assert "--hop: must be >= 1" in err and "Traceback" not in err
+        assert not (tmp_path / "x.scg1").exists() and not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("threads", ["-3", "0", "abc"])
     def test_bad_threads_env_exits_two(self, tmp_path, threads, monkeypatch, capsys):

@@ -166,6 +166,15 @@ class TestWriteWav:
         with pytest.raises(ValueError):
             write_wav(SignalBuffer([0.0], 8000), tmp_path / "x.wav", encoding="alaw")
 
+    # 0.4 Hz rounds to a rate of 0; 1e12 Hz overflows the u32 rate and byte rate
+    @pytest.mark.parametrize("encoding", ["pcm16", "float32"])
+    @pytest.mark.parametrize("rate", [0.4, 1e12])
+    def test_rate_the_header_cannot_hold(self, tmp_path, rate, encoding):
+        path = tmp_path / "x.wav"
+        with pytest.raises(InvalidParameter):
+            write_wav(SignalBuffer([0.0, 0.5], rate), path, encoding=encoding)
+        assert not path.exists()
+
 
 class TestDecimate:
     def test_plain_index_selection(self):
@@ -233,6 +242,8 @@ class TestDecimate:
     @pytest.mark.parametrize("n,hop", [
         (1, 4), (30, 4), (41, 4), (1000, 3), (1001, 8), (2000, 32), (160_000, 128),
         (100, 1000),  # 10 001 taps, of which only the centre 199 can reach a sample
+        (320, 1), (321, 2),  # the kernel's windowed form
+        (1000, 999),
     ])
     def test_anti_alias_matches_firwin_fftconvolve(self, n, hop):
         x = np.random.default_rng(n).standard_normal(n)
@@ -312,6 +323,7 @@ class TestSynthesize:
             dict(kind="white_noise", length_samples=16, sample_rate=float("nan")),
             dict(kind="white_noise", length_samples=16, sample_rate=float("inf")),
             dict(kind="white_noise", length_samples=16, sample_rate=0),
+            dict(kind="white_noise", length_samples=16, sample_rate=16_000, seed=-1),
         ],
     )
     def test_invalid_specs(self, spec_kwargs):
