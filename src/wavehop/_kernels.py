@@ -16,7 +16,8 @@ overlap rows, its matmul and its slice-adds included.
 
 ``signal_io.decimate`` is the kernel's other caller: with ``anti_alias``
 it evaluates the low-pass FIR at the kept samples alone, passing the
-reversed taps as the real part and zeros as the imaginary part.
+reversed taps as the real part and None as the imaginary part, so only
+the real row is computed.
 
 The constants below were fitted by
 ``PYTHONPATH=src python scripts/calibrate_router.py`` on a 2-vCPU x86
@@ -58,11 +59,14 @@ def strided_correlate(xpad, taps_re, taps_im, hop, frames):
     """Correlate ``xpad`` with the taps at translations 0, hop, 2*hop, ...
 
     ``xpad`` must already be offset so that frame k covers
-    ``xpad[k*hop : k*hop + len(taps)]``.  Returns (real, imag) parts.
+    ``xpad[k*hop : k*hop + len(taps)]``.  Returns (real, imag) parts;
+    ``taps_im`` None computes the real part alone and returns None as
+    the imaginary part.
 
     Splitting tap index j into q*hop + p turns the strided correlation
-    into one contiguous matmul, (2*blocks, hop) x (hop, frames+blocks-1),
-    plus a sum over q of rows shifted by q -- no windowed copies.  The
+    into one contiguous matmul, (2*blocks, hop) x (hop, frames+blocks-1)
+    (blocks rows for the real part alone), plus a sum over q of rows
+    shifted by q -- no windowed copies.  The
     product is laid out one block per row, so that sum reads contiguous
     memory whatever the block count.  The product is computed in the
     runs of frames ``product_runs`` sets, so memory grows with the tap
@@ -76,19 +80,19 @@ def strided_correlate(xpad, taps_re, taps_im, hop, frames):
         windows = np.lib.stride_tricks.as_strided(
             xpad, shape=(frames, width), strides=(stride * hop, stride), writeable=False
         )
-        return windows @ taps_re, windows @ taps_im
+        return windows @ taps_re, None if taps_im is None else windows @ taps_im
     blocks = -(-width // hop)
     rows = frames + blocks - 1
     needed = rows * hop
     if xpad.size < needed:
         xpad = np.concatenate([xpad, np.zeros(needed - xpad.size)])
     x2d = xpad[:needed].reshape(rows, hop)
-    taps2d = np.zeros((2, blocks * hop))
-    taps2d[0, :width] = taps_re
-    taps2d[1, :width] = taps_im
-    taps2d = taps2d.reshape(2 * blocks, hop)
+    parts = (taps_re,) if taps_im is None else (taps_re, taps_im)
+    taps2d = np.zeros((len(parts), blocks * hop))
+    taps2d[:, :width] = parts
+    taps2d = taps2d.reshape(len(parts) * blocks, hop)
     chunk, _ = product_runs(blocks, frames)
-    parts = []
+    runs = []
     for start in range(0, frames, chunk):
         count = min(chunk, frames - start)
         # products[c*blocks + q, i] = taps2d[c*blocks + q] . x2d[start + i]
@@ -96,10 +100,10 @@ def strided_correlate(xpad, taps_re, taps_im, hop, frames):
         part = products[::blocks, :count].copy()
         for q in range(1, blocks):
             part += products[q::blocks, q: q + count]
-        parts.append(part)
+        runs.append(part)
         del products  # free this run's product before the next one is allocated
-    out = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
-    return out[0], out[1]
+    out = runs[0] if len(runs) == 1 else np.concatenate(runs, axis=1)
+    return out[0], None if taps_im is None else out[1]
 
 
 def product_runs(blocks: int, frames: int) -> tuple[int, int]:

@@ -165,7 +165,7 @@ def decimate(signal: SignalBuffer, hop: int, anti_alias: bool = False) -> Signal
     # a stride of n or more keeps sample 0 alone, as a stride of n does, and
     # capping it keeps the kernel's work sized by the signal (``wavelet._reach``)
     filtered, _ = _kernels.strided_correlate(
-        xpad, taps[::-1], np.zeros(taps.size), min(hop, x.size), -(-x.size // hop)
+        xpad, taps[::-1], None, min(hop, x.size), -(-x.size // hop)
     )
     return SignalBuffer(filtered, signal.sample_rate / hop, signal.source_label)
 

@@ -19,8 +19,8 @@ grid's taps sampled once and kept in a small cache (``plan_for``).
 Which rows go spectral, in which block layout and at what predicted
 price is one cached, pure function of (length, taps, hop): ``schedule``.
 
-There is one spectral route, the overlap-save block row: rows are
-grouped into width classes (``block_layout``), each class takes one
+There is one spectral route, the overlap-save block row: spectral rows
+are grouped into width classes (``schedule``), each class takes one
 batched FFT of overlapping signal segments, and each of its rows
 multiplies its kernel spectrum into them, folds every block into hop
 bands and takes one batched inverse FFT; at hop 1 the fold is the
@@ -303,27 +303,23 @@ class CwtPlan:
         """One record per row: scale, tap count, route, predicted seconds and block layout.
 
         Read from ``schedule(n, widths, hop)``, as ``execute`` reads it.
-        ``direct_s`` and ``spectral_s`` are both routes' predicted
-        seconds, the latter for the row's block row without the block
-        spectra its width class shares; ``block_len``, ``blocks`` and
-        ``class`` (an index into the schedule's ``classes``) give its
-        layout.
+        ``direct_s`` is the row's direct-route seconds.  A spectral row's
+        ``spectral_s`` prices its block row without the block spectra its
+        width class shares, and ``block_len``, ``blocks`` and ``class``
+        (an index into the schedule's ``classes``) give its layout; a
+        direct row has no class, so these four are None.
         """
         sched = schedule(n, self.widths, hop)
-        records = [None] * self.count
+        records = [{"scale": float(scale), "taps": width, "route": "direct",
+                    "direct_s": direct_s, "spectral_s": None, "block_len": None,
+                    "blocks": None, "class": None}
+                   for scale, width, direct_s in zip(self.scales, self.widths, sched.direct_s)]
         for index, cls in enumerate(sched.classes):
             spectral_s = cls.row_seconds(sched.hop)
             for row in cls.rows:
-                records[row] = {
-                    "scale": float(self.scales[row]),
-                    "taps": self.widths[row],
-                    "route": "spectral" if sched.routes[row] else "direct",
-                    "direct_s": sched.direct_s[row],
-                    "spectral_s": spectral_s,
-                    "block_len": cls.block_len,
-                    "blocks": cls.blocks,
-                    "class": index,
-                }
+                records[row] |= {"route": "spectral", "spectral_s": spectral_s,
+                                 "block_len": cls.block_len, "blocks": cls.blocks,
+                                 "class": index}
         return records
 
     def execute(self, x: np.ndarray, hop: int, threads: int = 1) -> np.ndarray:
@@ -355,15 +351,12 @@ class CwtPlan:
         with _row_runner(threads) as run:
             run(direct_row, direct)
             for cls in sched.classes:
-                rows = [row for row in cls.rows if routes[row]]
-                if not rows:
-                    continue
                 spectra = _block_spectra(x, cls)
 
                 def block_row(row: int, spectra=spectra, cls=cls) -> None:
                     _block_row(out[row], spectra, cls, *taps[row], hop)
 
-                run(block_row, rows)
+                run(block_row, cls.rows)
                 del spectra, block_row
         return out
 
@@ -464,53 +457,15 @@ def _factor_blocks(pad: int, hop: int) -> tuple:
     return tuple(shapes)
 
 
-def block_layout(n: int, widths: tuple, hop: int) -> tuple[BlockClass, ...]:
-    """The width classes of the block rows of ``n`` samples at ``hop``.
-
-    A pure function of (n, every row's tap count, hop), never of which
-    rows are routed spectral; ``schedule`` caches it.  Taken in order of
-    tap count, the rows are split into runs, each a class padded for its
-    widest row in the ``class_options`` layout the seconds model prices
-    cheapest; the split is the cheapest of all (a shortest-path pass
-    over the run ends), so it is never priced above one class of a
-    single block.
-    """
-    order = sorted(range(len(widths)), key=widths.__getitem__)
-    options = [class_options(n, widths[row] // 2, hop) for row in order]
-    # prices[j, o]: (spectra, row) seconds of option o of a class ending at row j in order
-    prices = np.full((len(order), 1 + len(BLOCK_FACTORS), 2), np.inf)
-    for j, row_options in enumerate(options):
-        prices[j, :len(row_options)] = [(cls.spectra_seconds(), cls.row_seconds(hop))
-                                        for cls in row_options]
-    # best[j]: seconds of the cheapest layout of the first j rows in order,
-    # whose last class starts at row start[j] in the layout last[j]
-    best = np.zeros(len(order) + 1)
-    start, last = [0] * len(best), [None] * len(best)
-    counts = np.arange(len(order), 0, -1)
-    for end in range(1, len(best)):
-        # per option and first row of the run: the run's seconds
-        runs = prices[end - 1, :, :1] + prices[end - 1, :, 1:] * counts[-end:]
-        seconds = best[:end] + runs.min(axis=0)
-        first = int(seconds.argmin())
-        best[end], start[end] = seconds[first], first
-        last[end] = options[end - 1][int(runs[:, first].argmin())]
-    classes = []
-    end = len(order)
-    while end:
-        classes.append(last[end]._replace(rows=tuple(order[start[end]:end])))
-        end = start[end]
-    return tuple(reversed(classes))
-
-
 class Schedule(NamedTuple):
     """How one transform call computes its rows, and what the model predicts it costs.
 
     ``widths`` and ``hop`` are what reaches the signal (``_reach``),
-    ``frames`` the retained columns and ``classes`` the rows'
-    ``block_layout``.  ``direct_s`` is each row's direct-route seconds,
+    ``frames`` the retained columns and ``classes`` the width classes of
+    the spectral rows.  ``direct_s`` is each row's direct-route seconds,
     ``routes`` is True where a row goes spectral, and ``seconds`` prices
-    the call: each row by its route, plus the block spectra of each
-    class with a spectral row, once.
+    the call: each direct row by its direct seconds, each class by its
+    block spectra and its rows.
     """
 
     widths: tuple
@@ -526,9 +481,13 @@ def schedule(n: int, widths, hop: int) -> Schedule:
     """The :class:`Schedule` of rows of these tap counts on ``n`` samples at ``hop``.
 
     A pure function of the signal length, the tap counts and the hop,
-    cached.  The rows of at least some tap count go spectral: the count
-    whose routes the model prices cheapest.  When none is cheaper than
-    all-direct, every row stays direct.
+    cached.  Taken in order of tap count, the narrowest rows stay direct
+    and the rest are split into runs, each a class padded for its widest
+    row in the ``class_options`` layout the seconds model prices
+    cheapest.  The split and the direct prefix are the cheapest of all
+    (one shortest-path pass over the run ends), so the call is never
+    priced above all rows direct or one class of a single block; a class
+    is taken only where it is strictly cheaper than direct rows.
     """
     return _schedule(n, *_reach(n, widths, hop))
 
@@ -536,26 +495,37 @@ def schedule(n: int, widths, hop: int) -> Schedule:
 @functools.lru_cache(maxsize=256)
 def _schedule(n: int, widths: tuple, hop: int) -> Schedule:
     frames = -(-n // hop)
-    classes = block_layout(n, widths, hop)
     direct_s = tuple(_kernels.direct_seconds(w, hop, frames) for w in widths)
-    owner = {row: index for index, cls in enumerate(classes) for row in cls.rows}
-    row_s = [cls.row_seconds(hop) for cls in classes]
-    # the total of each tap-count threshold: all rows direct, then each row's
-    # spectral minus direct seconds, widest first, with its class's block
-    # spectra where the class first has one; ties keep more rows direct
-    order = sorted(range(len(widths)), key=lambda row: (-widths[row], row))
-    total = best = sum(direct_s)
-    least, paid = math.inf, set()
-    for k, row in enumerate(order):
-        index = owner[row]
-        if index not in paid:
-            paid.add(index)
-            total += classes[index].spectra_seconds()
-        total += row_s[index] - direct_s[row]
-        if (k + 1 == len(order) or widths[order[k + 1]] != widths[row]) and total < best:
-            best, least = total, widths[row]
-    routes = tuple(w >= least for w in widths)
-    return Schedule(widths, hop, frames, classes, direct_s, routes, best)
+    order = sorted(range(len(widths)), key=widths.__getitem__)
+    options = [class_options(n, widths[row] // 2, hop) for row in order]
+    # prices[j, o]: (spectra, row) seconds of option o of a class ending at row j in order
+    prices = np.full((len(order), 1 + len(BLOCK_FACTORS), 2), np.inf)
+    for j, row_options in enumerate(options):
+        prices[j, :len(row_options)] = [(cls.spectra_seconds(), cls.row_seconds(hop))
+                                        for cls in row_options]
+    # best[j]: seconds of the cheapest schedule of the first j rows in order, at
+    # first all direct; where a class is cheaper, it starts at row start[j] in the
+    # layout last[j]
+    best = np.concatenate([[0.0], np.cumsum([direct_s[row] for row in order])])
+    start, last = [0] * len(best), [None] * len(best)
+    counts = np.arange(len(order), 0, -1)
+    for end in range(1, len(best)):
+        # per option and first row of the run: the run's seconds
+        runs = prices[end - 1, :, :1] + prices[end - 1, :, 1:] * counts[-end:]
+        seconds = best[:end] + runs.min(axis=0)
+        first = int(seconds.argmin())
+        if seconds[first] < best[end]:
+            best[end], start[end] = seconds[first], first
+            last[end] = options[end - 1][int(runs[:, first].argmin())]
+    classes = []
+    end = len(order)
+    while last[end] is not None:
+        classes.append(last[end]._replace(rows=tuple(order[start[end]:end])))
+        end = start[end]
+    spectral = set(order[end:])
+    routes = tuple(row in spectral for row in range(len(widths)))
+    return Schedule(widths, hop, frames, tuple(reversed(classes)), direct_s, routes,
+                    float(best[-1]))
 
 
 def _block_spectra(x: np.ndarray, cls: BlockClass) -> np.ndarray:

@@ -175,7 +175,12 @@ class TestTransformCommand:
         n, ran_hop = (matrix.columns, 1) if mode == "decimate" else (16_000, hop)
         want = list(schedule(n, widths, ran_hop).routes)
         assert [r["route"] == "spectral" for r in records] == want
-        assert all(r["direct_s"] > 0 and r["spectral_s"] > 0 for r in records)
+        assert all(r["direct_s"] > 0 for r in records)
+        for r in records:
+            if r["route"] == "spectral":
+                assert r["spectral_s"] > 0 and r["block_len"] > 0 and r["blocks"] >= 1
+            else:  # a direct row has no class
+                assert [r[k] for k in ("spectral_s", "block_len", "blocks", "class")] == [None] * 4
 
     def test_explain_to_unwritable_path_exits_one(self, tmp_path, capsys):
         code = run_cli([

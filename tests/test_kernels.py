@@ -30,6 +30,15 @@ def test_numpy_kernel_matches_plain_loop(hop, width, frames):
     np.testing.assert_allclose(got[1], want[1], rtol=1e-12, atol=1e-12)
 
 
+@pytest.mark.parametrize("hop,width", [(1, 41), (2, 41), (3, 33), (16, 801)])
+def test_real_taps_alone_give_the_real_part(hop, width):
+    xpad, taps_re, taps_im, frames = _padded_case(5_001, hop, width, seed=5)
+    re, im = _kernels.strided_correlate(xpad, taps_re, taps_im, hop, frames)
+    real, none = _kernels.strided_correlate(xpad, taps_re, None, hop, frames)
+    assert none is None
+    assert np.max(np.abs(real - re)) <= 1e-13 * np.max(np.abs(re))
+
+
 def _padded_case(n, hop, width, seed):
     rng = np.random.default_rng(seed)
     half = width // 2

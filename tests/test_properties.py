@@ -114,6 +114,9 @@ def test_routes_are_monotone_in_tap_count(n, hop, widths):
     assert len(routes) == len(widths)
     by_width = [r for _, r in sorted(zip(widths, routes))]
     assert by_width == sorted(by_width)
+    class_rows = [row for cls in schedule(n, widths, hop).classes for row in cls.rows]
+    assert all(routes[row] for row in class_rows)
+    assert sorted(class_rows) == [row for row, route in enumerate(routes) if route]
     assert routes == schedule(n, widths, hop).routes
 
 

@@ -28,5 +28,5 @@ def test_calibration_script_names_only_what_exists():
 def test_a_deleted_name_is_reported(tmp_path):
     stale = tmp_path / "stale.py"
     stale.write_text("from wavehop import _kernels, wavelet\n"
-                     "paged = _kernels.PAGED_PRODUCTS + len(wavelet.block_layout(1, (1,), 1))\n")
+                     "paged = _kernels.PAGED_PRODUCTS + len(wavelet.class_options(1, 0, 1))\n")
     assert missing_names(stale) == ["_kernels.PAGED_PRODUCTS"]

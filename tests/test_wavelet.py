@@ -322,6 +322,12 @@ class TestRouting:
         cwth_strided(noise(160_000, seed=30), DESK_GRID, PARAMS, 128)
         assert calls == [128] * 64
 
+    def test_no_class_holds_a_direct_row(self):
+        # n = 320 000 at hop 8 on the sweep grid: the three narrowest rows go direct
+        sched = schedule(320_000, tap_counts(SWEEP_GRID), 8)
+        assert sched.routes.count(False) == 3
+        assert all(sched.routes[row] for cls in sched.classes for row in cls.rows)
+
     @pytest.mark.parametrize("n", [2_000, 320_000])
     def test_hop_one_routes_long_rows_spectral(self, n):
         widths = tap_counts(SWEEP_GRID)
@@ -378,16 +384,17 @@ class TestCostModel:
                 assert schedule(n, widths, hop).seconds <= full, (n, hop)
 
     def test_routes_are_never_priced_above_every_row_spectral(self, grid):
-        # every row spectral on the layout's classes is the routing cwt_fft once forced;
-        # it is now one of the thresholds the schedule weighs, at any hop
+        # all rows direct, and all rows in one single-block class, are both
+        # schedules the shortest-path pass weighs, at any hop
         widths = tap_counts(grid)
         for n in SURFACE_LENGTHS:
             reach = tuple(min(w, 2 * n - 1) for w in widths)
             for hop in SURFACE_HOPS:
                 sched = schedule(n, widths, hop)
-                assert sched.classes == wavelet.block_layout(n, reach, min(hop, n)), (n, hop)
-                spectral = sum(cls.spectra_seconds() + len(cls.rows) * cls.row_seconds(sched.hop)
-                               for cls in sched.classes)
+                assert sched.seconds <= sum(sched.direct_s) * (1 + 1e-12), (n, hop)
+                one = wavelet.class_options(n, max(reach) // 2, sched.hop)[0]
+                assert one.blocks == 1 and one.block_len >= n + max(reach) // 2
+                spectral = one.spectra_seconds() + len(reach) * one.row_seconds(sched.hop)
                 assert sched.seconds <= spectral * (1 + 1e-12), (n, hop)
 
     def test_seconds_are_the_explained_rows_and_class_spectra(self, grid):
@@ -404,17 +411,19 @@ class TestCostModel:
                 assert math.isclose(sched.seconds, rebuilt, rel_tol=1e-12), (n, hop)
 
     def test_layout_is_never_priced_above_one_block(self, grid):
+        # the classes partition exactly the spectral rows, each in a layout its pad may take
         widths = tap_counts(grid)
         for n in SURFACE_LENGTHS:
             reach = tuple(min(w, 2 * n - 1) for w in widths)
             for hop in SURFACE_HOPS:
-                layout = wavelet.block_layout(n, reach, hop)
-                assert sorted(row for cls in layout for row in cls.rows) == list(range(len(reach)))
-                chosen = sum(cls.spectra_seconds() + len(cls.rows) * cls.row_seconds(hop)
-                             for cls in layout)
-                one = wavelet.class_options(n, max(reach) // 2, hop)[0]
-                assert one.blocks == 1 and one.block_len >= n + max(reach) // 2
-                assert chosen <= one.spectra_seconds() + len(reach) * one.row_seconds(hop), (n, hop)
+                sched = schedule(n, widths, hop)
+                spectral = [row for row, route in enumerate(sched.routes) if route]
+                assert sorted(row for cls in sched.classes for row in cls.rows) == spectral
+                for cls in sched.classes:
+                    assert cls.pad == max(reach[row] for row in cls.rows) // 2, (n, hop)
+                    shapes = [(o.block_len, o.step, o.blocks)
+                              for o in wavelet.class_options(n, cls.pad, sched.hop)]
+                    assert (cls.block_len, cls.step, cls.blocks) in shapes, (n, hop)
 
 
 def plan_cache_size():
@@ -561,10 +570,14 @@ class TestExplain:
         frames = -(-n // hop)
         # a lag of n or more meets no sample, so rows are priced on at most 2n - 1 taps
         reach = tuple(min(w, 2 * n - 1) for w in widths)
-        layout = wavelet.block_layout(n, reach, hop)
+        classes = schedule(n, widths, hop).classes
         for row, record in enumerate(records):
             assert record["direct_s"] == _kernels.direct_seconds(reach[row], hop, frames)
-            cls = layout[record["class"]]
+            if record["route"] == "direct":  # a direct row has no class
+                fields = [record[k] for k in ("spectral_s", "block_len", "blocks", "class")]
+                assert fields == [None] * 4
+                continue
+            cls = classes[record["class"]]
             assert row in cls.rows
             assert (record["block_len"], record["blocks"]) == (cls.block_len, cls.blocks)
             assert record["spectral_s"] == _kernels.spectral_seconds(cls.block_len, hop, cls.blocks)
