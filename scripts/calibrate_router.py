@@ -6,10 +6,10 @@ thread, and prints the constants of ``_kernels.direct_seconds``,
 ``_kernels.fft_seconds`` and ``_kernels.spectral_seconds`` in the form
 ``src/wavehop/_kernels.py`` holds them.  Each fit is non-negative least
 squares on relative error.  The direct kernel's rows and products are
-counted as it computes them, in the runs ``_kernels.product_runs``
-sets: a chunked call counts each run's overlap, and its fixed cost and
-tap blocks once per run.  The FFT constants
-come from FFT timings alone, and ``ROW_CALL_S`` and
+counted as it computes them, in the phases ``_kernels.polyphase`` and
+the runs ``_kernels.product_runs`` set: a chunked call counts each
+run's overlap, and its fixed cost and tap blocks once per run.  The
+FFT constants come from FFT timings alone, and ``ROW_CALL_S`` and
 ``SPECTRAL_POINT_S`` from what whole block rows take beyond their FFTs
 as priced by those constants, so the FFT and per-point costs never
 trade off against each other.  Takes about a minute.
@@ -66,31 +66,25 @@ def fit(rows, seconds, names, target=None):
 
 
 def direct(rng):
-    windowed, blocked = ([], []), ([], [])
+    rows, seconds = [], []
     for n in LENGTHS:
         for hop in HOPS:
             frames = -(-n // hop)
             for width in WIDTHS:
                 if _kernels.direct_seconds(width, hop, frames) > LONGEST_SECONDS:
                     continue
-                xpad = rng.standard_normal(n + width + 2 * hop)
+                xpad = rng.standard_normal(n + width + hop + 2 * _kernels.MIN_SPAN)
                 taps = rng.standard_normal((2, width))
-                t = median_seconds(lambda: _kernels.strided_correlate(
-                    xpad, taps[0], taps[1], hop, frames))
-                if hop <= 2:
-                    windowed[0].append([2.0 * frames * width])
-                    windowed[1].append(t)
-                else:
-                    blocks = -(-width // hop)
-                    chunk, rows = _kernels.product_runs(blocks, frames)
-                    runs = -(-frames // chunk)
-                    products = 2 * blocks * rows
-                    blocked[0].append([runs, runs * blocks, rows * hop, products, products * hop])
-                    blocked[1].append(t)
-    print("# direct kernel, hop <= 2")
-    fit(*windowed, ["WINDOW_MAC_S"])
-    print("# direct kernel, hop > 2")
-    fit(*blocked, ["CALL_S", "BLOCK_S", "SAMPLE_S", "PRODUCT_S", "MAC_S"])
+                seconds.append(median_seconds(lambda: _kernels.strided_correlate(
+                    xpad, taps[0], taps[1], hop, frames)))
+                phases, span, blocks, groups = _kernels.polyphase(width, hop, frames)
+                chunk, signal_rows = _kernels.product_runs(phases, blocks, groups)
+                runs = -(-groups // chunk)
+                products = 2 * phases * blocks * signal_rows
+                rows.append([runs, runs * blocks + phases - 1, signal_rows * span,
+                             products + 2 * phases * groups * (phases > 1), products * span])
+    print("# direct kernel")
+    fit(rows, seconds, ["CALL_S", "BLOCK_S", "SAMPLE_S", "PRODUCT_S", "MAC_S"])
 
 
 def block_shapes():

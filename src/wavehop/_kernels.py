@@ -9,8 +9,10 @@ length ``block_len / hop``).  ``direct_seconds`` and ``spectral_seconds``
 predict the wall time of each route from the row's shape alone, and
 ``fft_seconds`` the segment spectra a width class shares, so the route
 is a pure function of (length, taps, hop) and never changes a result:
-both routes give the same columns to within roundoff.  A direct product
-too large for ``CHUNK_PRODUCTS`` is computed, and priced, in the runs
+both routes give the same columns to within roundoff.  The direct
+kernel has one form at every hop, a polyphase matmul whose inner
+dimension is at least ``MIN_SPAN``; a product too large for
+``CHUNK_PRODUCTS`` is computed, and priced, in the runs
 ``product_runs`` sets: each run is priced as a call of its own, its
 overlap rows, its matmul and its slice-adds included.
 
@@ -23,9 +25,10 @@ The constants below were fitted by
 ``PYTHONPATH=src python scripts/calibrate_router.py`` on a 2-vCPU x86
 host (numpy 2.4, scipy 1.17, one BLAS thread), in a fit that still
 carried a surcharge per element of products above 32 MB and counted
-``CALL_S`` and ``BLOCK_S`` once per call rather than once per run;
-rerun it and paste its output here to price the routes for another
-machine.
+``CALL_S`` and ``BLOCK_S`` once per call rather than once per run,
+and on the kernel's earlier form, without phases, at hops above 2 only;
+they now price every hop.  Rerun it and paste its output here to price
+the routes for another machine.
 """
 
 import functools
@@ -37,14 +40,15 @@ __all__ = ["direct_seconds", "fft_seconds", "spectral_seconds", "strided_correla
 
 # Products of more elements (32 MB) are computed a run of frames at a time: ``product_runs``.
 CHUNK_PRODUCTS = 1 << 22
+# Least inner dimension of the direct kernel's matmul; a hop below it takes frames in
+# ceil(MIN_SPAN / hop) phases (``polyphase``), since BLAS runs far below peak on a smaller one.
+MIN_SPAN = 32
 
-# Direct kernel, windowed form (hop <= 2).
-WINDOW_MAC_S = 4.6e-10      # per multiply-accumulate
-# Direct kernel, polyphase form (hop > 2).
+# Direct kernel.
 CALL_S = 1.6e-06            # fixed cost of one run (one matmul)
 BLOCK_S = 9.5e-07           # per tap block per run: one slice-add of the shifted sum
 SAMPLE_S = 2.8e-10          # per signal sample streamed through the matmul
-PRODUCT_S = 6.4e-10         # per element of the (2*blocks, rows) product matrix
+PRODUCT_S = 6.4e-10         # per element of the (2*phases*blocks, rows) product matrix
 MAC_S = 1.9e-11             # per multiply-accumulate inside that product
 # Block spectral row.
 FFT_CALL_S = 3.8e-06        # fixed cost of one scipy.fft call
@@ -59,43 +63,40 @@ def strided_correlate(xpad, taps_re, taps_im, hop, frames):
     """Correlate ``xpad`` with the taps at translations 0, hop, 2*hop, ...
 
     ``xpad`` must already be offset so that frame k covers
-    ``xpad[k*hop : k*hop + len(taps)]``.  Returns (real, imag) parts;
+    ``xpad[k*hop : k*hop + len(taps)]``; the layout reads fewer than
+    ``hop + 2*MIN_SPAN`` samples past the last frame's taps, and a
+    shorter ``xpad`` is copied with zeros.  Returns (real, imag) parts;
     ``taps_im`` None computes the real part alone and returns None as
     the imaginary part.
 
-    Splitting tap index j into q*hop + p turns the strided correlation
-    into one contiguous matmul, (2*blocks, hop) x (hop, frames+blocks-1)
-    (blocks rows for the real part alone), plus a sum over q of rows
-    shifted by q -- no windowed copies.  The
-    product is laid out one block per row, so that sum reads contiguous
-    memory whatever the block count.  The product is computed in the
-    runs of frames ``product_runs`` sets, so memory grows with the tap
-    count rather than with the signal.  For hop <= 2 the
-    block split saves nothing (the intermediate grows to ~2/hop times a
-    plain window copy), so dense windows win there.
+    A polyphase split (Crochiere & Rabiner, Multirate Digital Signal
+    Processing, 1983) of the frames into ``phases`` (``polyphase``):
+    frame ``g*phases + s`` is translation ``g*span`` of the taps shifted
+    by ``s*hop``.  With the signal as rows of ``span`` samples and each
+    phase's taps as blocks of ``span``, every frame is one contiguous
+    matmul, ``(2*phases*blocks, span) x (span, groups+blocks-1)``, plus
+    a sum over block q of product rows shifted by q.  The product is
+    laid out one block per row, so that sum reads contiguous memory, and
+    it is computed in the runs of groups ``product_runs`` sets, so memory
+    grows with the tap count rather than with the signal.
     """
     width = taps_re.shape[0]
-    if hop <= 2:
-        stride = xpad.strides[0]
-        windows = np.lib.stride_tricks.as_strided(
-            xpad, shape=(frames, width), strides=(stride * hop, stride), writeable=False
-        )
-        return windows @ taps_re, None if taps_im is None else windows @ taps_im
-    blocks = -(-width // hop)
-    rows = frames + blocks - 1
-    needed = rows * hop
+    phases, span, blocks, groups = polyphase(width, hop, frames)
+    rows = groups + blocks - 1
+    needed = rows * span
     if xpad.size < needed:
         xpad = np.concatenate([xpad, np.zeros(needed - xpad.size)])
-    x2d = xpad[:needed].reshape(rows, hop)
-    parts = (taps_re,) if taps_im is None else (taps_re, taps_im)
-    taps2d = np.zeros((len(parts), blocks * hop))
-    taps2d[:, :width] = parts
-    taps2d = taps2d.reshape(len(parts) * blocks, hop)
-    chunk, _ = product_runs(blocks, frames)
+    x2d = xpad[:needed].reshape(rows, span)
+    parts = np.array((taps_re,) if taps_im is None else (taps_re, taps_im))
+    taps2d = np.zeros((len(parts), phases, blocks * span))
+    for s in range(phases):
+        taps2d[:, s, s * hop:s * hop + width] = parts
+    taps2d = taps2d.reshape(len(parts) * phases * blocks, span)
+    chunk, _ = product_runs(phases, blocks, groups)
     runs = []
-    for start in range(0, frames, chunk):
-        count = min(chunk, frames - start)
-        # products[c*blocks + q, i] = taps2d[c*blocks + q] . x2d[start + i]
+    for start in range(0, groups, chunk):
+        count = min(chunk, groups - start)
+        # products[(c*phases + s)*blocks + q, i] = taps2d[same row] . x2d[start + i]
         products = taps2d @ x2d[start:start + count + blocks - 1].T
         part = products[::blocks, :count].copy()
         for q in range(1, blocks):
@@ -103,37 +104,48 @@ def strided_correlate(xpad, taps_re, taps_im, hop, frames):
         runs.append(part)
         del products  # free this run's product before the next one is allocated
     out = runs[0] if len(runs) == 1 else np.concatenate(runs, axis=1)
-    return out[0], None if taps_im is None else out[1]
+    # out[c*phases + s, g] is frame g*phases + s
+    out = out.reshape(len(parts), phases, groups).transpose(0, 2, 1).reshape(len(parts), -1)
+    return out[0, :frames], None if taps_im is None else out[1, :frames]
 
 
-def product_runs(blocks: int, frames: int) -> tuple[int, int]:
-    """(frames per run, signal rows multiplied) of the polyphase product of ``blocks`` tap blocks.
+def polyphase(width: int, hop: int, frames: int) -> tuple[int, int, int, int]:
+    """(phases, span, blocks, groups) of ``strided_correlate``; ``span = phases*hop >= MIN_SPAN``."""
+    phases = -(-MIN_SPAN // hop)
+    span = phases * hop
+    return phases, span, -(-((phases - 1) * hop + width) // span), -(-frames // phases)
 
-    The whole product, ``2 * blocks * (frames + blocks - 1)`` elements,
-    is one run unless it exceeds ``CHUNK_PRODUCTS``.  Then each run
-    holds as many frames as keep its product within that budget, and
-    at least ``blocks``; every run multiplies ``blocks - 1`` signal rows
-    beyond its frames.
+
+def product_runs(phases: int, blocks: int, groups: int) -> tuple[int, int]:
+    """(groups per run, signal rows multiplied) of the phased product of ``blocks`` tap blocks.
+
+    The whole product, ``2 * phases * blocks * (groups + blocks - 1)``
+    elements, is one run unless it exceeds ``CHUNK_PRODUCTS``.  Then
+    each run holds as many groups as keep its product within that
+    budget, and at least ``blocks``; every run multiplies
+    ``blocks - 1`` signal rows beyond its groups.
     """
-    chunk = frames
-    if 2 * blocks * (frames + blocks - 1) > CHUNK_PRODUCTS:
-        chunk = max(blocks, CHUNK_PRODUCTS // (2 * blocks) - blocks + 1)
-    return chunk, frames + -(-frames // chunk) * (blocks - 1)
+    chunk = groups
+    if 2 * phases * blocks * (groups + blocks - 1) > CHUNK_PRODUCTS:
+        chunk = max(blocks, CHUNK_PRODUCTS // (2 * phases * blocks) - blocks + 1)
+    return chunk, groups + -(-groups // chunk) * (blocks - 1)
 
 
 def direct_seconds(width: int, hop: int, frames: int) -> float:
     """Predicted seconds of one ``strided_correlate`` call: the sum of its runs.
 
     Each run pays a matmul call and ``blocks`` slice-adds; every signal
-    row and product element is paid in the run that multiplies it.
+    row and product element is paid in the run that multiplies it.  Each
+    phase beyond the first places one more shifted copy of the taps, priced
+    as a slice-add, and several phases copy the sums into frame order, an
+    element priced as a product element (at one phase that is a view).
     """
-    if hop <= 2:
-        return WINDOW_MAC_S * 2 * frames * width
-    blocks = -(-width // hop)
-    chunk, rows = product_runs(blocks, frames)
-    products = 2 * blocks * rows
-    return (-(-frames // chunk) * (CALL_S + BLOCK_S * blocks) + SAMPLE_S * rows * hop
-            + products * (PRODUCT_S + MAC_S * hop))
+    phases, span, blocks, groups = polyphase(width, hop, frames)
+    chunk, rows = product_runs(phases, blocks, groups)
+    products = 2 * phases * blocks * rows
+    return (-(-groups // chunk) * (CALL_S + BLOCK_S * blocks) + BLOCK_S * (phases - 1)
+            + SAMPLE_S * rows * span + products * (PRODUCT_S + MAC_S * span)
+            + PRODUCT_S * 2 * phases * groups * (phases > 1))
 
 
 def fft_seconds(length: int, count: int = 1) -> float:

@@ -1,10 +1,11 @@
 """Wall-clock comparison of the transform paths.
 
 Each timed method gets one untimed warm-up call, then ``reps`` timed
-runs; the report carries the median and minimum, the speedup of the
-method's median over the full FFT transform's median on the same signal
-and grid, and, for ``cwt_fft`` and ``cwth_strided``, the seconds the
-router's model predicts for the call.  ``bench_env`` records what the
+runs, taken round-robin across the methods; the report carries the
+median and minimum, the speedup of the method's median over the full
+FFT transform's median on the same signal and grid, and, for
+``cwt_fft`` and ``cwth_strided``, the seconds the router's model
+predicts for the call.  ``bench_env`` records what the
 timings depend on: library versions, CPUs and thread settings.
 
 Timings cover the transform only: no file I/O, no rendering.  Runs are
@@ -70,16 +71,6 @@ def bench_env(threads: int = 1) -> dict:
     }
 
 
-def _time_repeated(fn, reps: int) -> list[float]:
-    fn()  # warm-up, excluded
-    times = []
-    for _ in range(reps):
-        start = time.perf_counter()
-        fn()
-        times.append(time.perf_counter() - start)
-    return times
-
-
 def summarize(times: list[float]) -> tuple[float, float]:
     """(median, min) of a list of timings."""
     return statistics.median(times), min(times)
@@ -106,19 +97,25 @@ def bench_single(
         raise InvalidCount(f"reps must be >= 3, got {reps}")
     params = params or MorletParams()
 
-    jobs: list[tuple[str, object]] = [
-        (FULL_METHOD, lambda: cwt_fft(signal, grid, params, threads=threads)),
-        ("cwth_strided", lambda: cwth_strided(signal, grid, params, hop, threads=threads)),
-    ]
+    jobs = {
+        FULL_METHOD: lambda: cwt_fft(signal, grid, params, threads=threads),
+        "cwth_strided": lambda: cwth_strided(signal, grid, params, hop, threads=threads),
+    }
     if include_decimate:
-        jobs.append(
-            ("cwth_decimate", lambda: cwth_decimate(signal, grid, params, hop, threads=threads))
-        )
+        jobs["cwth_decimate"] = lambda: cwth_decimate(signal, grid, params, hop, threads=threads)
     if include_dwt:
         levels = min(12, int(math.log2(len(signal))))
-        jobs.append(("dwt", lambda: dwt_decompose(signal, DB4, levels)))
+        jobs["dwt"] = lambda: dwt_decompose(signal, DB4, levels)
 
-    measured = {name: summarize(_time_repeated(fn, reps)) for name, fn in jobs}
+    for fn in jobs.values():
+        fn()  # warm-up, excluded
+    times = {name: [] for name in jobs}
+    for _ in range(reps):  # round-robin, so a slow spell of the host hits every method
+        for name, fn in jobs.items():
+            start = time.perf_counter()
+            fn()
+            times[name].append(time.perf_counter() - start)
+    measured = {name: summarize(t) for name, t in times.items()}
     full_median = measured[FULL_METHOD][0]
     widths = plan_for(params, grid).widths
     predicted = {
@@ -126,23 +123,20 @@ def bench_single(
         "cwth_strided": schedule(len(signal), widths, hop).seconds,
     }
 
-    reports = []
-    for name, _ in jobs:
-        median, best = measured[name]
-        reports.append(
-            BenchReport(
-                method=name,
-                signal_length=len(signal),
-                scale_count=grid.count,
-                hop=hop if name.startswith("cwth") else 1,
-                repetitions=reps,
-                median_seconds=median,
-                min_seconds=best,
-                speedup_vs_full=full_median / median,
-                predicted_seconds=predicted.get(name),
-            )
+    return [
+        BenchReport(
+            method=name,
+            signal_length=len(signal),
+            scale_count=grid.count,
+            hop=hop if name.startswith("cwth") else 1,
+            repetitions=reps,
+            median_seconds=median,
+            min_seconds=best,
+            speedup_vs_full=full_median / median,
+            predicted_seconds=predicted.get(name),
         )
-    return reports
+        for name, (median, best) in measured.items()
+    ]
 
 
 def extrapolate_dataset(report: BenchReport, file_count: int) -> float:

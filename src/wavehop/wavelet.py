@@ -232,8 +232,8 @@ def cwth_strided(
     (params, grid), and each scale row takes whichever of two routes
     its ``schedule`` predicts to be faster:
 
-    - direct: ceil(N/hop) windowed dot products by
-      ``_kernels.strided_correlate``, a cost proportional to the frames;
+    - direct: ceil(N/hop) dot products, taken as one polyphase matmul
+      by ``_kernels.strided_correlate``, a cost proportional to the frames;
     - spectral: the block row of the row's width class, whose segment
       spectra are folded into ``hop`` aliased bands before one batched
       inverse FFT of length block_len/hop.
@@ -337,8 +337,8 @@ class CwtPlan:
         direct = [row for row in range(self.count) if not routes[row]]
         if direct:
             pad = max(widths) // 2
-            # tail sized so the direct kernel's block reshape stays in bounds
-            xpad = np.zeros(pad + n + pad + 2 * hop)
+            # the zeros each direct row's kernel layout reads past the signal
+            xpad = np.zeros(pad + n + pad + hop + 2 * _kernels.MIN_SPAN)
             xpad[pad:pad + n] = x
         out = np.empty((self.count, frames), dtype=np.complex128)
 

@@ -14,6 +14,7 @@ from wavehop import (
     reports_to_jsonl,
     synthesize,
 )
+from wavehop import bench as bench_module
 from wavehop.bench import BenchReport, bench_env, summarize
 from wavehop.wavelet import plan_for, schedule
 
@@ -64,6 +65,19 @@ class TestBenchSingle:
         )
         methods = [r.method for r in reports]
         assert methods == ["cwt_fft", "cwth_strided", "cwth_decimate", "dwt"]
+
+    def test_timed_calls_alternate_between_methods(self, monkeypatch):
+        calls = []
+        methods = ["cwt_fft", "cwth_strided", "cwth_decimate", "dwt_decompose"]
+        for name in methods:
+            monkeypatch.setattr(bench_module, name,
+                                lambda *args, name=name, **kwargs: calls.append(name))
+        signal, grid = small_workload()
+        reports = bench_single(signal, grid, PARAMS, hop=64, reps=3,
+                               include_decimate=True, include_dwt=True)
+        # a warm-up of every method first, then the timed calls round-robin
+        assert calls == methods * (1 + 3)
+        assert [r.repetitions for r in reports] == [3] * 4
 
     def test_rejects_too_few_reps(self):
         signal, grid = small_workload()

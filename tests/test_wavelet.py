@@ -196,9 +196,9 @@ class TestCwtFft:
         self.check_matches_direct(1024, has_direct_row=False)
 
     def test_matches_direct_with_direct_rows(self):
-        # cwt_fft routes its rows as cwth_strided does at hop 1: on this grid, some go direct
-        # at 300 samples and none at 1 024
-        self.check_matches_direct(300, has_direct_row=True)
+        # cwt_fft routes its rows as cwth_strided does at hop 1: on this grid, the narrowest
+        # goes direct at 12 200 samples and none at 1 024
+        self.check_matches_direct(12_200, has_direct_row=True)
 
     @staticmethod
     def check_matches_direct(n, has_direct_row):
@@ -323,9 +323,9 @@ class TestRouting:
         assert calls == [128] * 64
 
     def test_no_class_holds_a_direct_row(self):
-        # n = 320 000 at hop 8 on the sweep grid: the three narrowest rows go direct
+        # n = 320 000 at hop 8 on the sweep grid: the four narrowest rows go direct
         sched = schedule(320_000, tap_counts(SWEEP_GRID), 8)
-        assert sched.routes.count(False) == 3
+        assert sched.routes.count(False) == 4
         assert all(sched.routes[row] for cls in sched.classes for row in cls.rows)
 
     @pytest.mark.parametrize("n", [2_000, 320_000])
