@@ -1,8 +1,9 @@
 """Fit the seconds model that routes cwth_strided's scale rows.
 
-Times ``_kernels.strided_correlate``, bare ``scipy.fft`` calls and
-whole block rows (``wavelet._block_row``) over a grid of shapes on one
-thread, and prints the constants of ``_kernels.direct_seconds``,
+Times ``_kernels.strided_correlate``, bare ``numpy.fft.fft`` calls (the
+package's FFT) and whole block rows (the row's kernel spectrum by
+``wavelet._kernel_spectra``, then ``wavelet._block_row``) over a grid of
+shapes on one thread, and prints the constants of ``_kernels.direct_seconds``,
 ``_kernels.fft_seconds`` and ``_kernels.spectral_seconds`` in the form
 ``src/wavehop/_kernels.py`` holds them.  Each fit is non-negative least
 squares on relative error.  The direct kernel's rows and products are
@@ -27,7 +28,6 @@ for _name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_name] = "1"
 
 import numpy as np  # noqa: E402
-import scipy.fft as sfft  # noqa: E402
 from scipy.optimize import nnls  # noqa: E402
 
 from wavehop import _kernels, wavelet  # noqa: E402
@@ -112,9 +112,27 @@ def ffts(rng):
         log_term = points * math.log2(max(length, 2))
         rows.append([1.0, log_term if count == 1 else 0.0, log_term if count > 1 else 0.0,
                      points * _kernels._large_prime_sum(length)])
-        seconds.append(median_seconds(lambda: sfft.fft(a, axis=-1)))
+        seconds.append(median_seconds(lambda: np.fft.fft(a, axis=-1)))
     print("# complex FFTs, alone and batched")
     return fit(rows, seconds, ["FFT_CALL_S", "FFT_S", "FFT_BATCH_S", "FFT_PRIME_S"])
+
+
+def block_row_seconds(rng, n, hop, cls, reps=9):
+    """Median seconds of one row of ``cls`` on ``n`` samples: its kernel spectrum and block row.
+
+    The row is as wide as the class, and its kernel is transformed alone,
+    as ``_kernels.spectral_seconds`` prices it.
+    """
+    spectra = wavelet._block_spectra(rng.standard_normal(n), cls)
+    half = min(cls.pad, n - 1)
+    one = cls._replace(rows=(0,))
+    taps = [tuple(rng.standard_normal((2, 2 * half + 1)))]
+    out = np.empty(-(-n // hop), dtype=np.complex128)
+
+    def row():
+        wavelet._block_row(out, spectra, cls, wavelet._kernel_spectra(one, taps)[0], hop)
+
+    return median_seconds(row, reps)
 
 
 def spectral(rng, constants):
@@ -129,12 +147,7 @@ def spectral(rng, constants):
     for n, hop, cls in block_shapes():
         if cls.blocks * cls.block_len > 1 << 21:
             continue
-        x = rng.standard_normal(n)
-        spectra = wavelet._block_spectra(x, cls)
-        half = min(cls.pad, n - 1)
-        taps_re, taps_im = rng.standard_normal((2, 2 * half + 1))
-        out = np.empty(-(-n // hop), dtype=np.complex128)
-        t = median_seconds(lambda: wavelet._block_row(out, spectra, cls, taps_re, taps_im, hop))
+        t = block_row_seconds(rng, n, hop, cls)
         rows.append([1.0, cls.blocks * cls.block_len])
         seconds.append(t)
         residuals.append(t - fft_s(cls.block_len) - fft_s(cls.block_len // hop, cls.blocks))

@@ -10,6 +10,7 @@ computational cost of the paths.
 from .bench import BenchReport, bench_single, extrapolate_dataset, reports_to_jsonl
 from .dwt import DB4, HAAR, DwtDecomposition, FilterBank, dwt_decompose, dwt_scalogram
 from .errors import (
+    CoefficientOverflow,
     DegenerateLabels,
     EmptySignal,
     InvalidBank,

@@ -27,8 +27,12 @@ host (numpy 2.4, scipy 1.17, one BLAS thread), in a fit that still
 carried a surcharge per element of products above 32 MB and counted
 ``CALL_S`` and ``BLOCK_S`` once per call rather than once per run,
 and on the kernel's earlier form, without phases, at hops above 2 only;
-they now price every hop.  Rerun it and paste its output here to price
-the routes for another machine.
+they now price every hop.  The FFT constants were fitted on
+``scipy.fft``, which the package no longer uses: they price
+``numpy.fft`` (the same pocketfft code) unrefitted, and still price
+each row's kernel FFT as a lone FFT, though a class's kernels are now
+transformed in one batch.  Rerun the script, which times ``numpy.fft``,
+and paste its output here to price the routes for another machine.
 """
 
 import functools
@@ -51,7 +55,7 @@ SAMPLE_S = 2.8e-10          # per signal sample streamed through the matmul
 PRODUCT_S = 6.4e-10         # per element of the (2*phases*blocks, rows) product matrix
 MAC_S = 1.9e-11             # per multiply-accumulate inside that product
 # Block spectral row.
-FFT_CALL_S = 3.8e-06        # fixed cost of one scipy.fft call
+FFT_CALL_S = 3.8e-06        # fixed cost of one FFT call (fitted on scipy.fft, not refitted)
 FFT_S = 5.2e-10             # per point per log2(length) of a complex FFT taken alone
 FFT_BATCH_S = 4.3e-10       # the same, for each FFT of a batch of several
 FFT_PRIME_S = 1e-10         # per point per unit of each prime factor > 11 of the length

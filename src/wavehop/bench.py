@@ -24,7 +24,6 @@ import time
 from dataclasses import asdict, dataclass
 
 import numpy as np
-import scipy
 
 from .dwt import DB4, dwt_decompose
 from .errors import InvalidCount
@@ -64,7 +63,6 @@ def bench_env(threads: int = 1) -> dict:
     return {
         "python": "{}.{}.{}".format(*sys.version_info),
         "numpy": np.__version__,
-        "scipy": scipy.__version__,
         "cpu_count": os.cpu_count(),
         "thread_env": {name: os.environ.get(name) for name in THREAD_ENV},
         "threads": threads,

@@ -42,7 +42,7 @@ class InvalidCount(WavehopError, ValueError):
 
 
 class InvalidScale(WavehopError, ValueError):
-    """Wavelet scale must be a positive finite number."""
+    """Wavelet scales must be positive, finite, ascending, and need a bounded tap count."""
 
 
 class TooManyLevels(WavehopError, ValueError):
@@ -59,6 +59,10 @@ class DegenerateLabels(WavehopError, ValueError):
 
 class InvalidParameter(WavehopError, ValueError):
     """A numeric parameter or score is out of its allowed range."""
+
+
+class CoefficientOverflow(WavehopError, ValueError):
+    """Coefficients would not be finite, or do not fit the format that stores them."""
 
 
 # --- serialized artifacts --------------------------------------------------

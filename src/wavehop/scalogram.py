@@ -18,12 +18,19 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InvalidHop, IoFailure, MalformedHeader, TruncatedPayload
+from .errors import (
+    CoefficientOverflow,
+    InvalidHop,
+    IoFailure,
+    MalformedHeader,
+    TruncatedPayload,
+)
 from .wavelet import CoefficientMatrix, ScaleGrid
 
 MAGIC = b"SCG1"
 _HEADER = struct.Struct("<III d")
 LOG_FLOOR = 1e-12
+F32_MAX = float(np.finfo(np.float32).max)
 
 MAG_MODES = ("abs", "power", "log_db")
 
@@ -101,11 +108,18 @@ def write_csv(values: np.ndarray, path) -> None:
 def write_matrix_bin(matrix: CoefficientMatrix, path) -> None:
     """Serialize a coefficient matrix; values are stored in single precision.
 
-    Raises InvalidHop for a hop the header's u32 cannot hold.
+    Raises InvalidHop for a hop the header's u32 cannot hold, and
+    CoefficientOverflow for values that are not finite or that single
+    precision cannot hold; nothing is written then.
     """
     rows, cols = matrix.values.shape
     if matrix.hop > 0xFFFF_FFFF:
         raise InvalidHop(f"SCG1 stores the hop as u32, and {matrix.hop} does not fit")
+    parts = matrix.values.view(np.float64)
+    if parts.size and not max(parts.max(), -parts.min()) <= F32_MAX:
+        raise CoefficientOverflow(
+            "SCG1 stores values as complex64, and the matrix holds values that are not"
+            f" finite or exceed {F32_MAX:.7g} in magnitude")
     blob = MAGIC + _HEADER.pack(rows, cols, matrix.hop, matrix.source_rate)
     blob += matrix.scale_grid.scales.astype("<f8").tobytes()
     blob += matrix.values.astype("<c8").tobytes()

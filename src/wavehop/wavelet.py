@@ -21,8 +21,8 @@ price is one cached, pure function of (length, taps, hop): ``schedule``.
 
 There is one spectral route, the overlap-save block row: spectral rows
 are grouped into width classes (``schedule``), each class takes one
-batched FFT of overlapping signal segments, and each of its rows
-multiplies its kernel spectrum into them, folds every block into hop
+batched FFT of overlapping signal segments and one of its rows'
+kernels, and each of its rows multiplies its kernel spectrum into them, folds every block into hop
 bands and takes one batched inverse FFT; at hop 1 the fold is the
 identity.  Work is sized by what can reach a sample: at most 2N - 1
 taps, and a hop of N or more computes as hop N.
@@ -30,6 +30,7 @@ taps, and a hop of N or more computes as hop N.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
@@ -38,10 +39,15 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-import scipy.fft as sfft
 
 from . import _kernels
-from .errors import InvalidCount, InvalidParameter, InvalidRange, InvalidScale
+from .errors import (
+    CoefficientOverflow,
+    InvalidCount,
+    InvalidParameter,
+    InvalidRange,
+    InvalidScale,
+)
 from .signal_io import SignalBuffer, decimate, _check_hop
 
 
@@ -61,6 +67,9 @@ class MorletParams:
     support_radius: float = 6.0
 
     def __post_init__(self):
+        for name in ("center_frequency", "bandwidth", "support_radius"):
+            if not math.isfinite(getattr(self, name)):
+                raise InvalidParameter(f"{name} must be finite, got {getattr(self, name)!r}")
         if not self.center_frequency > 0:
             raise InvalidParameter("center_frequency must be positive")
         if not self.bandwidth > 0:
@@ -71,18 +80,20 @@ class MorletParams:
 
 @dataclass
 class ScaleGrid:
-    """Strictly ascending positive wavelet scales (samples per cycle unit)."""
+    """Strictly ascending positive finite wavelet scales (samples per cycle unit)."""
 
     scales: np.ndarray
 
     def __post_init__(self):
         self.scales = np.asarray(self.scales, dtype=np.float64)
         if self.scales.ndim != 1 or self.scales.size < 1:
-            raise ValueError("scales must be a non-empty 1-D sequence")
+            raise InvalidScale("scales must be a non-empty 1-D sequence")
+        if not np.all(np.isfinite(self.scales)):
+            raise InvalidScale("scales must be finite")
         if not np.all(self.scales > 0):
-            raise ValueError("scales must be positive")
+            raise InvalidScale("scales must be positive")
         if not np.all(np.diff(self.scales) > 0):
-            raise ValueError("scales must be strictly ascending")
+            raise InvalidScale("scales must be strictly ascending")
 
     @property
     def count(self) -> int:
@@ -157,17 +168,26 @@ def scale_to_frequency(scale: float, params: MorletParams, sample_rate: float) -
     return params.center_frequency * sample_rate / scale
 
 
+# the most taps a side a scale may need: 0.08 Hz at 16 kHz with the default wavelet
+MAX_HALF_WIDTH = 1 << 20
+
+
 def sample_wavelet(params: MorletParams, scale: float) -> np.ndarray:
     """Sample the conjugated, 1/sqrt(scale)-normalized wavelet at ``scale``.
 
     Returns an odd-length complex array; tap k (relative to the center
     index L = ceil(support_radius * scale * sqrt(bandwidth/2))) holds
-    conj(psi)(k/scale) / sqrt(scale).
+    conj(psi)(k/scale) / sqrt(scale).  A scale whose L passes
+    ``MAX_HALF_WIDTH`` raises InvalidScale before anything is allocated.
     """
     if not (scale > 0 and math.isfinite(scale)):
         raise InvalidScale(f"scale must be positive and finite, got {scale!r}")
     b = params.bandwidth
-    half_width = math.ceil(params.support_radius * scale * math.sqrt(b / 2.0))
+    reach = params.support_radius * scale * math.sqrt(b / 2.0)
+    if not reach <= MAX_HALF_WIDTH:
+        raise InvalidScale(f"scale {float(scale):.6g} needs {reach:.3g} taps a side,"
+                           f" more than the {MAX_HALF_WIDTH} allowed")
+    half_width = math.ceil(reach)
     t = np.arange(-half_width, half_width + 1) / scale
     envelope = (math.pi * b) ** -0.5 * np.exp(-(t * t) / b)
     # conj of exp(-i*2*pi*C*t) is exp(+i*2*pi*C*t)
@@ -277,9 +297,9 @@ class CwtPlan:
     Taps do not depend on the signal, so a plan serves every length and
     hop.  Each row is held once, as read-only contiguous arrays of its
     real and imaginary parts: the direct kernel takes them as they are,
-    and the block row writes them into its kernel's real and imaginary
-    parts.  Kernel spectra depend on the block length, hence on the
-    signal length, so a plan holds none.
+    and ``_kernel_spectra`` writes them into the real and imaginary parts
+    of a width class's kernels.  Kernel spectra depend on the block
+    length, hence on the signal length, so a plan holds none.
     """
 
     def __init__(self, params: MorletParams, grid: ScaleGrid):
@@ -294,6 +314,8 @@ class CwtPlan:
                 part.setflags(write=False)
             self.taps.append(parts)
         self.widths = [re.size for re, _ in self.taps]
+        # no coefficient exceeds the largest sample times this
+        self.gain = max(float(np.abs(re).sum() + np.abs(im).sum()) for re, im in self.taps)
 
     @property
     def count(self) -> int:
@@ -327,8 +349,13 @@ class CwtPlan:
 
         Each row takes the route ``schedule(x.size, widths, hop)`` names.
         Spectral rows run one width class at a time, so only that class's
-        block spectra are held.
+        block spectra are held.  Samples so large that a coefficient or a
+        spectrum could overflow raise CoefficientOverflow before any work.
         """
+        peak = float(max(x.max(), -x.min()))
+        if not peak * self.gain < SAFE_PEAK:
+            raise CoefficientOverflow(f"samples up to {peak:.3g} against taps of gain"
+                                      f" {self.gain:.3g} may overflow the coefficients")
         n = x.size
         sched = schedule(n, self.widths, hop)
         widths, hop, frames, routes = sched.widths, sched.hop, sched.frames, sched.routes
@@ -352,14 +379,20 @@ class CwtPlan:
             run(direct_row, direct)
             for cls in sched.classes:
                 spectra = _block_spectra(x, cls)
+                kernels = _kernel_spectra(cls, taps)
 
-                def block_row(row: int, spectra=spectra, cls=cls) -> None:
-                    _block_row(out[row], spectra, cls, *taps[row], hop)
+                def block_row(index: int, spectra=spectra, kernels=kernels, cls=cls) -> None:
+                    _block_row(out[cls.rows[index]], spectra, cls, kernels[index], hop)
 
-                run(block_row, cls.rows)
-                del spectra, block_row
+                run(block_row, range(len(cls.rows)))
+                del spectra, kernels, block_row
         return out
 
+
+# The largest sample times a plan's gain bounds every coefficient and every direct-route
+# sum; the segment spectra, products, folds and inverse FFTs of the spectral route grow
+# it by at most block_len**2, far below 2**128, so below this nothing can overflow.
+SAFE_PEAK = np.finfo(np.float64).max / 2.0**128
 
 PLAN_CACHE_SIZE = 8
 
@@ -439,7 +472,7 @@ def class_options(n: int, pad: int, hop: int) -> list[BlockClass]:
     (rounded up to a fast multiple of ``hop``) are options while shorter
     than that and holding at least one hop of step.
     """
-    one = hop * sfft.next_fast_len(-(-(n + pad) // hop))
+    one = hop * _next_fast_len(-(-(n + pad) // hop))
     return [BlockClass(pad, one, one, 1)] + [
         BlockClass(pad, block_len, step, -(-n // step))
         for block_len, step in _factor_blocks(pad, hop) if block_len < one]
@@ -450,11 +483,49 @@ def _factor_blocks(pad: int, hop: int) -> tuple:
     """(block_len, step) of each of ``BLOCK_FACTORS`` whose step holds a hop."""
     shapes = []
     for factor in BLOCK_FACTORS:
-        block_len = hop * sfft.next_fast_len(-(-factor * (2 * pad + 1) // hop))
+        block_len = hop * _next_fast_len(-(-factor * (2 * pad + 1) // hop))
         step = (block_len - 2 * pad) // hop * hop
         if step >= hop:
             shapes.append((block_len, step))
     return tuple(shapes)
+
+
+# the largest length the table of FFT-friendly lengths holds
+SMOOTH_LIMIT = 1 << 32
+
+
+def _next_fast_len(target: int) -> int:
+    """The least integer >= ``target`` built from the factors 2, 3, 5, 7 and 11.
+
+    These are the lengths pocketfft transforms fastest, and the value is
+    ``scipy.fft.next_fast_len(target)``'s.  A bisection of a sorted table
+    up to ``SMOOTH_LIMIT``; past it, the least odd such number times the
+    least power of two that reaches ``target``.
+    """
+    table = _smooth_table()
+    index = bisect.bisect_left(table, target)
+    if index < len(table):
+        return table[index]
+    return min(odd << ((target - 1) // odd).bit_length()
+               for odd in _smooth_numbers(2 * target, (3, 5, 7, 11)))
+
+
+@functools.cache
+def _smooth_table() -> list[int]:
+    return _smooth_numbers(SMOOTH_LIMIT)
+
+
+def _smooth_numbers(limit: int, primes: tuple = (2, 3, 5, 7, 11)) -> list[int]:
+    """Every integer up to ``limit`` with no prime factor outside ``primes``, ascending."""
+    numbers = [1]
+    for prime in primes:
+        grown = []
+        for number in numbers:
+            while number <= limit:
+                grown.append(number)
+                number *= prime
+        numbers = grown
+    return sorted(numbers)
 
 
 class Schedule(NamedTuple):
@@ -529,38 +600,61 @@ def _schedule(n: int, widths: tuple, hop: int) -> Schedule:
 
 
 def _block_spectra(x: np.ndarray, cls: BlockClass) -> np.ndarray:
-    """The ``(blocks, block_len)`` spectra of the class's segments of ``x``."""
+    """The ``(blocks, block_len)`` spectra of the class's segments of ``x``.
+
+    The segments are real, so each spectrum is conjugate-symmetric: one
+    real FFT gives bins 0 .. block_len // 2, and the upper bins are the
+    conjugates of the lower ones, bin k being conj(bin block_len - k).
+    """
     xpad = np.zeros((cls.blocks - 1) * cls.step + cls.block_len)
     xpad[cls.pad:cls.pad + x.size] = x
     segments = np.lib.stride_tricks.sliding_window_view(xpad, cls.block_len)[::cls.step]
-    return sfft.fft(segments, axis=-1)
+    spectra = np.empty((cls.blocks, cls.block_len), dtype=np.complex128)
+    half = cls.block_len // 2 + 1
+    np.fft.rfft(segments, axis=-1, out=spectra[:, :half])
+    np.conjugate(spectra[:, cls.block_len - half:0:-1], out=spectra[:, half:])
+    return spectra
 
 
-def _block_row(out, spectra, cls: BlockClass, taps_re, taps_im, hop: int) -> None:
+def _kernel_spectra(cls: BlockClass, taps) -> np.ndarray:
+    """The ``(rows, block_len)`` kernel spectra of the class's rows, in the order of ``cls.rows``.
+
+    ``taps[row]`` is the row's (real, imaginary) taps.  A row's kernel is
+    its reversed taps, lag d at index -pad - d modulo the block, so lag
+    -pad of a row as wide as the class wraps to index 0.  All kernels are
+    laid out in one contiguous buffer and transformed in place by one
+    batched FFT.
+    """
+    kernels = np.zeros((len(cls.rows), cls.block_len), dtype=np.complex128)
+    for kernel, row in zip(kernels, cls.rows):
+        start = cls.block_len - cls.pad - taps[row][0].size // 2
+        for part, row_taps in zip((kernel.real, kernel.imag), taps[row]):
+            reversed_taps = row_taps[::-1]
+            # the taps that pass the block's end (at most lag -pad) wrap to its start
+            part[start:start + reversed_taps.size] = reversed_taps[:cls.block_len - start]
+            part[:max(0, start + reversed_taps.size - cls.block_len)] = (
+                reversed_taps[cls.block_len - start:])
+    return np.fft.fft(kernels, axis=-1, out=kernels)
+
+
+def _block_row(out, spectra, cls: BlockClass, kernel, hop: int) -> None:
     """Translations 0, hop, 2*hop, ... of one row into ``out``, from its class's block spectra.
 
+    ``kernel`` is the row's kernel spectrum (``_kernel_spectra``).
     Overlap-save (Stockham, "High-speed convolution and correlation",
     1966): in each segment, output i is translation k*step + i, which
     reaches segment samples pad + i - half .. pad + i + half, so the
-    first ``step`` outputs of every block are free of wrap-around.  Lag
-    d of the reversed taps sits at index -pad - d, modulo the block.
+    first ``step`` outputs of every block are free of wrap-around.
     Keeping every hop-th output of a block equals summing the hop
     aliased bands of its spectrum and taking one inverse FFT of
     length block_len/hop (Crochiere & Rabiner, Multirate Digital Signal
     Processing, 1983); at hop 1 the fold is the identity.
     """
     blocks, block_len = spectra.shape
-    half = taps_re.size // 2
-    # one spare slot: lag -pad lands on index block_len, which is index 0
-    kernel = np.zeros(block_len + 1, dtype=np.complex128)
-    start = block_len - cls.pad - half
-    kernel.real[start:start + taps_re.size] = taps_re[::-1]
-    kernel.imag[start:start + taps_im.size] = taps_im[::-1]
-    kernel[0] = kernel[block_len]
-    product = sfft.fft(kernel[:block_len], overwrite_x=True) * spectra
+    product = kernel * spectra
     if hop > 1:
         product = product.reshape(blocks, hop, block_len // hop).sum(axis=1)
-    outputs = sfft.ifft(product, axis=-1, overwrite_x=True)
+    outputs = np.fft.ifft(product, axis=-1, out=product)
     keep = cls.step // hop
     whole, rest = divmod(out.size, keep)
     np.divide(outputs[:whole, :keep], hop, out=out[:whole * keep].reshape(whole, keep))

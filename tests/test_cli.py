@@ -17,7 +17,11 @@ from wavehop import (
 )
 from wavehop.cli import parse_synth_spec, run_cli
 from wavehop.wavelet import schedule
-from testutil import write_float32_wav, write_reference_wav
+from testutil import run_wavehop, write_float32_wav, write_reference_wav
+
+
+# address-space cap of a child that could otherwise exhaust the host's memory
+CHILD_ADDRESS_SPACE = 1 << 30
 
 
 def make_wav(path, n=16_000, rate=16_000, seed=0):
@@ -252,6 +256,31 @@ class TestTransformCommand:
         code = run_cli(["transform", str(path), "--out", str(tmp_path / "x.scg1"), "--hop", "40"])
         assert_error_exit(code, capsys)
         assert not (tmp_path / "x.scg1").exists()
+
+    @pytest.mark.parametrize("flags", [
+        ("--wavelet-b", "inf"),  # was an OverflowError from math.ceil
+        ("--wavelet-c", "inf"),  # was a plain ValueError: scales not ascending
+        ("--fmin", "1e-300"),  # was a 762 GiB allocation
+        ("--fmin", "1e-12"),  # was killed out of memory: never run without the limit
+    ])
+    def test_wavelet_too_wide_or_not_finite_exits_one(self, tmp_path, flags):
+        out = tmp_path / "o.scg1"
+        child = run_wavehop(["transform", "white_noise:seed=7", "--out", str(out),
+                             "--length", "1000", *flags], address_space=CHILD_ADDRESS_SPACE)
+        assert child.returncode == 1, child.stderr
+        assert child.stderr.startswith("error: ") and "Traceback" not in child.stderr, child.stderr
+        assert not out.exists()
+
+    @pytest.mark.parametrize("amplitude, kind", [
+        ("1e308", "CoefficientOverflow"),  # the transform itself would overflow
+        ("1e200", "CoefficientOverflow"),  # finite coefficients that complex64 cannot hold
+    ])
+    def test_coefficients_past_their_format_exit_one(self, tmp_path, capsys, amplitude, kind):
+        out = tmp_path / "o.scg1"
+        code = run_cli(["transform", f"sine:frequency=1000,amplitude={amplitude}",
+                        "--out", str(out), "--length", "1000"])
+        assert_error_exit(code, capsys, kind)
+        assert not out.exists()
 
     def test_hop_beyond_scg1_exits_one(self, tmp_path, capsys):
         code = run_cli([

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from wavehop import (
     CoefficientMatrix,
+    CoefficientOverflow,
     MorletParams,
     ScaleGrid,
     SignalBuffer,
@@ -20,7 +21,14 @@ from wavehop import (
     write_matrix_bin,
 )
 from wavehop import _kernels
-from wavehop.wavelet import BlockClass, _block_row, _block_spectra, class_options, schedule
+from wavehop.wavelet import (
+    BlockClass,
+    _block_row,
+    _block_spectra,
+    _kernel_spectra,
+    class_options,
+    schedule,
+)
 from testutil import assert_rel_close
 
 HOPS = (1, 2, 3, 7, 8, 32, 127, 128, 131)
@@ -95,7 +103,8 @@ def test_spectral_row_matches_direct_kernel(data, hop, half, seed):
     cut = slice(half - reach, half + reach + 1)
     cls = data.draw(block_classes(n, reach, min(hop, n)), label="class")
     spectral = np.empty(frames, dtype=np.complex128)
-    _block_row(spectral, _block_spectra(x, cls), cls, taps_re[cut], taps_im[cut], min(hop, n))
+    (kernel,) = _kernel_spectra(cls._replace(rows=(0,)), [(taps_re[cut], taps_im[cut])])
+    _block_row(spectral, _block_spectra(x, cls), cls, kernel, min(hop, n))
     xpad = np.zeros(half + n + half + 2 * hop)
     xpad[half:half + n] = x
     re, im = _kernels.strided_correlate(xpad, taps_re, taps_im, hop, frames)
@@ -121,26 +130,37 @@ def test_routes_are_monotone_in_tap_count(n, hop, widths):
 
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
+F32_MAX = float(np.finfo(np.float32).max)
 
 
 @st.composite
 def matrices(draw):
-    """Random shapes (zero columns included), u32 hops, finite positive rates, any finite values."""
+    """Random shapes (zero columns included), u32 hops, finite positive rates, finite values.
+
+    The values are either all within single precision's range or any
+    finite doubles.
+    """
     rows = draw(st.integers(1, 6))
     cols = draw(st.integers(0, 40))
     scales = draw(st.lists(st.floats(1e-300, 1e300), min_size=rows, max_size=rows, unique=True))
-    parts = draw(st.lists(finite, min_size=2 * rows * cols, max_size=2 * rows * cols))
+    value = draw(st.sampled_from([st.floats(-F32_MAX, F32_MAX), finite]), label="values")
+    parts = draw(st.lists(value, min_size=2 * rows * cols, max_size=2 * rows * cols))
     values = np.array(parts, dtype=np.float64).view(np.complex128).reshape(rows, cols)
     hop = draw(st.integers(1, 2**32 - 1))
     rate = draw(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False))
     return CoefficientMatrix(values, hop, rate, ScaleGrid(sorted(scales)))
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered in cast:RuntimeWarning")
 @settings(max_examples=150, deadline=None)
 @given(matrix=matrices())
 def test_scg1_round_trips_bit_exactly(tmp_path_factory, matrix):
+    """What single precision holds round-trips; a matrix with any other value is not written."""
     path = tmp_path_factory.mktemp("scg1") / "m.scg1"
+    if matrix.values.size and np.abs(matrix.values.view(np.float64)).max() > F32_MAX:
+        with pytest.raises(CoefficientOverflow):
+            write_matrix_bin(matrix, path)
+        assert not path.exists()
+        return
     write_matrix_bin(matrix, path)
     back = read_matrix_bin(path)
     want = matrix.values.astype(np.complex64)

@@ -3,6 +3,7 @@ import pytest
 
 from wavehop import (
     CoefficientMatrix,
+    CoefficientOverflow,
     InvalidHop,
     MalformedHeader,
     IoFailure,
@@ -152,6 +153,16 @@ class TestMatrixFile:
         assert read_matrix_bin(path).hop == 2**32 - 1
         with pytest.raises(InvalidHop):
             write_matrix_bin(matrix_of([[1j]], hop=2**32), tmp_path / "n.scg1")
+        assert not (tmp_path / "n.scg1").exists()
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, complex(0, -np.inf), 3.5e38, 1e300j])
+    def test_value_single_precision_cannot_hold_is_a_typed_error(self, tmp_path, value):
+        largest = float(np.finfo(np.float32).max)
+        path = tmp_path / "m.scg1"
+        write_matrix_bin(matrix_of([[largest, -largest * 1j]]), path)
+        assert read_matrix_bin(path).values[0, 0] == largest
+        with pytest.raises(CoefficientOverflow):
+            write_matrix_bin(matrix_of([[1.0, value]]), tmp_path / "n.scg1")
         assert not (tmp_path / "n.scg1").exists()
 
     def test_round_trip_fields(self, tmp_path):

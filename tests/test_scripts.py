@@ -1,7 +1,10 @@
-"""The scripts run by hand, checked for names the package no longer has."""
+"""The scripts run by hand, checked for names the package no longer has and for their calls."""
 
 import ast
+import importlib.util
 from pathlib import Path
+
+import numpy as np
 
 from wavehop import _kernels, wavelet
 
@@ -30,3 +33,16 @@ def test_a_deleted_name_is_reported(tmp_path):
     stale.write_text("from wavehop import _kernels, wavelet\n"
                      "paged = _kernels.PAGED_PRODUCTS + len(wavelet.class_options(1, 0, 1))\n")
     assert missing_names(stale) == ["_kernels.PAGED_PRODUCTS"]
+
+
+def test_calibration_times_a_block_row_through_the_package(monkeypatch):
+    # the script pins the BLAS thread variables as it is imported; restore them afterwards
+    for name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(name, "1")
+    spec = importlib.util.spec_from_file_location("calibrate_router", SCRIPTS / "calibrate_router.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    for n, hop, pad in ((50, 2, 3), (40, 1, 39)):
+        for cls in wavelet.class_options(n, pad, hop):
+            seconds = script.block_row_seconds(np.random.default_rng(0), n, hop, cls, reps=1)
+            assert 0 < seconds < 1

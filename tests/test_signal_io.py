@@ -27,7 +27,7 @@ from wavehop import (
     write_wav,
 )
 from wavehop.signal_io import _lowpass_taps
-from testutil import max_rel_err, write_float32_wav, write_reference_wav
+from testutil import child_env, max_rel_err, write_float32_wav, write_reference_wav
 
 
 class TestReadWav:
@@ -266,23 +266,19 @@ class TestDecimate:
 
 
 def test_import_leaves_scipy_signal_unloaded():
-    package_dir = os.path.dirname(os.path.abspath(wavehop.__file__))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (os.path.dirname(package_dir), env.get("PYTHONPATH")) if p
-    )
+    """No module of SciPy loads with the package: it runs on numpy alone."""
     code = (
-        "import sys, wavehop, wavehop.cli; "
-        "print(wavehop.__file__); print('scipy.signal' in sys.modules)"
+        "import sys, wavehop, wavehop.cli; print(wavehop.__file__); "
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
     )
     child = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True
+        [sys.executable, "-c", code], env=child_env(), capture_output=True, text=True
     )
     detail = f"stdout={child.stdout!r} stderr={child.stderr!r}"
     assert child.returncode == 0, detail
     child_file, loaded = child.stdout.splitlines()
     assert os.path.samefile(child_file, wavehop.__file__), detail
-    assert loaded == "False", detail
+    assert loaded == "[]", detail
 
 
 class TestSynthesize:

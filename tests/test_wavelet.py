@@ -5,11 +5,16 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.fft import next_fast_len  # the oracle; the package itself must not import SciPy
 
 from wavehop import (
     CoefficientMatrix,
+    CoefficientOverflow,
     InvalidCount,
     InvalidHop,
+    InvalidParameter,
     InvalidRange,
     InvalidScale,
     MorletParams,
@@ -134,6 +139,26 @@ class TestSampleWavelet:
             sample_wavelet(PARAMS, -3.0)
         with pytest.raises(InvalidScale):
             sample_wavelet(PARAMS, float("nan"))
+
+
+    def test_scale_past_the_tap_cap_is_refused_before_allocating(self):
+        widest = wavelet.MAX_HALF_WIDTH / (PARAMS.support_radius * math.sqrt(PARAMS.bandwidth / 2))
+        assert sample_wavelet(PARAMS, widest * (1 - 1e-9)).size <= 2 * wavelet.MAX_HALF_WIDTH + 1
+        for scale in (widest * (1 + 1e-9), 1e300):
+            tracemalloc.start()
+            try:
+                with pytest.raises(InvalidScale):
+                    sample_wavelet(PARAMS, scale)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 2**16
+
+    @pytest.mark.parametrize("field", ["center_frequency", "bandwidth", "support_radius"])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_parameters_are_refused(self, field, value):
+        with pytest.raises(InvalidParameter):
+            MorletParams(**{field: value})
 
 
 class TestScaleToFrequency:
@@ -656,6 +681,37 @@ class TestImpulseNormalization:
         assert_rel_close(peaks, expected, 1e-6)
 
 
+class TestOverflow:
+    def test_samples_that_could_overflow_are_refused_before_any_work(self):
+        grid = ScaleGrid([4.0, 40.0])
+        peak = wavelet.SAFE_PEAK / plan_for(PARAMS, grid).gain
+        x = np.zeros(300)
+        x[7] = -peak * 1.01
+        for hop in (1, 8):
+            with pytest.raises(CoefficientOverflow):
+                cwth_strided(SignalBuffer(x, 16_000.0), grid, PARAMS, hop)
+        x[7] = -peak * 0.99
+        assert np.isfinite(cwth_strided(SignalBuffer(x, 16_000.0), grid, PARAMS, 1).values).all()
+
+
+class TestNextFastLen:
+    """The block lengths ``class_options`` takes equal SciPy's, so no layout moves."""
+
+    def test_every_target_to_70000(self):
+        targets = range(1, 70_001)
+        assert [wavelet._next_fast_len(t) for t in targets] == [next_fast_len(t) for t in targets]
+
+    @settings(max_examples=500, deadline=None)
+    @given(target=st.integers(1, 2**32))
+    def test_drawn_targets_up_to_the_table_end(self, target):
+        assert wavelet._next_fast_len(target) == next_fast_len(target)
+
+    @pytest.mark.parametrize("target", [wavelet.SMOOTH_LIMIT + 1, 5 * 10**9, 3**21 + 1, 2**40 + 3])
+    def test_targets_past_the_table(self, target):
+        assert target > wavelet.SMOOTH_LIMIT
+        assert wavelet._next_fast_len(target) == next_fast_len(target)
+
+
 class TestCoefficientMatrix:
     def test_row_count_must_match_grid(self):
         grid = ScaleGrid([1.0, 2.0])
@@ -674,3 +730,9 @@ class TestCoefficientMatrix:
             ScaleGrid([-1.0, 1.0])
         with pytest.raises(ValueError):
             ScaleGrid([])
+
+    @pytest.mark.parametrize("scales", [[2.0, 1.0], [-1.0, 1.0], [0.0], [], [[1.0, 2.0]],
+                                        [1.0, math.inf], [math.inf, math.inf], [math.nan]])
+    def test_bad_grid_is_invalid_scale(self, scales):
+        with pytest.raises(InvalidScale):
+            ScaleGrid(scales)

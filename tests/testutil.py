@@ -1,9 +1,15 @@
 """Shared test helpers."""
 
+import os
+import resource
 import struct
+import subprocess
+import sys
 import wave
 
 import numpy as np
+
+import wavehop
 
 
 def max_rel_err(actual, reference):
@@ -43,3 +49,21 @@ def write_float32_wav(path, samples, rate):
     body += b"data" + struct.pack("<I", len(payload)) + payload
     with open(path, "wb") as handle:
         handle.write(b"RIFF" + struct.pack("<I", len(body)) + body)
+
+
+def child_env():
+    """The environment with the directory of the imported ``wavehop`` first on PYTHONPATH."""
+    package_parent = os.path.dirname(os.path.dirname(os.path.abspath(wavehop.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (package_parent, env.get("PYTHONPATH")) if p)
+    return env
+
+
+def run_wavehop(args, address_space=None):
+    """``python -m wavehop *args`` in a child process, its address space capped if given."""
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (address_space, address_space))
+
+    return subprocess.run([sys.executable, "-m", "wavehop", *args], env=child_env(),
+                          capture_output=True, text=True,
+                          preexec_fn=None if address_space is None else limit)
