@@ -22,9 +22,9 @@ price is one cached, pure function of (length, taps, hop): ``schedule``.
 There is one spectral route, the overlap-save block row: spectral rows
 are grouped into width classes (``schedule``), each class takes one
 batched FFT of overlapping signal segments and one of its rows'
-kernels, and each of its rows multiplies its kernel spectrum into them, folds every block into hop
-bands and takes one batched inverse FFT; at hop 1 the fold is the
-identity.  Work is sized by what can reach a sample: at most 2N - 1
+kernels, and each of its rows multiplies its kernel spectrum into the
+segment spectra, folds every block into hop bands and takes one batched
+inverse FFT; at hop 1 the fold is the identity.  Work is sized by what can reach a sample: at most 2N - 1
 taps, and a hop of N or more computes as hop N.
 """
 
@@ -627,13 +627,13 @@ def _kernel_spectra(cls: BlockClass, taps) -> np.ndarray:
     """
     kernels = np.zeros((len(cls.rows), cls.block_len), dtype=np.complex128)
     for kernel, row in zip(kernels, cls.rows):
-        start = cls.block_len - cls.pad - taps[row][0].size // 2
+        width = taps[row][0].size
+        start = cls.block_len - cls.pad - width // 2
+        # lag -pad of a row as wide as the class, one past the block's end, wraps to index 0
+        wrap = max(0, start + width - cls.block_len)
         for part, row_taps in zip((kernel.real, kernel.imag), taps[row]):
-            reversed_taps = row_taps[::-1]
-            # the taps that pass the block's end (at most lag -pad) wrap to its start
-            part[start:start + reversed_taps.size] = reversed_taps[:cls.block_len - start]
-            part[:max(0, start + reversed_taps.size - cls.block_len)] = (
-                reversed_taps[cls.block_len - start:])
+            part[start:start + width - wrap] = row_taps[wrap:][::-1]
+            part[:wrap] = row_taps[:wrap][::-1]
     return np.fft.fft(kernels, axis=-1, out=kernels)
 
 
