@@ -2,11 +2,12 @@
 
 Times ``_kernels.strided_correlate``, bare ``numpy.fft.fft`` calls (the
 package's FFT) and whole block rows (the row's kernel spectrum by
-``wavelet._kernel_spectra``, then ``wavelet._block_row``) over a grid of
-shapes on one thread, and prints the constants of ``_kernels.direct_seconds``,
-``_kernels.fft_seconds`` and ``_kernels.spectral_seconds`` in the form
-``src/wavehop/_kernels.py`` holds them.  Each fit is non-negative least
-squares on relative error.  The direct kernel's rows and products are
+``wavelet._kernel_spectra``, then ``wavelet._block_row``) over a grid
+of shapes on one thread, and prints the constants of
+``_kernels.direct_seconds``, ``_kernels.fft_seconds`` and
+``_kernels.spectral_seconds`` in the form ``src/wavehop/_kernels.py``
+holds them.  Each fit is non-negative least squares on relative
+error.  The direct kernel's rows and products are
 counted as it computes them, in the phases ``_kernels.polyphase`` and
 the runs ``_kernels.product_runs`` set: a chunked call counts each
 run's overlap, and its fixed cost and tap blocks once per run.  The
