@@ -48,6 +48,12 @@ CHUNK_PRODUCTS = 1 << 22
 # ceil(MIN_SPAN / hop) phases (``polyphase``), since BLAS runs far below peak on a smaller one.
 MIN_SPAN = 32
 
+# The largest sample times the taps' L1 norm bounds every sum of ``strided_correlate``
+# (its callers check it first); the spectral route's segment spectra, products, folds and
+# inverse FFTs grow that bound by at most block_len**2, far below 2**128, so below this
+# nothing can overflow.
+SAFE_PEAK = np.finfo(np.float64).max / 2.0**128
+
 # Direct kernel.
 CALL_S = 1.6e-06            # fixed cost of one run (one matmul)
 BLOCK_S = 9.5e-07           # per tap block per run: one slice-add of the shifted sum

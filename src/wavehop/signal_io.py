@@ -17,6 +17,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import (
+    CoefficientOverflow,
     EmptySignal,
     InvalidHop,
     InvalidParameter,
@@ -149,7 +150,8 @@ def decimate(signal: SignalBuffer, hop: int, anti_alias: bool = False) -> Signal
     samples alone, by ``_kernels.strided_correlate``, the kernel of
     ``cwth_strided``'s direct rows; the default is plain selection.  The
     FIR is a Hamming-windowed sinc scaled to unit DC gain, the same design
-    as SciPy's ``firwin`` with its default window.
+    as SciPy's ``firwin`` with its default window.  Samples so large that
+    the filtered signal could overflow raise CoefficientOverflow first.
     """
     hop = _check_hop(hop)
     x = signal.samples
@@ -159,6 +161,10 @@ def decimate(signal: SignalBuffer, hop: int, anti_alias: bool = False) -> Signal
     # target Nyquist across hops; the centred pad cancels the FIR delay.
     # Taps more than len(x) - 1 from the centre meet no sample.
     taps = _lowpass_taps(10 * hop + 1, 0.9 / hop, reach=x.size - 1)  # cutoff relative to Nyquist
+    peak, gain = float(max(x.max(), -x.min())), float(np.abs(taps).sum())
+    if not peak * gain < _kernels.SAFE_PEAK:
+        raise CoefficientOverflow(f"samples up to {peak:.3g} against low-pass taps of gain"
+                                  f" {gain:.3g} may overflow the filtered signal")
     pad = taps.size // 2
     xpad = np.zeros(pad + x.size + pad)
     xpad[pad:pad + x.size] = x

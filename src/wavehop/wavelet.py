@@ -33,9 +33,10 @@ from __future__ import annotations
 import bisect
 import functools
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
 from dataclasses import dataclass
+from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -146,7 +147,8 @@ def make_scale_grid(
     """Build ``count`` scales covering [f_min, f_max] Hz, geometrically spaced.
 
     Frequencies run from f_max down to f_min, so the resulting scales
-    ascend.  ``count == 1`` requires f_min == f_max.
+    ascend.  ``count == 1`` requires f_min == f_max, and a narrowest
+    wavelet within one sample of its centre, a lone spike, raises InvalidScale.
     """
     params = params or MorletParams()
     if not (0 < f_min <= f_max < sample_rate / 2):
@@ -157,8 +159,11 @@ def make_scale_grid(
         raise InvalidCount(f"count must be >= 1, got {count}")
     if count == 1 and f_min != f_max:
         raise InvalidCount("count == 1 needs f_min == f_max")
-    freqs = np.geomspace(f_max, f_min, count)
-    return ScaleGrid(params.center_frequency * sample_rate / freqs)
+    scales = params.center_frequency * sample_rate / np.geomspace(f_max, f_min, count)
+    reach = params.support_radius * scales[0] * math.sqrt(params.bandwidth / 2.0)
+    if not reach >= 1:
+        raise InvalidScale(f"scale {scales[0]:.6g} reaches {reach:.3g} samples a side, not one")
+    return ScaleGrid(scales)
 
 
 def scale_to_frequency(scale: float, params: MorletParams, sample_rate: float) -> float:
@@ -189,7 +194,10 @@ def sample_wavelet(params: MorletParams, scale: float) -> np.ndarray:
                            f" more than the {MAX_HALF_WIDTH} allowed")
     half_width = math.ceil(reach)
     t = np.arange(-half_width, half_width + 1) / scale
-    envelope = (math.pi * b) ** -0.5 * np.exp(-(t * t) / b)
+    # taps past sqrt(750 * b) are 0 outright, their envelope below the least double
+    near = np.abs(t) <= math.sqrt(min(750.0 * b, np.finfo(np.float64).max))
+    envelope = np.zeros(t.size)
+    envelope[near] = (math.pi * b) ** -0.5 * np.exp(-(t[near] * t[near]) / b)
     # conj of exp(-i*2*pi*C*t) is exp(+i*2*pi*C*t)
     taps = envelope * np.exp(2j * np.pi * params.center_frequency * t)
     return taps / math.sqrt(scale)
@@ -230,9 +238,7 @@ def cwt_fft(
     """The full transform: ``cwth_strided`` at hop 1, its rows routed as at any hop.
 
     Matches ``cwt_direct`` elementwise up to floating-point roundoff,
-    whichever route each row takes.  ``threads`` > 1 computes scale rows
-    concurrently; results are identical regardless of row evaluation
-    order.
+    whichever route each row takes.  ``threads`` is as in ``cwth_strided``.
     """
     return cwth_strided(signal, grid, params, 1, threads=threads)
 
@@ -259,7 +265,8 @@ def cwth_strided(
       inverse FFT of length block_len/hop.
 
     The choice depends only on the signal length, the tap counts and the
-    hop, so repeated calls give bit-identical coefficients.
+    hop, so repeated calls give bit-identical coefficients whatever
+    ``threads`` is; above 1 it sizes a row pool kept across calls.
     """
     hop = _check_hop(hop)
     plan = plan_for(params or MorletParams(), grid)
@@ -347,13 +354,14 @@ class CwtPlan:
     def execute(self, x: np.ndarray, hop: int, threads: int = 1) -> np.ndarray:
         """Columns 0, hop, 2*hop, ... of every row of the transform of ``x``.
 
-        Each row takes the route ``schedule(x.size, widths, hop)`` names.
-        Spectral rows run one width class at a time, so only that class's
-        block spectra are held.  Samples so large that a coefficient or a
-        spectrum could overflow raise CoefficientOverflow before any work.
+        Each row is one task that writes its row, by the route
+        ``schedule(x.size, widths, hop)`` names, on the calling thread or on
+        ``_pool(threads)``: the direct rows, then each width class's, so only
+        one class's block spectra are held.  Samples that could overflow a
+        coefficient or a spectrum raise CoefficientOverflow before any work.
         """
         peak = float(max(x.max(), -x.min()))
-        if not peak * self.gain < SAFE_PEAK:
+        if not peak * self.gain < _kernels.SAFE_PEAK:
             raise CoefficientOverflow(f"samples up to {peak:.3g} against taps of gain"
                                       f" {self.gain:.3g} may overflow the coefficients")
         n = x.size
@@ -367,32 +375,20 @@ class CwtPlan:
             # the zeros each direct row's kernel layout reads past the signal
             xpad = np.zeros(pad + n + pad + hop + 2 * _kernels.MIN_SPAN)
             xpad[pad:pad + n] = x
+        # out after xpad: the other order measured ~400 more page faults a corpus_scan request
         out = np.empty((self.count, frames), dtype=np.complex128)
-
-        def direct_row(row: int) -> None:
-            taps_re, taps_im = taps[row]
-            base = xpad[pad - taps_re.size // 2:]
-            re, im = _kernels.strided_correlate(base, taps_re, taps_im, hop, frames)
-            out[row] = re + 1j * im
-
-        with _row_runner(threads) as run:
-            run(direct_row, direct)
-            for cls in sched.classes:
-                spectra = _block_spectra(x, cls)
-                kernels = _kernel_spectra(cls, taps)
-
-                def block_row(index: int, spectra=spectra, kernels=kernels, cls=cls) -> None:
-                    _block_row(out[cls.rows[index]], spectra, cls, kernels[index], hop)
-
-                run(block_row, range(len(cls.rows)))
-                del spectra, kernels, block_row
+        run = map if threads <= 1 else _pool(threads).map
+        if direct:
+            # list() waits for the tasks and raises their errors
+            list(run(_direct_row, [out[row] for row in direct], repeat(xpad),
+                     [taps[row] for row in direct], repeat(pad), repeat(hop), repeat(frames)))
+        for cls in sched.classes:
+            spectra = _block_spectra(x, cls)
+            kernels = _kernel_spectra(cls, taps)
+            list(run(_block_row, [out[row] for row in cls.rows], repeat(spectra), repeat(cls),
+                     kernels, repeat(hop)))
+            del spectra, kernels
         return out
-
-
-# The largest sample times a plan's gain bounds every coefficient and every direct-route
-# sum; the segment spectra, products, folds and inverse FFTs of the spectral route grow
-# it by at most block_len**2, far below 2**128, so below this nothing can overflow.
-SAFE_PEAK = np.finfo(np.float64).max / 2.0**128
 
 PLAN_CACHE_SIZE = 8
 
@@ -637,6 +633,14 @@ def _kernel_spectra(cls: BlockClass, taps) -> np.ndarray:
     return np.fft.fft(kernels, axis=-1, out=kernels)
 
 
+def _direct_row(out, xpad, taps, pad: int, hop: int, frames: int) -> None:
+    """A direct row into ``out``; ``xpad`` is the signal after ``pad`` zeros."""
+    taps_re, taps_im = taps
+    base = xpad[pad - taps_re.size // 2:]
+    re, im = _kernels.strided_correlate(base, taps_re, taps_im, hop, frames)
+    out[...] = re + 1j * im
+
+
 def _block_row(out, spectra, cls: BlockClass, kernel, hop: int) -> None:
     """Translations 0, hop, 2*hop, ... of one row into ``out``, from its class's block spectra.
 
@@ -662,15 +666,10 @@ def _block_row(out, spectra, cls: BlockClass, kernel, hop: int) -> None:
         np.divide(outputs[whole, :rest], hop, out=out[whole * keep:])
 
 
-@contextmanager
-def _row_runner(threads: int):
-    """A ``run(one_row, rows)`` that calls ``one_row`` on each row, on ``threads`` threads."""
-    if threads <= 1:
-        def run(one_row, rows):
-            for row in rows:
-                one_row(row)
+@functools.lru_cache(maxsize=1)
+def _pool(threads: int) -> ThreadPoolExecutor:
+    """The row pool of ``threads`` threads, kept across calls; another count or a fork drops it."""
+    return ThreadPoolExecutor(max_workers=threads)
 
-        yield run
-        return
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        yield lambda one_row, rows: list(pool.map(one_row, rows))
+
+os.register_at_fork(after_in_child=_pool.cache_clear)

@@ -1,7 +1,11 @@
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import wavehop.cli
 from wavehop import (
@@ -280,6 +284,16 @@ class TestTransformCommand:
         code = run_cli(["transform", f"sine:frequency=1000,amplitude={amplitude}",
                         "--out", str(out), "--length", "1000"])
         assert_error_exit(code, capsys, kind)
+        assert not out.exists()
+
+    def test_anti_alias_decimation_refuses_overflowing_samples_first(self, tmp_path):
+        out = tmp_path / "o.scg1"
+        child = run_wavehop(["transform", "sine:frequency=1000,amplitude=1.79e308",
+                             "--mode", "decimate", "--anti-alias", "--hop", "4", "--length", "1000",
+                             "--out", str(out)], address_space=CHILD_ADDRESS_SPACE)
+        assert child.returncode == 1, child.stderr
+        assert child.stderr.startswith("error: CoefficientOverflow: "), child.stderr
+        assert child.stderr.count("\n") == 1 and "Warning" not in child.stderr, child.stderr
         assert not out.exists()
 
     def test_hop_beyond_scg1_exits_one(self, tmp_path, capsys):
@@ -574,3 +588,37 @@ class TestScanCommand:
         in_dir = tmp_path / "in"
         in_dir.mkdir()
         assert run_cli(["scan", str(in_dir), "--out-dir", str(tmp_path / "out")]) == 1
+
+
+FLOAT_VALUES = ("nan", "inf", "-inf", "0", "1e-300", "1e300")
+GRID_FLOATS = ("--fmin", "--fmax", "--wavelet-b", "--wavelet-c")
+# each command on a small input, and its float flags
+FLOAT_FLAG_COMMANDS = {
+    "transform": (["white_noise:seed=7", "--length", "1000", "--scales", "4", "--hop", "16",
+                   "--out", "o.scg1"], ("--rate",) + GRID_FLOATS),
+    "synth": (["white_noise", "--length", "1000", "--out", "o.wav"], ("--rate",)),
+    "bench": (["--length", "1000", "--hop", "16", "--scales", "4", "--reps", "3"],
+              ("--rate",) + GRID_FLOATS),
+}
+
+
+@st.composite
+def bad_float_flags(draw):
+    """A command and one or more of its float flags, each set to an extreme value."""
+    command = draw(st.sampled_from(sorted(FLOAT_FLAG_COMMANDS)))
+    base, flags = FLOAT_FLAG_COMMANDS[command]
+    chosen = draw(st.lists(st.sampled_from(flags), min_size=1, unique=True))
+    # flag=value, so that argparse reads "-inf" as a value
+    return [command, *base] + [f"{flag}={draw(st.sampled_from(FLOAT_VALUES))}" for flag in chosen]
+
+
+@settings(max_examples=40, deadline=None)
+@given(args=bad_float_flags())
+def test_bad_float_flags_end_in_a_typed_error(args):
+    with tempfile.TemporaryDirectory() as scratch:
+        args = [str(Path(scratch) / arg) if arg.startswith("o.") else arg for arg in args]
+        # never without the limit: --fmin 1e-12 was once killed out of memory
+        child = run_wavehop(args, address_space=CHILD_ADDRESS_SPACE)
+        assert child.returncode in (1, 2), (args, child.stderr)
+        assert "Traceback" not in child.stderr and "Warning" not in child.stderr, child.stderr
+        assert not any(Path(scratch).iterdir()), args

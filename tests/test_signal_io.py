@@ -11,6 +11,7 @@ from scipy.signal import fftconvolve, firwin
 import wavehop
 
 from wavehop import (
+    CoefficientOverflow,
     EmptySignal,
     InvalidHop,
     InvalidParameter,
@@ -177,6 +178,16 @@ class TestWriteWav:
 
 
 class TestDecimate:
+    def test_anti_alias_refuses_samples_that_could_overflow_before_filtering(self):
+        hop = 4
+        gain = np.abs(_lowpass_taps(10 * hop + 1, 0.9 / hop, reach=299)).sum()
+        x = np.zeros(300)
+        x[7] = -wavehop._kernels.SAFE_PEAK / gain * 1.01
+        with pytest.raises(CoefficientOverflow):
+            decimate(SignalBuffer(x, 16_000), hop, anti_alias=True)
+        x[7] *= 0.99 / 1.01
+        assert np.isfinite(decimate(SignalBuffer(x, 16_000), hop, anti_alias=True).samples).all()
+
     def test_plain_index_selection(self):
         sig = SignalBuffer([0, 1, 2, 3, 4, 5], 16_000)
         out = decimate(sig, 2)

@@ -1,7 +1,12 @@
+import gc
 import math
+import subprocess
 import sys
+import textwrap
 import threading
 import tracemalloc
+import weakref
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -34,7 +39,7 @@ from wavehop import (
 from wavehop import _kernels, wavelet
 from wavehop.cli import run_cli
 from wavehop.wavelet import clear_plan_cache, plan_for, schedule
-from testutil import assert_rel_close, write_reference_wav
+from testutil import assert_rel_close, child_env, write_reference_wav
 
 PARAMS = MorletParams()
 # the grids of wavebench's corpus_scan (desk scale) and hop_sweep workloads
@@ -97,6 +102,18 @@ class TestMakeScaleGrid:
         with pytest.raises(InvalidCount):
             make_scale_grid(100.0, 200.0, 1, 16_000.0, PARAMS)
 
+    @pytest.mark.parametrize("params", [MorletParams(center_frequency=1e-300),
+                                        MorletParams(bandwidth=1e-300),
+                                        MorletParams(center_frequency=0.08)])
+    def test_wavelet_within_a_sample_of_its_centre_is_refused(self, params):
+        with pytest.raises(InvalidScale):
+            make_scale_grid(20.0, 7200.0, 8, 16_000.0, params)
+
+    def test_wavelet_reaching_one_sample_is_kept(self):
+        # the narrowest scale, 0.1 * 16 000 / 7 200, reaches 1.15 samples a side
+        grid = make_scale_grid(20.0, 7200.0, 8, 16_000.0, MorletParams(center_frequency=0.1))
+        assert sample_wavelet(MorletParams(center_frequency=0.1), grid.scales[0]).size == 5
+
 
 class TestSampleWavelet:
     def test_center_tap_closed_form(self):
@@ -153,6 +170,26 @@ class TestSampleWavelet:
             finally:
                 tracemalloc.stop()
             assert peak < 2**16
+
+    @pytest.mark.parametrize("params,scale", [(PARAMS, 1e-300),
+                                              (MorletParams(bandwidth=1e-300), 1e-10)])
+    def test_vanishing_scale_samples_its_far_taps_as_zeros(self, params, scale):
+        # t * t, or t * t / bandwidth, would overflow; this suite turns warnings into errors
+        taps = sample_wavelet(params, scale)
+        assert taps.size == 3
+        np.testing.assert_array_equal(taps[[0, 2]], 0.0)
+        expected = (math.pi * params.bandwidth) ** -0.5 / math.sqrt(scale)
+        assert taps[1] == pytest.approx(expected, rel=1e-15)
+
+    @pytest.mark.parametrize("bandwidth", [0.5, 1.5, 4.0])
+    @pytest.mark.parametrize("scale", [0.3, 1.0, 9.3, 80.0, 2500.0])
+    def test_taps_equal_the_closed_form_bit_for_bit(self, bandwidth, scale):
+        params = MorletParams(center_frequency=1.3, bandwidth=bandwidth)
+        half = math.ceil(params.support_radius * scale * math.sqrt(bandwidth / 2.0))
+        t = np.arange(-half, half + 1) / scale
+        envelope = (math.pi * bandwidth) ** -0.5 * np.exp(-(t * t) / bandwidth)
+        expected = envelope * np.exp(2j * np.pi * params.center_frequency * t) / math.sqrt(scale)
+        np.testing.assert_array_equal(sample_wavelet(params, scale), expected)
 
     @pytest.mark.parametrize("field", ["center_frequency", "bandwidth", "support_radius"])
     @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
@@ -327,6 +364,124 @@ class TestCwthStrided:
         grid = make_scale_grid(500.0, 4000.0, 3, 16_000.0, PARAMS)
         with pytest.raises(InvalidHop):
             cwth_strided(noise(100, seed=0), grid, PARAMS, 0)
+
+
+@pytest.fixture
+def recorded_pools(monkeypatch):
+    """Weak references to every row pool the transforms build, from an empty pool cache."""
+    pools = []
+
+    class Recorded(ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            pools.append(weakref.ref(self))
+
+    monkeypatch.setattr(wavelet, "ThreadPoolExecutor", Recorded)
+    wavelet._pool.cache_clear()
+    yield pools
+    wavelet._pool.cache_clear()
+
+
+class TestRowPool:
+    def test_one_thread_builds_no_pool(self, recorded_pools):
+        cwth_strided(noise(8192, seed=50), SWEEP_GRID, PARAMS, 8, threads=1)
+        assert recorded_pools == []
+
+    def test_successive_calls_share_one_pool(self, recorded_pools):
+        sig = noise(8192, seed=51)
+        for _ in range(2):
+            cwth_strided(sig, SWEEP_GRID, PARAMS, 8, threads=2)
+        assert len(recorded_pools) == 1
+
+    def test_another_thread_count_drops_the_pool(self, recorded_pools):
+        sig = noise(8192, seed=52)
+        cwth_strided(sig, SWEEP_GRID, PARAMS, 8, threads=2)
+        workers = list(recorded_pools[0]()._threads)
+        assert workers
+        cwth_strided(sig, SWEEP_GRID, PARAMS, 8, threads=3)
+        gc.collect()
+        assert [ref() is not None for ref in recorded_pools] == [False, True]
+        for worker in workers:
+            worker.join(timeout=30)
+        assert not any(worker.is_alive() for worker in workers)
+
+    def test_concurrent_calls_at_changing_thread_counts(self):
+        # callers that swap the cached pool under one another still get every row
+        sig = noise(4096, seed=55)
+        want = cwth_strided(sig, SWEEP_GRID, PARAMS, 8).values
+        errors = []
+
+        def worker(offset):
+            try:
+                for k in range(6):
+                    threads = 2 + (offset + k) % 2
+                    got = cwth_strided(sig, SWEEP_GRID, PARAMS, 8, threads=threads).values
+                    if not np.array_equal(got, want):
+                        errors.append(f"coefficients moved at threads={threads}")
+            except Exception as exc:  # noqa: BLE001 - reported by the assertion below
+                errors.append(repr(exc))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            callers = [threading.Thread(target=worker, args=(i,)) for i in range(4)]
+            for caller in callers:
+                caller.start()
+            for caller in callers:
+                caller.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(caller.is_alive() for caller in callers)
+        assert errors == []
+
+    def test_forked_child_runs_rows_on_a_pool_of_its_own(self):
+        # the grandchild is killed by its alarm if it waits on its parent's pool threads
+        script = textwrap.dedent("""
+            import os, signal, sys
+            import numpy as np
+            from wavehop import SignalBuffer, cwth_strided, make_scale_grid
+            grid = make_scale_grid(100.0, 7000.0, 12, 16000.0)
+            sig = SignalBuffer(np.random.default_rng(53).standard_normal(8192), 16000.0)
+            want = cwth_strided(sig, grid, hop=64, threads=2).values
+            pid = os.fork()
+            if pid == 0:
+                signal.alarm(30)
+                got = cwth_strided(sig, grid, hop=64, threads=2).values
+                os._exit(0 if np.array_equal(got, want) else 3)
+            sys.exit(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+        """)
+        child = subprocess.run([sys.executable, "-c", script], env=child_env(),
+                               capture_output=True, text=True, timeout=120)
+        assert child.returncode == 0, child.stderr
+
+
+class TestKernelCalls:
+    """Each direct kernel call has the form wavebench's traced hook unpacks."""
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("transform", [
+        lambda sig, threads: cwth_strided(sig, SWEEP_GRID, PARAMS, 128, threads=threads),
+        lambda sig, threads: cwt_fft(sig, SWEEP_GRID, PARAMS, threads=threads),
+        lambda sig, threads: cwth_decimate(sig, SWEEP_GRID, PARAMS, 4, True, threads=threads),
+    ], ids=["cwth_strided", "cwt_fft", "cwth_decimate"])
+    def test_five_positional_arguments(self, monkeypatch, transform, threads):
+        calls = []
+        kernel = _kernels.strided_correlate
+
+        def recorded(*args, **kwargs):
+            calls.append((args, kwargs))
+            return kernel(*args, **kwargs)
+
+        monkeypatch.setattr(_kernels, "strided_correlate", recorded)
+        transform(noise(20_000, seed=54), threads)
+        assert calls
+        for args, kwargs in calls:
+            assert len(args) == 5 and kwargs == {}
+            _, taps_re, taps_im, hop, frames = args
+            assert isinstance(taps_re, np.ndarray) and taps_re.ndim == 1
+            assert taps_im is None or (taps_im.ndim == 1 and taps_im.shape == taps_re.shape)
+            assert isinstance(hop, int) and hop >= 1
+            assert isinstance(frames, int) and frames >= 1
 
 
 def tap_counts(grid):
@@ -684,7 +839,7 @@ class TestImpulseNormalization:
 class TestOverflow:
     def test_samples_that_could_overflow_are_refused_before_any_work(self):
         grid = ScaleGrid([4.0, 40.0])
-        peak = wavelet.SAFE_PEAK / plan_for(PARAMS, grid).gain
+        peak = _kernels.SAFE_PEAK / plan_for(PARAMS, grid).gain
         x = np.zeros(300)
         x[7] = -peak * 1.01
         for hop in (1, 8):
