@@ -1,25 +1,17 @@
 """Fit the seconds model that routes cwth_strided's scale rows.
 
-Times ``_kernels.strided_correlate``, bare ``numpy.fft.fft`` calls (the
-package's FFT) and whole block rows (the row's kernel spectrum by
-``wavelet._kernel_spectra``, then ``wavelet._block_row``) over a grid
-of shapes on one thread, and prints the constants of
-``_kernels.direct_seconds``, ``_kernels.fft_seconds`` and
-``_kernels.spectral_seconds`` in the form ``src/wavehop/_kernels.py``
-holds them.  Each fit is non-negative least squares on relative
-error.  The direct kernel's rows and products are
-counted as it computes them, in the phases ``_kernels.polyphase`` and
-the runs ``_kernels.product_runs`` set: a chunked call counts each
-run's overlap, and its fixed cost and tap blocks once per run.  The
-FFT constants come from FFT timings alone, and ``ROW_CALL_S`` and
-``SPECTRAL_POINT_S`` from what whole block rows take beyond their FFTs
-as priced by those constants, so the FFT and per-point costs never
-trade off against each other.  Takes about a minute.
+Times ``_kernels.strided_correlate``, bare ``numpy.fft.fft`` calls and
+whole block rows over a grid of shapes on one thread, and fits each
+route's constants on the terms ``_kernels.direct_terms``,
+``_kernels.fft_terms`` and ``_kernels.row_terms`` count, by
+non-negative least squares on relative error.  A block row's own
+constants are fitted to what whole rows take beyond their FFTs as the
+fitted FFT constants price them.  Prints each fit's error, then the
+block to paste into ``src/wavehop/_kernels.py``.  Takes about a minute.
 
     PYTHONPATH=src python scripts/calibrate_router.py
 """
 
-import math
 import os
 import statistics
 import time
@@ -50,42 +42,33 @@ def median_seconds(fn, reps=9):
     return statistics.median(times)
 
 
-def fit(rows, seconds, names, target=None):
-    """Constants c >= 0 minimising the relative error of rows @ c against target.
-
-    ``target`` defaults to ``seconds``.
-    """
+def fit(terms, seconds, names, target=None):
+    """Constants c >= 0, by name, minimising the relative error of terms @ c against target."""
     seconds = np.array(seconds)
     target = seconds if target is None else np.array(target)
-    a = np.array(rows, dtype=float) / seconds[:, None]
+    a = np.array(terms, dtype=float) / seconds[:, None]
     coef, _ = nnls(a, target / seconds)
     err = np.abs(a @ coef - target / seconds)
-    for name, value in zip(names, coef):
-        print(f"{name} = {value:.2g}")
     print(f"# {len(seconds)} shapes, relative error median {np.median(err):.2f}, max {err.max():.2f}")
     return dict(zip(names, coef))
 
 
 def direct(rng):
-    rows, seconds = [], []
+    """The direct kernel's constants, from ``strided_correlate`` timings."""
+    terms, seconds = [], []
     for n in LENGTHS:
         for hop in HOPS:
             frames = -(-n // hop)
             for width in WIDTHS:
                 if _kernels.direct_seconds(width, hop, frames) > LONGEST_SECONDS:
                     continue
-                xpad = rng.standard_normal(n + width + hop + 2 * _kernels.MIN_SPAN)
+                xpad = _kernels.zero_padded(rng.standard_normal(n), width // 2, hop)
                 taps = rng.standard_normal((2, width))
                 seconds.append(median_seconds(lambda: _kernels.strided_correlate(
                     xpad, taps[0], taps[1], hop, frames)))
-                phases, span, blocks, groups = _kernels.polyphase(width, hop, frames)
-                chunk, signal_rows = _kernels.product_runs(phases, blocks, groups)
-                runs = -(-groups // chunk)
-                products = 2 * phases * blocks * signal_rows
-                rows.append([runs, runs * blocks + phases - 1, signal_rows * span,
-                             products + 2 * phases * groups * (phases > 1), products * span])
+                terms.append(_kernels.direct_terms(width, hop, frames))
     print("# direct kernel")
-    fit(rows, seconds, ["CALL_S", "BLOCK_S", "SAMPLE_S", "PRODUCT_S", "MAC_S"])
+    return fit(terms, seconds, _kernels.DIRECT_CONSTANTS)
 
 
 def block_shapes():
@@ -104,18 +87,15 @@ def ffts(rng):
         shapes.add((1, cls.block_len))  # the kernel's FFT
         shapes.add((cls.blocks, cls.block_len))  # the class's block spectra
         shapes.add((cls.blocks, cls.block_len // hop))  # the row's inverse FFTs
-    rows, seconds = [], []
+    terms, seconds = [], []
     for count, length in sorted(shapes):
         if count * length > 1 << 21:
             continue
         a = rng.standard_normal((count, length)) + 1j * rng.standard_normal((count, length))
-        points = count * length
-        log_term = points * math.log2(max(length, 2))
-        rows.append([1.0, log_term if count == 1 else 0.0, log_term if count > 1 else 0.0,
-                     points * _kernels._large_prime_sum(length)])
+        terms.append(_kernels.fft_terms(length, count))
         seconds.append(median_seconds(lambda: np.fft.fft(a, axis=-1)))
     print("# complex FFTs, alone and batched")
-    return fit(rows, seconds, ["FFT_CALL_S", "FFT_S", "FFT_BATCH_S", "FFT_PRIME_S"])
+    return fit(terms, seconds, _kernels.FFT_CONSTANTS)
 
 
 def block_row_seconds(rng, n, hop, cls, reps=9):
@@ -136,30 +116,30 @@ def block_row_seconds(rng, n, hop, cls, reps=9):
     return median_seconds(row, reps)
 
 
-def spectral(rng, constants):
-    """The rest of a block row, from whole rows beyond their FFTs as ``constants`` price them."""
-    def fft_s(length, count=1):
-        rate = constants["FFT_S" if count == 1 else "FFT_BATCH_S"]
-        return constants["FFT_CALL_S"] + count * length * (
-            rate * math.log2(max(length, 2))
-            + constants["FFT_PRIME_S"] * _kernels._large_prime_sum(length))
-
-    rows, seconds, residuals = [], [], []
+def spectral(rng, fft_constants):
+    """The block row's own constants, from whole rows beyond their FFTs at ``fft_constants``."""
+    # priced as if pasted, without constants of its own a block row costs its FFTs alone
+    vars(_kernels).update(fft_constants | dict.fromkeys(_kernels.ROW_CONSTANTS, 0.0))
+    _kernels._each_fft_seconds.cache_clear()
+    terms, seconds, residuals = [], [], []
     for n, hop, cls in block_shapes():
         if cls.blocks * cls.block_len > 1 << 21:
             continue
         t = block_row_seconds(rng, n, hop, cls)
-        rows.append([1.0, cls.blocks * cls.block_len])
+        terms.append(_kernels.row_terms(cls.block_len, cls.blocks))
         seconds.append(t)
-        residuals.append(t - fft_s(cls.block_len) - fft_s(cls.block_len // hop, cls.blocks))
+        residuals.append(t - _kernels.spectral_seconds(cls.block_len, hop, cls.blocks))
     print("# block row: beyond its two FFTs, a fixed cost and product and fold per point")
-    fit(rows, seconds, ["ROW_CALL_S", "SPECTRAL_POINT_S"], target=residuals)
+    return fit(terms, seconds, _kernels.ROW_CONSTANTS, target=residuals)
 
 
 def main():
     rng = np.random.default_rng(0)
-    direct(rng)
-    spectral(rng, ffts(rng))
+    direct_constants, fft_constants = direct(rng), ffts(rng)
+    constants = direct_constants | fft_constants | spectral(rng, fft_constants)
+    print("# paste into src/wavehop/_kernels.py")
+    for name, value in constants.items():
+        print(f"{name} = {value:.2g}")
 
 
 if __name__ == "__main__":

@@ -1,38 +1,27 @@
 """The strided transform's direct kernel, and the seconds model of both row routes.
 
-``cwth_strided`` computes each scale row by one of two routes: this
-module's direct kernel, ``strided_correlate``, or the block spectral
-row in ``wavelet.py`` (overlap-save: the kernel's FFT at the block
-length, its product with the class's batched segment spectra, a fold
-of each block into ``hop`` aliased bands and one batched inverse FFT of
-length ``block_len / hop``).  ``direct_seconds`` and ``spectral_seconds``
-predict the wall time of each route from the row's shape alone, and
-``fft_seconds`` the segment spectra a width class shares, so the route
-is a pure function of (length, taps, hop) and never changes a result:
-both routes give the same columns to within roundoff.  The direct
-kernel has one form at every hop, a polyphase matmul whose inner
-dimension is at least ``MIN_SPAN``; a product too large for
-``CHUNK_PRODUCTS`` is computed, and priced, in the runs
-``product_runs`` sets: each run is priced as a call of its own, its
-overlap rows, its matmul and its slice-adds included.
+``cwth_strided`` computes each scale row by this module's direct kernel,
+``strided_correlate``, or by the block spectral row in ``wavelet.py``.
+``direct_seconds`` and ``spectral_seconds`` predict each route's wall
+time from the row's shape alone, and ``fft_seconds`` the segment spectra
+a width class shares, so the route is a pure function of (length, taps,
+hop) and never changes a result beyond roundoff.  The direct kernel is a
+polyphase matmul whose inner dimension is at least ``MIN_SPAN``,
+computed and priced in the runs ``product_runs`` sets.  Its callers,
+``wavelet.CwtPlan.execute`` and ``signal_io.decimate`` (the anti-alias
+FIR, real taps alone), check the signal with ``check_overflow`` and pad
+it with ``zero_padded``.
 
-``signal_io.decimate`` is the kernel's other caller: with ``anti_alias``
-it evaluates the low-pass FIR at the kept samples alone, passing the
-reversed taps as the real part and None as the imaginary part, so only
-the real row is computed.
-
-The constants below were fitted by
-``PYTHONPATH=src python scripts/calibrate_router.py`` on a 2-vCPU x86
-host (numpy 2.4, scipy 1.17, one BLAS thread), in a fit that still
-carried a surcharge per element of products above 32 MB and counted
-``CALL_S`` and ``BLOCK_S`` once per call rather than once per run,
-and on the kernel's earlier form, without phases, at hops above 2 only;
-they now price every hop.  The FFT constants were fitted on
-``scipy.fft``, which the package no longer uses: they price
-``numpy.fft`` (the same pocketfft code) unrefitted, and still price
-each row's kernel FFT as a lone FFT, though a class's kernels are now
-transformed in one batch.  Rerun the script, which times ``numpy.fft``,
-and paste its output here to price the routes for another machine.
+Each price sums constants times terms: ``direct_terms``, ``fft_terms``
+and ``row_terms`` count what each constant of ``DIRECT_CONSTANTS``,
+``FFT_CONSTANTS`` and ``ROW_CONSTANTS`` multiplies, so a new term goes
+here alone.  ``PYTHONPATH=src python scripts/calibrate_router.py`` fits
+the constants on those functions and prints the block to paste below.
+The block was fitted on a 2-vCPU x86 host (numpy 2.4, scipy 1.17, one
+BLAS thread) with a since-dropped paging term, ``CALL_S`` and ``BLOCK_S``
+per call, the kernel without phases at hops above 2 only, FFTs timed on
+``scipy.fft`` (pocketfft, as ``numpy.fft``) and each row's kernel FFT
+alone, where a class's kernels now take one batched FFT.
 """
 
 import functools
@@ -40,7 +29,7 @@ import math
 
 import numpy as np
 
-__all__ = ["direct_seconds", "fft_seconds", "spectral_seconds", "strided_correlate"]
+from .errors import CoefficientOverflow
 
 # Products of more elements (32 MB) are computed a run of frames at a time: ``product_runs``.
 CHUNK_PRODUCTS = 1 << 22
@@ -48,34 +37,49 @@ CHUNK_PRODUCTS = 1 << 22
 # ceil(MIN_SPAN / hop) phases (``polyphase``), since BLAS runs far below peak on a smaller one.
 MIN_SPAN = 32
 
-# The largest sample times the taps' L1 norm bounds every sum of ``strided_correlate``
-# (its callers check it first); the spectral route's segment spectra, products, folds and
-# inverse FFTs grow that bound by at most block_len**2, far below 2**128, so below this
-# nothing can overflow.
+# The largest sample times the taps' L1 norm bounds every sum of ``strided_correlate``;
+# the spectral route's segment spectra, products, folds and inverse FFTs grow that bound
+# by at most block_len**2, far below 2**128, so below this nothing can overflow.
 SAFE_PEAK = np.finfo(np.float64).max / 2.0**128
 
-# Direct kernel.
-CALL_S = 1.6e-06            # fixed cost of one run (one matmul)
-BLOCK_S = 9.5e-07           # per tap block per run: one slice-add of the shifted sum
-SAMPLE_S = 2.8e-10          # per signal sample streamed through the matmul
-PRODUCT_S = 6.4e-10         # per element of the (2*phases*blocks, rows) product matrix
-MAC_S = 1.9e-11             # per multiply-accumulate inside that product
-# Block spectral row.
-FFT_CALL_S = 3.8e-06        # fixed cost of one FFT call (fitted on scipy.fft, not refitted)
-FFT_S = 5.2e-10             # per point per log2(length) of a complex FFT taken alone
-FFT_BATCH_S = 4.3e-10       # the same, for each FFT of a batch of several
-FFT_PRIME_S = 1e-10         # per point per unit of each prime factor > 11 of the length
-ROW_CALL_S = 7.5e-06        # fixed cost of one block row beyond its FFT calls
-SPECTRAL_POINT_S = 2.4e-09  # per block-spectrum point: product and fold
+# The seconds model's constants, as the calibration script prints them.
+CALL_S = 1.6e-06
+BLOCK_S = 9.5e-07
+SAMPLE_S = 2.8e-10
+PRODUCT_S = 6.4e-10
+MAC_S = 1.9e-11
+FFT_CALL_S = 3.8e-06
+FFT_S = 5.2e-10
+FFT_BATCH_S = 4.3e-10
+FFT_PRIME_S = 1e-10
+ROW_CALL_S = 7.5e-06
+SPECTRAL_POINT_S = 2.4e-09
+
+
+def check_overflow(x: np.ndarray, gain: float, guarded: str) -> None:
+    """Raise CoefficientOverflow unless ``x``'s peak times ``gain``, the taps' L1 norm, is safe."""
+    peak = float(max(x.max(), -x.min()))
+    if not peak * gain < SAFE_PEAK:
+        raise CoefficientOverflow(f"samples up to {peak:.3g} against taps of gain {gain:.3g}"
+                                  f" may overflow {guarded}")
+
+
+def zero_padded(x: np.ndarray, pad: int, hop: int) -> np.ndarray:
+    """``x`` between ``pad`` zeros and ``pad + hop + 2*MIN_SPAN``: frame k of ``2*pad + 1`` taps
+    covers ``[k*hop : k*hop + 2*pad + 1]``, and ``strided_correlate`` reads fewer than
+    ``hop + 2*MIN_SPAN`` samples past the last frame."""
+    xpad = np.zeros(pad + x.size + pad + hop + 2 * MIN_SPAN)
+    xpad[pad:pad + x.size] = x
+    return xpad
 
 
 def strided_correlate(xpad, taps_re, taps_im, hop, frames):
     """Correlate ``xpad`` with the taps at translations 0, hop, 2*hop, ...
 
     ``xpad`` must already be offset so that frame k covers
-    ``xpad[k*hop : k*hop + len(taps)]``; the layout reads fewer than
-    ``hop + 2*MIN_SPAN`` samples past the last frame's taps, and a
-    shorter ``xpad`` is copied with zeros.  Returns (real, imag) parts;
+    ``xpad[k*hop : k*hop + len(taps)]``, and hold the zeros the layout
+    reads past the last frame's taps (``zero_padded``); a shorter
+    ``xpad`` raises ValueError.  Returns (real, imag) parts;
     ``taps_im`` None computes the real part alone and returns None as
     the imaginary part.
 
@@ -93,10 +97,7 @@ def strided_correlate(xpad, taps_re, taps_im, hop, frames):
     width = taps_re.shape[0]
     phases, span, blocks, groups = polyphase(width, hop, frames)
     rows = groups + blocks - 1
-    needed = rows * span
-    if xpad.size < needed:
-        xpad = np.concatenate([xpad, np.zeros(needed - xpad.size)])
-    x2d = xpad[:needed].reshape(rows, span)
+    x2d = xpad[:rows * span].reshape(rows, span)
     parts = np.array((taps_re,) if taps_im is None else (taps_re, taps_im))
     taps2d = np.zeros((len(parts), phases, blocks * span))
     for s in range(phases):
@@ -141,49 +142,77 @@ def product_runs(phases: int, blocks: int, groups: int) -> tuple[int, int]:
     return chunk, groups + -(-groups // chunk) * (blocks - 1)
 
 
-def direct_seconds(width: int, hop: int, frames: int) -> float:
-    """Predicted seconds of one ``strided_correlate`` call: the sum of its runs.
+DIRECT_CONSTANTS = ("CALL_S", "BLOCK_S", "SAMPLE_S", "PRODUCT_S", "MAC_S")
 
-    Each run pays a matmul call and ``blocks`` slice-adds; every signal
-    row and product element is paid in the run that multiplies it.  Each
-    phase beyond the first places one more shifted copy of the taps, priced
-    as a slice-add, and several phases copy the sums into frame order, an
-    element priced as a product element (at one phase that is a view).
+
+def direct_terms(width: int, hop: int, frames: int) -> tuple:
+    """What each of ``DIRECT_CONSTANTS`` multiplies in one ``strided_correlate`` call.
+
+    Each run's matmul and ``blocks`` slice-adds, plus a slice-add placing
+    each phase's taps past the first; the signal samples and product
+    elements each run multiplies, with several phases' copy into frame
+    order as product elements; and each element's ``span`` multiply-adds.
     """
     phases, span, blocks, groups = polyphase(width, hop, frames)
     chunk, rows = product_runs(phases, blocks, groups)
+    runs = -(-groups // chunk)
     products = 2 * phases * blocks * rows
-    return (-(-groups // chunk) * (CALL_S + BLOCK_S * blocks) + BLOCK_S * (phases - 1)
-            + SAMPLE_S * rows * span + products * (PRODUCT_S + MAC_S * span)
-            + PRODUCT_S * 2 * phases * groups * (phases > 1))
+    return (runs, runs * blocks + phases - 1, rows * span,
+            products + 2 * phases * groups * (phases > 1), products * span)
+
+
+def direct_seconds(width: int, hop: int, frames: int) -> float:
+    """Predicted seconds of one ``strided_correlate`` call: its ``direct_terms`` priced."""
+    runs, blocks, samples, products, macs = direct_terms(width, hop, frames)
+    return (CALL_S * runs + BLOCK_S * blocks + SAMPLE_S * samples + PRODUCT_S * products
+            + MAC_S * macs)
+
+
+FFT_CONSTANTS = ("FFT_CALL_S", "FFT_S", "FFT_BATCH_S", "FFT_PRIME_S")
+
+
+def fft_terms(length: int, count: int = 1) -> tuple:
+    """What each of ``FFT_CONSTANTS`` multiplies in a call of ``count`` complex FFTs of ``length``.
+
+    The call; then per FFT its points times log2(length), alone or in a
+    batch of several; and its points times the prime factors of the
+    length above 11, each adding a generic radix pass.
+    """
+    points = count * length
+    log_points = points * math.log2(max(length, 2))
+    return 1, log_points * (count == 1), log_points * (count > 1), points * _large_prime_sum(length)
 
 
 def fft_seconds(length: int, count: int = 1) -> float:
-    """Predicted seconds of ``count`` complex FFTs of ``length`` points, taken in one call.
-
-    Lengths built from 2, 3, 5, 7 and 11 run at about ``FFT_S`` per
-    point per log2(length) alone, and at ``FFT_BATCH_S`` each in a batch
-    of several; each larger prime factor p adds a generic radix pass of
-    cost proportional to p.
-    """
+    """Predicted seconds of a call of ``count`` complex FFTs of ``length``: ``fft_terms`` priced."""
     return FFT_CALL_S + count * _each_fft_seconds(length, count > 1)
 
 
 @functools.lru_cache(maxsize=1024)
 def _each_fft_seconds(length: int, batched: bool) -> float:
-    """Seconds of one FFT of a call, the call's fixed cost excluded."""
-    rate = FFT_BATCH_S if batched else FFT_S
-    return length * (rate * math.log2(max(length, 2)) + FFT_PRIME_S * _large_prime_sum(length))
+    """Seconds of each FFT of a call, the call excluded: a lone one, or one of a ``batched`` two."""
+    count = 1 + batched
+    _, alone, in_batch, prime_points = fft_terms(length, count)
+    return (FFT_S * alone + FFT_BATCH_S * in_batch + FFT_PRIME_S * prime_points) / count
+
+
+ROW_CONSTANTS = ("ROW_CALL_S", "SPECTRAL_POINT_S")
+
+
+def row_terms(block_len: int, blocks: int = 1) -> tuple:
+    """What each of ``ROW_CONSTANTS`` multiplies in a block row beyond its FFTs: the row, and
+    each point of its ``blocks`` block spectra (product and fold)."""
+    return 1, blocks * block_len
 
 
 def spectral_seconds(block_len: int, hop: int, blocks: int = 1) -> float:
     """Predicted seconds of one block row, the block spectra its class shares excluded.
 
-    The kernel's FFT at ``block_len``, its product with the ``blocks``
-    segment spectra and their fold, and the batched inverse FFTs of
-    length ``block_len / hop``.
+    Its ``row_terms`` priced, the kernel's FFT at ``block_len`` and the
+    batched inverse FFTs of length ``block_len / hop``.
     """
-    return (ROW_CALL_S + fft_seconds(block_len) + SPECTRAL_POINT_S * blocks * block_len
+    rows, points = row_terms(block_len, blocks)
+    return (ROW_CALL_S * rows + SPECTRAL_POINT_S * points + fft_seconds(block_len)
             + fft_seconds(block_len // hop, blocks))
 
 

@@ -159,7 +159,8 @@ def _cmd_bench(args) -> int:
     params = MorletParams(center_frequency=args.wavelet_c, bandwidth=args.wavelet_b)
     fmax = args.fmax if args.fmax is not None else 0.45 * args.rate
     grid = make_scale_grid(args.fmin, fmax, args.scales, args.rate, params)
-    sys.stdout.write(json.dumps({"env": bench_env(args.threads)}) + "\n")
+    # written with the first cell's lines, so a run refused before any cell prints nothing
+    head = json.dumps({"env": bench_env(args.threads)}) + "\n"
     for length in args.length:
         signal = synthesize(SynthSpec("white_noise", length, args.rate, seed=args.seed))
         for hop in args.hop:
@@ -169,7 +170,8 @@ def _cmd_bench(args) -> int:
                 include_dwt=args.include_dwt,
                 threads=args.threads,
             )
-            sys.stdout.write(reports_to_jsonl(reports))
+            sys.stdout.write(head + reports_to_jsonl(reports))
+            head = ""
             sys.stdout.flush()
     return 0
 

@@ -17,7 +17,6 @@ import numpy as np
 
 from . import _kernels
 from .errors import (
-    CoefficientOverflow,
     EmptySignal,
     InvalidHop,
     InvalidParameter,
@@ -161,18 +160,12 @@ def decimate(signal: SignalBuffer, hop: int, anti_alias: bool = False) -> Signal
     # target Nyquist across hops; the centred pad cancels the FIR delay.
     # Taps more than len(x) - 1 from the centre meet no sample.
     taps = _lowpass_taps(10 * hop + 1, 0.9 / hop, reach=x.size - 1)  # cutoff relative to Nyquist
-    peak, gain = float(max(x.max(), -x.min())), float(np.abs(taps).sum())
-    if not peak * gain < _kernels.SAFE_PEAK:
-        raise CoefficientOverflow(f"samples up to {peak:.3g} against low-pass taps of gain"
-                                  f" {gain:.3g} may overflow the filtered signal")
-    pad = taps.size // 2
-    xpad = np.zeros(pad + x.size + pad)
-    xpad[pad:pad + x.size] = x
+    _kernels.check_overflow(x, float(np.abs(taps).sum()), "the filtered signal")
     # a stride of n or more keeps sample 0 alone, as a stride of n does, and
     # capping it keeps the kernel's work sized by the signal (``wavelet._reach``)
-    filtered, _ = _kernels.strided_correlate(
-        xpad, taps[::-1], None, min(hop, x.size), -(-x.size // hop)
-    )
+    stride = min(hop, x.size)
+    xpad = _kernels.zero_padded(x, taps.size // 2, stride)
+    filtered, _ = _kernels.strided_correlate(xpad, taps[::-1], None, stride, -(-x.size // hop))
     return SignalBuffer(filtered, signal.sample_rate / hop, signal.source_label)
 
 

@@ -43,7 +43,6 @@ import numpy as np
 
 from . import _kernels
 from .errors import (
-    CoefficientOverflow,
     InvalidCount,
     InvalidParameter,
     InvalidRange,
@@ -344,7 +343,7 @@ class CwtPlan:
                     "blocks": None, "class": None}
                    for scale, width, direct_s in zip(self.scales, self.widths, sched.direct_s)]
         for index, cls in enumerate(sched.classes):
-            spectral_s = cls.row_seconds(sched.hop)
+            spectral_s = _kernels.spectral_seconds(cls.block_len, sched.hop, cls.blocks)
             for row in cls.rows:
                 records[row] |= {"route": "spectral", "spectral_s": spectral_s,
                                  "block_len": cls.block_len, "blocks": cls.blocks,
@@ -360,10 +359,7 @@ class CwtPlan:
         one class's block spectra are held.  Samples that could overflow a
         coefficient or a spectrum raise CoefficientOverflow before any work.
         """
-        peak = float(max(x.max(), -x.min()))
-        if not peak * self.gain < _kernels.SAFE_PEAK:
-            raise CoefficientOverflow(f"samples up to {peak:.3g} against taps of gain"
-                                      f" {self.gain:.3g} may overflow the coefficients")
+        _kernels.check_overflow(x, self.gain, "the coefficients")
         n = x.size
         sched = schedule(n, self.widths, hop)
         widths, hop, frames, routes = sched.widths, sched.hop, sched.frames, sched.routes
@@ -372,9 +368,7 @@ class CwtPlan:
         direct = [row for row in range(self.count) if not routes[row]]
         if direct:
             pad = max(widths) // 2
-            # the zeros each direct row's kernel layout reads past the signal
-            xpad = np.zeros(pad + n + pad + hop + 2 * _kernels.MIN_SPAN)
-            xpad[pad:pad + n] = x
+            xpad = _kernels.zero_padded(x, pad, hop)
         # out after xpad: the other order measured ~400 more page faults a corpus_scan request
         out = np.empty((self.count, frames), dtype=np.complex128)
         run = map if threads <= 1 else _pool(threads).map
@@ -449,14 +443,6 @@ class BlockClass(NamedTuple):
     step: int
     blocks: int
     rows: tuple = ()
-
-    def spectra_seconds(self) -> float:
-        """Predicted seconds of the batched FFT of the segments, paid once per class."""
-        return _kernels.fft_seconds(self.block_len, self.blocks)
-
-    def row_seconds(self, hop: int) -> float:
-        """Predicted seconds of one of its rows: ``_kernels.spectral_seconds``."""
-        return _kernels.spectral_seconds(self.block_len, hop, self.blocks)
 
 
 def class_options(n: int, pad: int, hop: int) -> list[BlockClass]:
@@ -565,11 +551,13 @@ def _schedule(n: int, widths: tuple, hop: int) -> Schedule:
     direct_s = tuple(_kernels.direct_seconds(w, hop, frames) for w in widths)
     order = sorted(range(len(widths)), key=widths.__getitem__)
     options = [class_options(n, widths[row] // 2, hop) for row in order]
-    # prices[j, o]: (spectra, row) seconds of option o of a class ending at row j in order
-    prices = np.full((len(order), 1 + len(BLOCK_FACTORS), 2), np.inf)
-    for j, row_options in enumerate(options):
-        prices[j, :len(row_options)] = [(cls.spectra_seconds(), cls.row_seconds(hop))
-                                        for cls in row_options]
+    # prices[j, o]: seconds of the segment spectra, paid once per class, and of one row, in
+    # option o of a class ending at row j in order; inf past the row's options
+    prices = np.array([[(_kernels.fft_seconds(cls.block_len, cls.blocks),
+                         _kernels.spectral_seconds(cls.block_len, hop, cls.blocks))
+                        for cls in row_options]
+                       + [(np.inf, np.inf)] * (1 + len(BLOCK_FACTORS) - len(row_options))
+                       for row_options in options])
     # best[j]: seconds of the cheapest schedule of the first j rows in order, at
     # first all direct; where a class is cheaper, it starts at row start[j] in the
     # layout last[j]

@@ -453,6 +453,15 @@ class TestBenchCommand:
                         "--fmin", "300", "--fmax", "3000"])
         assert_error_exit(code, capsys)
 
+    @pytest.mark.parametrize("reps", ["-1", "2"])
+    def test_refused_reps_print_nothing_on_stdout(self, reps, capsys):
+        """Not even the environment line: stdout holds only what a run measured."""
+        code = run_cli(["bench", "--length", "1024,2048", "--hop", "4,8", "--reps", reps,
+                        "--scales", "4", "--fmin", "300", "--fmax", "3000"])
+        out, err = capsys.readouterr()
+        assert (code, out) == (1, "")
+        assert err == f"error: InvalidCount: reps must be >= 3, got {reps}\n"
+
 
 class TestScanCommand:
     def test_batch_outputs_and_order(self, tmp_path, capsys):

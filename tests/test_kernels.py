@@ -25,7 +25,7 @@ def _reference_loop(xpad, taps_re, taps_im, hop, frames):
     (33, 200, 4), (1, 1, 1)])
 def test_numpy_kernel_matches_plain_loop(hop, width, frames):
     rng = np.random.default_rng(width)
-    xpad = rng.standard_normal((frames - 1) * hop + width + 5)
+    xpad = _kernels.zero_padded(rng.standard_normal((frames - 1) * hop + width + 5), 0, hop)
     taps_re = rng.standard_normal(width)
     taps_im = rng.standard_normal(width)
     got = _kernels.strided_correlate(xpad, taps_re, taps_im, hop, frames)
@@ -48,11 +48,22 @@ def test_real_taps_alone_give_the_real_part(hop, width):
 def _padded_case(n, hop, width, seed):
     """A signal of ``n`` samples padded as ``CwtPlan.execute`` pads it for a row of ``width`` taps."""
     rng = np.random.default_rng(seed)
-    half = width // 2
-    xpad = np.zeros(half + n + half + hop + 2 * _kernels.MIN_SPAN)
-    xpad[half:half + n] = rng.standard_normal(n)
+    xpad = _kernels.zero_padded(rng.standard_normal(n), width // 2, hop)
     taps_re, taps_im = rng.standard_normal((2, width))
     return xpad, taps_re.copy(), taps_im.copy(), -(-n // hop)
+
+
+@pytest.mark.parametrize("hop,width,n", [(1, 7, 50), (3, 33, 40), (32, 129, 1_000), (33, 200, 99)])
+def test_xpad_without_the_tail_the_layout_reads_raises(hop, width, n):
+    """A short ``xpad`` is refused, never copied into a longer one."""
+    xpad, taps_re, taps_im, frames = _padded_case(n, hop, width, seed=6)
+    _kernels.strided_correlate(xpad, taps_re, taps_im, hop, frames)
+    # one sample short of the rows the layout reshapes, every frame's taps still covered
+    phases, span, blocks, groups = _kernels.polyphase(width, hop, frames)
+    short = xpad[:(groups + blocks - 1) * span - 1]
+    assert short.size >= (frames - 1) * hop + width
+    with pytest.raises(ValueError):
+        _kernels.strided_correlate(short, taps_re, taps_im, hop, frames)
 
 
 def test_long_row_memory_is_bounded():

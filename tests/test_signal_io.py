@@ -188,6 +188,16 @@ class TestDecimate:
         x[7] *= 0.99 / 1.01
         assert np.isfinite(decimate(SignalBuffer(x, 16_000), hop, anti_alias=True).samples).all()
 
+    @pytest.mark.parametrize("n", [2_000, 47_000, 320_000])
+    def test_anti_alias_pads_the_signal_once(self, monkeypatch, n):
+        """The filter reads the zeros its one padded copy holds, never a second, longer copy."""
+        def refused(*args, **kwargs):
+            raise AssertionError("np.concatenate called")
+
+        sig = SignalBuffer(np.random.default_rng(n).standard_normal(n), 16_000)
+        monkeypatch.setattr(np, "concatenate", refused)
+        assert len(decimate(sig, 32, anti_alias=True)) == -(-n // 32)
+
     def test_plain_index_selection(self):
         sig = SignalBuffer([0, 1, 2, 3, 4, 5], 16_000)
         out = decimate(sig, 2)

@@ -574,7 +574,8 @@ class TestCostModel:
                 assert sched.seconds <= sum(sched.direct_s) * (1 + 1e-12), (n, hop)
                 one = wavelet.class_options(n, max(reach) // 2, sched.hop)[0]
                 assert one.blocks == 1 and one.block_len >= n + max(reach) // 2
-                spectral = one.spectra_seconds() + len(reach) * one.row_seconds(sched.hop)
+                spectral = (_kernels.fft_seconds(one.block_len, one.blocks) + len(reach)
+                            * _kernels.spectral_seconds(one.block_len, sched.hop, one.blocks))
                 assert sched.seconds <= spectral * (1 + 1e-12), (n, hop)
 
     def test_seconds_are_the_explained_rows_and_class_spectra(self, grid):
@@ -587,7 +588,8 @@ class TestCostModel:
                 spectral = {r["class"] for r in records if r["route"] == "spectral"}
                 rebuilt = sum(r["spectral_s"] if r["route"] == "spectral" else r["direct_s"]
                               for r in records)
-                rebuilt += sum(sched.classes[index].spectra_seconds() for index in spectral)
+                rebuilt += sum(_kernels.fft_seconds(cls.block_len, cls.blocks)
+                               for cls in map(sched.classes.__getitem__, spectral))
                 assert math.isclose(sched.seconds, rebuilt, rel_tol=1e-12), (n, hop)
 
     def test_layout_is_never_priced_above_one_block(self, grid):
