@@ -1,16 +1,21 @@
 """The strided transform's direct kernel, and the seconds model of both row routes.
 
-``cwth_strided`` computes each scale row by this module's direct kernel,
-``strided_correlate``, or by the block spectral row in ``wavelet.py``.
-``direct_seconds`` and ``spectral_seconds`` predict each route's wall
-time from the row's shape alone, and ``fft_seconds`` the segment spectra
-a width class shares, so the route is a pure function of (length, taps,
-hop) and never changes a result beyond roundoff.  The direct kernel is a
-polyphase matmul whose inner dimension is at least ``MIN_SPAN``,
-computed and priced in the runs ``product_runs`` sets.  Its callers,
-``wavelet.CwtPlan.execute`` and ``signal_io.decimate`` (the anti-alias
-FIR, real taps alone), check the signal with ``check_overflow`` and pad
-it with ``zero_padded``.
+``cwth_strided`` computes its direct scale rows by this module's kernel,
+``stacked_correlate``, a few stacks of rows at a time, and the rest by
+the block spectral row in ``wavelet.py``.  ``direct_seconds`` and
+``spectral_seconds`` predict each route's wall time from the row's
+shape alone, and ``fft_seconds`` the segment spectra a width class
+shares, so the route is a pure function of (length, taps, hop) and never
+changes a result beyond roundoff.  The direct kernel is a polyphase
+matmul whose inner dimension is at least ``MIN_SPAN``, computed in the
+runs ``product_runs`` sets and priced row by row.  A stack's rows share
+one product: ``stack_sizes`` cuts a call's direct rows into stacks,
+``stack_taps`` lays out a stack's taps once, by the offsets
+``stack_shape`` reads, and ``wavelet.CwtPlan`` holds that layout across
+calls.  ``strided_correlate`` is the stack of one row, the form
+``signal_io.decimate`` (the anti-alias FIR, real taps alone) and the
+calibration script call.  Callers check the signal with
+``check_overflow`` and pad it with ``zero_padded``.
 
 Each price sums constants times terms: ``direct_terms``, ``fft_terms``
 and ``row_terms`` count what each constant of ``DIRECT_CONSTANTS``,
@@ -26,6 +31,7 @@ alone, where a class's kernels now take one batched FFT.
 
 import functools
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -81,43 +87,154 @@ def strided_correlate(xpad, taps_re, taps_im, hop, frames):
     reads past the last frame's taps (``zero_padded``); a shorter
     ``xpad`` raises ValueError.  Returns (real, imag) parts;
     ``taps_im`` None computes the real part alone and returns None as
-    the imaginary part.
-
-    A polyphase split (Crochiere & Rabiner, Multirate Digital Signal
-    Processing, 1983) of the frames into ``phases`` (``polyphase``):
-    frame ``g*phases + s`` is translation ``g*span`` of the taps shifted
-    by ``s*hop``.  With the signal as rows of ``span`` samples and each
-    phase's taps as blocks of ``span``, every frame is one contiguous
-    matmul, ``(2*phases*blocks, span) x (span, groups+blocks-1)``, plus
-    a sum over block q of product rows shifted by q.  The product is
-    laid out one block per row, so that sum reads contiguous memory, and
-    it is computed in the runs of groups ``product_runs`` sets, so memory
-    grows with the tap count rather than with the signal.
+    the imaginary part.  The stack of this one row, at offset 0, by
+    ``stacked_correlate``.
     """
-    width = taps_re.shape[0]
-    phases, span, blocks, groups = polyphase(width, hop, frames)
-    rows = groups + blocks - 1
+    (re, im), = stacked_correlate(xpad, stack_taps([(taps_re, taps_im)], [0], hop), frames)
+    return re, im
+
+
+class Stack(NamedTuple):
+    """Rows whose frames ``stacked_correlate`` takes from one product: ``stack_taps``'s layout.
+
+    ``taps`` is the ``(parts * phases * sum(blocks), span)`` stacked tap
+    matrix, row r's band first by part, then phase, then block;
+    ``leads``, ``blocks`` and ``reach`` are ``stack_shape``'s.
+    """
+
+    taps: np.ndarray
+    parts: int
+    hop: int
+    leads: tuple
+    blocks: tuple
+    reach: int
+
+
+def stack_shape(widths, offsets, hop: int) -> tuple[tuple, tuple, int]:
+    """(leads, blocks, reach) of rows of these tap counts at these offsets into ``xpad``.
+
+    Row r's offset past the least, ``lead_r * span + rem_r``, puts its
+    phase-s taps at ``rem_r + s*hop`` in a band of ``blocks_r`` blocks of
+    ``span``, summed from signal row ``lead_r``; ``reach`` is the most
+    signal rows a group's frames read, ``max(lead_r + blocks_r)``.
+    """
+    phases, span, _, _ = polyphase(1, hop, 1)
+    least = min(offsets)
+    leads, blocks = [], []
+    for width, offset in zip(widths, offsets):
+        lead, rem = divmod(offset - least, span)
+        leads.append(lead)
+        blocks.append(-(-(rem + (phases - 1) * hop + width) // span))
+    return tuple(leads), tuple(blocks), max(map(sum, zip(leads, blocks)))
+
+
+def centred_offsets(widths) -> list[int]:
+    """Offsets into ``xpad`` that put rows of these tap counts on one centre, the widest at 0."""
+    half = max(widths) // 2
+    return [half - width // 2 for width in widths]
+
+
+def stack_sizes(widths, hop: int, frames: int) -> tuple:
+    """How many rows each stack takes, in order, of rows of these ascending tap counts.
+
+    A row joins the current stack while the stack's whole product,
+    ``2*phases*sum(blocks) * (groups + reach - 1)`` elements with its rows
+    at ``centred_offsets``, stays within the largest product one of the
+    rows makes alone (``product_runs``); otherwise it starts the next.
+    So no product is larger than one a row computed alone would make.
+    A stack ends at its widest row j, whose last block is the stack's
+    last since the rows ascend (its ``reach`` is row j's blocks alone),
+    and row r's blocks in it (``stack_shape``) do not depend on where
+    the stack starts, so one pass of cumulative sums over
+    ``blocks[j, r]`` sizes every candidate stack.
+    """
+    if len(widths) < 2:
+        return (1,) * len(widths)
+    phases, span, _, groups = polyphase(1, hop, frames)
+    widths = np.asarray(widths)
+    # [j, r]: row r in a stack centred on row j, read for r <= j alone
+    offsets = widths[:, None] // 2 - widths // 2
+    last = (offsets + (phases - 1) * hop + widths - 1) // span
+    counts = np.cumsum(last - offsets // span + 1, axis=1).tolist()
+    reach = (np.diagonal(last) + 1).tolist()
+    budget = 0
+    for alone in reach:
+        chunk, _ = product_runs(phases, alone, groups)
+        budget = max(budget, 2 * phases * alone * (chunk + alone - 1))
+    sizes, start = [], 0
+    for row in range(1, len(widths)):
+        blocks = counts[row][row] - (counts[row][start - 1] if start else 0)
+        if 2 * phases * blocks * (groups + reach[row] - 1) > budget:
+            sizes.append(row - start)
+            start = row
+    return tuple(sizes) + (len(widths) - start,)
+
+
+def stack_taps(taps, offsets, hop: int) -> Stack:
+    """The :class:`Stack` of rows of (real, imaginary or None) ``taps`` at these offsets.
+
+    Every row's imaginary taps are None, or none is.  The layout does
+    not depend on the signal, so a stack held across calls is laid out once.
+    """
+    widths = [re.shape[0] for re, _ in taps]
+    leads, blocks, reach = stack_shape(widths, offsets, hop)
+    parts = 1 if taps[0][1] is None else 2
+    phases, span, _, _ = polyphase(1, hop, 1)
+    matrix = np.zeros((parts * phases * sum(blocks), span))
+    least, base = min(offsets), 0
+    for (re, im), width, offset, count in zip(taps, widths, offsets, blocks):
+        rem = (offset - least) % span
+        band = matrix[base:base + parts * phases * count].reshape(parts, phases, count * span)
+        for s in range(phases):
+            band[:, s, rem + s * hop:rem + s * hop + width] = (re,) if im is None else (re, im)
+        base += parts * phases * count
+    matrix.setflags(write=False)
+    return Stack(matrix, parts, hop, leads, blocks, reach)
+
+
+def stacked_correlate(xpad, stack: Stack, frames: int) -> list:
+    """Each stacked row's (real, imag) frames, as ``strided_correlate`` gives them, in one product.
+
+    ``xpad`` starts at the stack's least offset and holds the zeros its
+    widest row reads past the last frame.  A polyphase split (Crochiere
+    & Rabiner, Multirate Digital Signal Processing, 1983) of the frames
+    into ``phases`` (``polyphase``): frame ``g*phases + s`` is
+    translation ``g*span`` of the taps shifted by ``s*hop``.  With the
+    signal as rows of ``span`` samples and each phase's taps as blocks of
+    ``span``, every frame of every row is one contiguous matmul,
+    ``(2*phases*sum(blocks), span) x (span, groups+reach-1)``, plus a
+    sum over row r's block q of product rows shifted by ``lead_r + q``.
+    The product is laid out one block per row, so that sum reads
+    contiguous memory, and it is computed in runs of groups, set as
+    ``product_runs`` sets a lone row's, so memory grows with the tap count
+    rather than with the signal.
+    """
+    _, parts, hop, leads, blocks, reach = stack
+    phases, span, _, groups = polyphase(1, hop, frames)
+    rows = groups + reach - 1
     x2d = xpad[:rows * span].reshape(rows, span)
-    parts = np.array((taps_re,) if taps_im is None else (taps_re, taps_im))
-    taps2d = np.zeros((len(parts), phases, blocks * span))
-    for s in range(phases):
-        taps2d[:, s, s * hop:s * hop + width] = parts
-    taps2d = taps2d.reshape(len(parts) * phases * blocks, span)
-    chunk, _ = product_runs(phases, blocks, groups)
-    runs = []
+    chunk, _ = _runs(2 * phases * sum(blocks), reach, groups)
+    runs = [[] for _ in blocks]
     for start in range(0, groups, chunk):
         count = min(chunk, groups - start)
-        # products[(c*phases + s)*blocks + q, i] = taps2d[same row] . x2d[start + i]
-        products = taps2d @ x2d[start:start + count + blocks - 1].T
-        part = products[::blocks, :count].copy()
-        for q in range(1, blocks):
-            part += products[q::blocks, q: q + count]
-        runs.append(part)
-        del products  # free this run's product before the next one is allocated
-    out = runs[0] if len(runs) == 1 else np.concatenate(runs, axis=1)
-    # out[c*phases + s, g] is frame g*phases + s
-    out = out.reshape(len(parts), phases, groups).transpose(0, 2, 1).reshape(len(parts), -1)
-    return out[0, :frames], None if taps_im is None else out[1, :frames]
+        # products[base_r + (c*phases + s)*blocks_r + q, i] = taps[same row] . x2d[start + i]
+        products = stack.taps @ x2d[start:start + count + reach - 1].T
+        base = 0
+        for row_runs, lead, row_blocks in zip(runs, leads, blocks):
+            band = products[base:base + parts * phases * row_blocks]
+            part = band[::row_blocks, lead:lead + count].copy()
+            for q in range(1, row_blocks):
+                part += band[q::row_blocks, lead + q:lead + q + count]
+            row_runs.append(part)
+            base += parts * phases * row_blocks
+        del products, band  # free this run's product before the next one is allocated
+    frames_of = []
+    for row_runs in runs:
+        out = row_runs[0] if len(row_runs) == 1 else np.concatenate(row_runs, axis=1)
+        # out[c*phases + s, g] is frame g*phases + s
+        out = out.reshape(parts, phases, groups).transpose(0, 2, 1).reshape(parts, -1)
+        frames_of.append((out[0, :frames], None if parts == 1 else out[1, :frames]))
+    return frames_of
 
 
 def polyphase(width: int, hop: int, frames: int) -> tuple[int, int, int, int]:
@@ -136,10 +253,15 @@ def product_runs(phases: int, blocks: int, groups: int) -> tuple[int, int]:
     budget, and at least ``blocks``; every run multiplies
     ``blocks - 1`` signal rows beyond its groups.
     """
+    return _runs(2 * phases * blocks, blocks, groups)
+
+
+def _runs(products: int, reach: int, groups: int) -> tuple[int, int]:
+    """``product_runs`` of ``products`` product rows whose groups read ``reach`` signal rows."""
     chunk = groups
-    if 2 * phases * blocks * (groups + blocks - 1) > CHUNK_PRODUCTS:
-        chunk = max(blocks, CHUNK_PRODUCTS // (2 * phases * blocks) - blocks + 1)
-    return chunk, groups + -(-groups // chunk) * (blocks - 1)
+    if products * (groups + reach - 1) > CHUNK_PRODUCTS:
+        chunk = max(reach, CHUNK_PRODUCTS // products - reach + 1)
+    return chunk, groups + -(-groups // chunk) * (reach - 1)
 
 
 DIRECT_CONSTANTS = ("CALL_S", "BLOCK_S", "SAMPLE_S", "PRODUCT_S", "MAC_S")

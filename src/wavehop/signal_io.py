@@ -146,8 +146,8 @@ def decimate(signal: SignalBuffer, hop: int, anti_alias: bool = False) -> Signal
     Output length is ceil(N / hop) and the recorded sample rate is the
     input rate divided by hop.  With ``anti_alias`` a linear-phase FIR
     low-pass (cutoff 0.45/hop of the input rate) is evaluated at the kept
-    samples alone, by ``_kernels.strided_correlate``, the kernel of
-    ``cwth_strided``'s direct rows; the default is plain selection.  The
+    samples alone, by ``_kernels.strided_correlate``, the one-row stack of
+    ``cwth_strided``'s direct kernel; the default is plain selection.  The
     FIR is a Hamming-windowed sinc scaled to unit DC gain, the same design
     as SciPy's ``firwin`` with its default window.  Samples so large that
     the filtered signal could overflow raise CoefficientOverflow first.

@@ -19,6 +19,13 @@ grid's taps sampled once and kept in a small cache (``plan_for``).
 Which rows go spectral, in which block layout and at what predicted
 price is one cached, pure function of (length, taps, hop): ``schedule``.
 
+The direct rows are cut, in order of tap count, into stacks
+(``schedule``'s ``stacks``, sized by ``_kernels.stack_sizes``): each
+stack is one polyphase product of ``_kernels.stacked_correlate``, no
+larger than the largest product one of the call's direct rows makes
+alone, and the plan holds each stack's taps, laid out for that
+product, across calls.
+
 There is one spectral route, the overlap-save block row: spectral rows
 are grouped into width classes (``schedule``), each class takes one
 batched FFT of overlapping signal segments and one of its rows'
@@ -257,8 +264,9 @@ def cwth_strided(
     (params, grid), and each scale row takes whichever of two routes
     its ``schedule`` predicts to be faster:
 
-    - direct: ceil(N/hop) dot products, taken as one polyphase matmul
-      by ``_kernels.strided_correlate``, a cost proportional to the frames;
+    - direct: ceil(N/hop) dot products, taken with the other rows of its
+      stack as one polyphase matmul by ``_kernels.stacked_correlate``, a
+      cost proportional to the frames;
     - spectral: the block row of the row's width class, whose segment
       spectra are folded into ``hop`` aliased bands before one batched
       inverse FFT of length block_len/hop.
@@ -302,10 +310,12 @@ class CwtPlan:
 
     Taps do not depend on the signal, so a plan serves every length and
     hop.  Each row is held once, as read-only contiguous arrays of its
-    real and imaginary parts: the direct kernel takes them as they are,
-    and ``_kernel_spectra`` writes them into the real and imaginary parts
-    of a width class's kernels.  Kernel spectra depend on the block
-    length, hence on the signal length, so a plan holds none.
+    real and imaginary parts.  ``stack_taps`` lays a stack's rows out for
+    the direct kernel's product; that layout depends on the hop and the
+    rows' tap counts alone, so the plan holds the last ones it built in
+    a bounded LRU.  ``_kernel_spectra`` writes a width class's rows into
+    the real and imaginary parts of its kernels; kernel spectra depend on
+    the block length, hence on the signal length, so a plan holds none.
     """
 
     def __init__(self, params: MorletParams, grid: ScaleGrid):
@@ -322,26 +332,32 @@ class CwtPlan:
         self.widths = [re.size for re, _ in self.taps]
         # no coefficient exceeds the largest sample times this
         self.gain = max(float(np.abs(re).sum() + np.abs(im).sum()) for re, im in self.taps)
+        # a call makes at most ``count`` stacks: room for those of four calls of other shapes
+        self.stack_taps = functools.lru_cache(maxsize=4 * self.count)(self._stack_taps)
 
     @property
     def count(self) -> int:
         return len(self.taps)
 
     def explain(self, n: int, hop: int) -> list[dict]:
-        """One record per row: scale, tap count, route, predicted seconds and block layout.
+        """One record per row: scale, tap count, route, predicted seconds and layout.
 
         Read from ``schedule(n, widths, hop)``, as ``execute`` reads it.
-        ``direct_s`` is the row's direct-route seconds.  A spectral row's
-        ``spectral_s`` prices its block row without the block spectra its
-        width class shares, and ``block_len``, ``blocks`` and ``class``
-        (an index into the schedule's ``classes``) give its layout; a
-        direct row has no class, so these four are None.
+        ``direct_s`` is the row's direct-route seconds.  A direct row's
+        ``stack`` is an index into the schedule's ``stacks``.  A spectral
+        row's ``spectral_s`` prices its block row without the block
+        spectra its width class shares, and ``block_len``, ``blocks`` and
+        ``class`` (an index into the schedule's ``classes``) give its
+        layout.  A field of the other route is None.
         """
         sched = schedule(n, self.widths, hop)
         records = [{"scale": float(scale), "taps": width, "route": "direct",
-                    "direct_s": direct_s, "spectral_s": None, "block_len": None,
+                    "direct_s": direct_s, "stack": None, "spectral_s": None, "block_len": None,
                     "blocks": None, "class": None}
                    for scale, width, direct_s in zip(self.scales, self.widths, sched.direct_s)]
+        for index, rows in enumerate(sched.stacks):
+            for row in rows:
+                records[row]["stack"] = index
         for index, cls in enumerate(sched.classes):
             spectral_s = _kernels.spectral_seconds(cls.block_len, sched.hop, cls.blocks)
             for row in cls.rows:
@@ -353,36 +369,48 @@ class CwtPlan:
     def execute(self, x: np.ndarray, hop: int, threads: int = 1) -> np.ndarray:
         """Columns 0, hop, 2*hop, ... of every row of the transform of ``x``.
 
-        Each row is one task that writes its row, by the route
-        ``schedule(x.size, widths, hop)`` names, on the calling thread or on
-        ``_pool(threads)``: the direct rows, then each width class's, so only
-        one class's block spectra are held.  Samples that could overflow a
-        coefficient or a spectrum raise CoefficientOverflow before any work.
+        ``schedule(x.size, widths, hop)`` lays out the work: each stack of
+        direct rows is one task, then each width class's rows one task
+        each, so only one class's block spectra are held.  Each task writes
+        its own rows, on the calling thread or on ``_pool(threads)``.
+        Samples that could overflow a coefficient or a spectrum raise
+        CoefficientOverflow before any work.
         """
         _kernels.check_overflow(x, self.gain, "the coefficients")
-        n = x.size
-        sched = schedule(n, self.widths, hop)
-        widths, hop, frames, routes = sched.widths, sched.hop, sched.frames, sched.routes
-        taps = [(re[(re.size - w) // 2:][:w], im[(im.size - w) // 2:][:w])
-                for (re, im), w in zip(self.taps, widths)]
-        direct = [row for row in range(self.count) if not routes[row]]
-        if direct:
+        sched = schedule(x.size, self.widths, hop)
+        widths, hop, frames = sched.widths, sched.hop, sched.frames
+        if sched.stacks:
             pad = max(widths) // 2
             xpad = _kernels.zero_padded(x, pad, hop)
         # out after xpad: the other order measured ~400 more page faults a corpus_scan request
         out = np.empty((self.count, frames), dtype=np.complex128)
         run = map if threads <= 1 else _pool(threads).map
-        if direct:
+        if sched.stacks:
+            stack_widths = [tuple(widths[row] for row in rows) for rows in sched.stacks]
+            # each stack reads xpad from its widest row's first tap
+            starts = [xpad[pad - max(ws) // 2:] for ws in stack_widths]
+            stacks = [self.stack_taps(hop, rows, ws)
+                      for rows, ws in zip(sched.stacks, stack_widths)]
             # list() waits for the tasks and raises their errors
-            list(run(_direct_row, [out[row] for row in direct], repeat(xpad),
-                     [taps[row] for row in direct], repeat(pad), repeat(hop), repeat(frames)))
+            list(run(_direct_stack, repeat(out), starts, stacks, sched.stacks, repeat(frames)))
         for cls in sched.classes:
             spectra = _block_spectra(x, cls)
-            kernels = _kernel_spectra(cls, taps)
+            kernels = _kernel_spectra(cls, [self._row_taps(row, widths[row]) for row in cls.rows])
             list(run(_block_row, [out[row] for row in cls.rows], repeat(spectra), repeat(cls),
                      kernels, repeat(hop)))
             del spectra, kernels
         return out
+
+    def _row_taps(self, row: int, width: int) -> tuple:
+        """The row's (real, imaginary) taps, cut to the ``width`` around the centre that matter."""
+        re, im = self.taps[row]
+        return re[(re.size - width) // 2:][:width], im[(im.size - width) // 2:][:width]
+
+    def _stack_taps(self, hop: int, rows: tuple, widths: tuple) -> _kernels.Stack:
+        """The stacked taps of ``rows`` cut to ``widths`` at ``hop``, centred on the widest row."""
+        return _kernels.stack_taps([self._row_taps(row, w) for row, w in zip(rows, widths)],
+                                   _kernels.centred_offsets(widths), hop)
+
 
 PLAN_CACHE_SIZE = 8
 
@@ -518,7 +546,9 @@ class Schedule(NamedTuple):
     the spectral rows.  ``direct_s`` is each row's direct-route seconds,
     ``routes`` is True where a row goes spectral, and ``seconds`` prices
     the call: each direct row by its direct seconds, each class by its
-    block spectra and its rows.
+    block spectra and its rows.  ``stacks`` cuts the direct rows, in
+    order of tap count, into the stacks ``_kernels.stacked_correlate``
+    computes (``_stacks``); they are not priced apart from their rows.
     """
 
     widths: tuple
@@ -528,6 +558,7 @@ class Schedule(NamedTuple):
     direct_s: tuple
     routes: tuple
     seconds: float
+    stacks: tuple
 
 
 def schedule(n: int, widths, hop: int) -> Schedule:
@@ -580,7 +611,16 @@ def _schedule(n: int, widths: tuple, hop: int) -> Schedule:
     spectral = set(order[end:])
     routes = tuple(row in spectral for row in range(len(widths)))
     return Schedule(widths, hop, frames, tuple(reversed(classes)), direct_s, routes,
-                    float(best[-1]))
+                    float(best[-1]), _stacks(widths, order[:end], hop, frames))
+
+
+def _stacks(widths: tuple, direct, hop: int, frames: int) -> tuple:
+    """The ``direct`` rows, taken in order of tap count, cut into ``_kernels.stack_sizes``."""
+    stacks, start = [], 0
+    for size in _kernels.stack_sizes([widths[row] for row in direct], hop, frames):
+        stacks.append(tuple(direct[start:start + size]))
+        start += size
+    return tuple(stacks)
 
 
 def _block_spectra(x: np.ndarray, cls: BlockClass) -> np.ndarray:
@@ -603,30 +643,29 @@ def _block_spectra(x: np.ndarray, cls: BlockClass) -> np.ndarray:
 def _kernel_spectra(cls: BlockClass, taps) -> np.ndarray:
     """The ``(rows, block_len)`` kernel spectra of the class's rows, in the order of ``cls.rows``.
 
-    ``taps[row]`` is the row's (real, imaginary) taps.  A row's kernel is
-    its reversed taps, lag d at index -pad - d modulo the block, so lag
-    -pad of a row as wide as the class wraps to index 0.  All kernels are
-    laid out in one contiguous buffer and transformed in place by one
-    batched FFT.
+    ``taps`` holds each of those rows' (real, imaginary) taps, in that
+    order.  A row's kernel is its reversed taps, lag d at index -pad - d
+    modulo the block, so lag -pad of a row as wide as the class wraps to
+    index 0.  All kernels are laid out in one contiguous buffer and
+    transformed in place by one batched FFT.
     """
     kernels = np.zeros((len(cls.rows), cls.block_len), dtype=np.complex128)
-    for kernel, row in zip(kernels, cls.rows):
-        width = taps[row][0].size
+    for kernel, row_taps in zip(kernels, taps):
+        width = row_taps[0].size
         start = cls.block_len - cls.pad - width // 2
         # lag -pad of a row as wide as the class, one past the block's end, wraps to index 0
         wrap = max(0, start + width - cls.block_len)
-        for part, row_taps in zip((kernel.real, kernel.imag), taps[row]):
-            part[start:start + width - wrap] = row_taps[wrap:][::-1]
-            part[:wrap] = row_taps[:wrap][::-1]
+        for part, part_taps in zip((kernel.real, kernel.imag), row_taps):
+            part[start:start + width - wrap] = part_taps[wrap:][::-1]
+            part[:wrap] = part_taps[:wrap][::-1]
     return np.fft.fft(kernels, axis=-1, out=kernels)
 
 
-def _direct_row(out, xpad, taps, pad: int, hop: int, frames: int) -> None:
-    """A direct row into ``out``; ``xpad`` is the signal after ``pad`` zeros."""
-    taps_re, taps_im = taps
-    base = xpad[pad - taps_re.size // 2:]
-    re, im = _kernels.strided_correlate(base, taps_re, taps_im, hop, frames)
-    out[...] = re + 1j * im
+def _direct_stack(out, xpad, stack: _kernels.Stack, rows: tuple, frames: int) -> None:
+    """A stack's direct ``rows`` into their rows of ``out``; ``xpad`` starts at its widest row's
+    first tap."""
+    for row, (re, im) in zip(rows, _kernels.stacked_correlate(xpad, stack, frames)):
+        out[row] = re + 1j * im
 
 
 def _block_row(out, spectra, cls: BlockClass, kernel, hop: int) -> None:

@@ -187,8 +187,25 @@ class TestTransformCommand:
         for r in records:
             if r["route"] == "spectral":
                 assert r["spectral_s"] > 0 and r["block_len"] > 0 and r["blocks"] >= 1
-            else:  # a direct row has no class
+            else:  # a direct row has a stack and no class
+                assert isinstance(r["stack"], int)
                 assert [r[k] for k in ("spectral_s", "block_len", "blocks", "class")] == [None] * 4
+
+    def test_explain_names_each_direct_rows_stack_at_desk_scale(self, tmp_path):
+        # 64 scales on 10 s at 16 kHz, hop 128: every row goes direct, in fewer stacks than rows
+        out, explain = tmp_path / "out.scg1", tmp_path / "explain.jsonl"
+        code = run_cli([
+            "transform", "noise:seed=3", "--length", "160000", "--rate", "16000",
+            "--out", str(out), "--mode", "strided", "--hop", "128", "--scales", "64",
+            "--fmin", "20", "--fmax", "7200", "--explain", str(explain),
+        ])
+        assert code == 0
+        records = [json.loads(line) for line in explain.read_text().splitlines()]
+        assert len(records) == 64 and all(r["route"] == "direct" for r in records)
+        stacks = [r["stack"] for r in records]
+        assert all(isinstance(stack, int) for stack in stacks)
+        assert sorted(set(stacks)) == list(range(len(set(stacks))))
+        assert len(set(stacks)) < len(records)
 
     def test_explain_to_unwritable_path_exits_one(self, tmp_path, capsys):
         code = run_cli([

@@ -3,8 +3,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wavehop import MorletParams, _kernels, make_scale_grid, sample_wavelet
+from wavehop.wavelet import schedule
 
 
 def _reference_loop(xpad, taps_re, taps_im, hop, frames):
@@ -179,3 +182,92 @@ def test_no_corpus_shape_is_chunked():
     for width in widths:
         phases, _, blocks, groups = _kernels.polyphase(width, 128, frames)
         assert _kernels.product_runs(phases, blocks, groups)[0] == groups
+
+
+@st.composite
+def stacked_rows(draw):
+    """Rows of 1-2 000 taps at arbitrary offsets, at hops of several phases and of one, with
+    imaginary taps or without, and an ``xpad`` long enough for the stack and each row alone."""
+    span = _kernels.MIN_SPAN
+    hop = draw(st.one_of(st.integers(1, span - 1), st.integers(span, 300)))
+    count = draw(st.integers(1, 5))
+    widths = draw(st.lists(st.integers(1, 2_000), min_size=count, max_size=count))
+    offsets = draw(st.lists(st.integers(0, 2_500), min_size=count, max_size=count))
+    frames = draw(st.integers(1, 80))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    imaginary = draw(st.booleans())
+    taps = [(rng.standard_normal(w), rng.standard_normal(w) if imaginary else None)
+            for w in widths]
+    phases, span, _, groups = _kernels.polyphase(1, hop, frames)
+    _, _, reach = _kernels.stack_shape(widths, offsets, hop)
+    lone = max(o - min(offsets) + (_kernels.polyphase(w, hop, frames)[2] + groups - 1) * span
+               for w, o in zip(widths, offsets))
+    xpad = rng.standard_normal(max(lone, (groups + reach - 1) * span))
+    return xpad, taps, offsets, hop, frames
+
+
+@given(stacked_rows())
+@settings(max_examples=300, deadline=None)
+def test_stack_equals_each_rows_own_call(case):
+    xpad, taps, offsets, hop, frames = case
+    got = _kernels.stacked_correlate(xpad, _kernels.stack_taps(taps, offsets, hop), frames)
+    assert len(got) == len(taps)
+    for (re, im), (taps_re, taps_im), offset in zip(got, taps, offsets):
+        want_re, want_im = _kernels.strided_correlate(xpad[offset - min(offsets):], taps_re,
+                                                      taps_im, hop, frames)
+        assert (im is None) == (taps_im is None) and re.shape == (frames,)
+        peak = max(np.max(np.abs(want_re)), 0.0 if im is None else np.max(np.abs(want_im)))
+        assert np.max(np.abs(re - want_re)) <= 1e-12 * peak
+        if im is not None:
+            assert np.max(np.abs(im - want_im)) <= 1e-12 * peak
+
+
+@given(stacked_rows())
+@settings(max_examples=100, deadline=None)
+def test_stack_of_one_row_is_the_lone_call(case):
+    xpad, taps, offsets, hop, frames = case
+    (taps_re, taps_im), offset = taps[0], offsets[0]
+    start = offset - min(offsets)
+    (re, im), = _kernels.stacked_correlate(
+        xpad[start:], _kernels.stack_taps([(taps_re, taps_im)], [offset], hop), frames)
+    want_re, want_im = _kernels.strided_correlate(xpad[start:], taps_re, taps_im, hop, frames)
+    assert np.array_equal(re, want_re)
+    assert (im is None and want_im is None) or np.array_equal(im, want_im)
+
+
+GRIDS = {count: [sample_wavelet(MorletParams(), s).size for s in
+                 make_scale_grid(20.0, 20.0 if count == 1 else 7200.0, count, 16_000.0).scales]
+         for count in (1, 8, 64)}
+
+
+@given(st.sampled_from(sorted(GRIDS)), st.integers(1, 400_000),
+       st.sampled_from((1, 2, 3, 8, 32, 127, 128, 512)))
+@settings(max_examples=300, deadline=None)
+def test_no_stack_product_exceeds_the_largest_lone_row_product(scales, n, hop):
+    sched = schedule(n, GRIDS[scales], hop)
+    direct = sorted((row for row, spectral in enumerate(sched.routes) if not spectral),
+                    key=lambda row: (sched.widths[row], row))
+    # the stacks cut the direct rows, in order of tap count, into consecutive runs
+    assert [row for rows in sched.stacks for row in rows] == direct
+    phases, _, _, groups = _kernels.polyphase(1, sched.hop, sched.frames)
+    lone = []
+    for row in direct:
+        blocks = _kernels.polyphase(sched.widths[row], sched.hop, sched.frames)[2]
+        chunk, _ = _kernels.product_runs(phases, blocks, groups)
+        lone.append(2 * phases * blocks * (chunk + blocks - 1))
+
+    def shape(rows):
+        widths = [sched.widths[row] for row in rows]
+        offsets = [max(widths) // 2 - w // 2 for w in widths]
+        _, blocks, reach = _kernels.stack_shape(widths, offsets, sched.hop)
+        return 2 * phases * sum(blocks), reach
+
+    for index, rows in enumerate(sched.stacks):
+        products, reach = shape(rows)
+        chunk, _ = _kernels._runs(products, reach, groups)
+        assert products * (min(chunk, groups) + reach - 1) <= max(lone)
+        # each stack took rows while its whole product fit, and no more
+        assert len(rows) == 1 or products * (groups + reach - 1) <= max(lone)
+        if index + 1 < len(sched.stacks):
+            products, reach = shape(rows + sched.stacks[index + 1][:1])
+            assert products * (groups + reach - 1) > max(lone)

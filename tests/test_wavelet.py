@@ -456,31 +456,43 @@ class TestRowPool:
 
 
 class TestKernelCalls:
-    """Each direct kernel call has the form wavebench's traced hook unpacks."""
+    """Each direct kernel call has the form its callers and wavebench's traced hook unpack:
+    ``stacked_correlate(xpad, stack, frames)`` for a transform's stacks of direct rows, and
+    ``strided_correlate(xpad, taps_re, taps_im, hop, frames)`` for ``decimate``'s FIR."""
 
     @pytest.mark.parametrize("threads", [1, 2])
-    @pytest.mark.parametrize("transform", [
-        lambda sig, threads: cwth_strided(sig, SWEEP_GRID, PARAMS, 128, threads=threads),
-        lambda sig, threads: cwt_fft(sig, SWEEP_GRID, PARAMS, threads=threads),
-        lambda sig, threads: cwth_decimate(sig, SWEEP_GRID, PARAMS, 4, True, threads=threads),
+    @pytest.mark.parametrize("transform,filtered", [
+        (lambda sig, threads: cwth_strided(sig, SWEEP_GRID, PARAMS, 128, threads=threads), False),
+        (lambda sig, threads: cwt_fft(sig, SWEEP_GRID, PARAMS, threads=threads), False),
+        (lambda sig, threads: cwth_decimate(sig, SWEEP_GRID, PARAMS, 4, True, threads=threads),
+         True),
     ], ids=["cwth_strided", "cwt_fft", "cwth_decimate"])
-    def test_five_positional_arguments(self, monkeypatch, transform, threads):
-        calls = []
-        kernel = _kernels.strided_correlate
+    def test_five_positional_arguments(self, monkeypatch, transform, filtered, threads):
+        calls = {"strided_correlate": [], "stacked_correlate": []}
+        for name, recorded in calls.items():
+            def record(*args, _kernel=getattr(_kernels, name), _calls=recorded, **kwargs):
+                _calls.append((args, kwargs))
+                return _kernel(*args, **kwargs)
 
-        def recorded(*args, **kwargs):
-            calls.append((args, kwargs))
-            return kernel(*args, **kwargs)
-
-        monkeypatch.setattr(_kernels, "strided_correlate", recorded)
+            monkeypatch.setattr(_kernels, name, record)
         transform(noise(20_000, seed=54), threads)
-        assert calls
-        for args, kwargs in calls:
+        # the sweep grid has direct rows at hop 128 and at hop 1 on 20 000 samples, and
+        # decimate's FIR is a stack of one row
+        assert calls["stacked_correlate"]
+        # decimate's anti-alias FIR is the one caller of the five-argument form
+        assert bool(calls["strided_correlate"]) == filtered
+        for args, kwargs in calls["strided_correlate"]:
             assert len(args) == 5 and kwargs == {}
             _, taps_re, taps_im, hop, frames = args
             assert isinstance(taps_re, np.ndarray) and taps_re.ndim == 1
             assert taps_im is None or (taps_im.ndim == 1 and taps_im.shape == taps_re.shape)
             assert isinstance(hop, int) and hop >= 1
+            assert isinstance(frames, int) and frames >= 1
+        for args, kwargs in calls["stacked_correlate"]:
+            assert len(args) == 3 and kwargs == {}
+            _, stack, frames = args
+            assert isinstance(stack, _kernels.Stack) and len(stack.leads) >= 1
+            assert isinstance(stack.hop, int) and stack.hop >= 1
             assert isinstance(frames, int) and frames >= 1
 
 
@@ -490,17 +502,22 @@ def tap_counts(grid):
 
 class TestRouting:
     def test_desk_grid_routes_every_row_direct(self, monkeypatch):
-        assert schedule(160_000, tap_counts(DESK_GRID), 128).routes == (False,) * 64
+        sched = schedule(160_000, tap_counts(DESK_GRID), 128)
+        assert sched.routes == (False,) * 64
         calls = []
-        kernel = _kernels.strided_correlate
+        kernel = _kernels.stacked_correlate
 
         def counted(*args):
-            calls.append(args[3])
+            calls.append(args[1])
             return kernel(*args)
 
-        monkeypatch.setattr(_kernels, "strided_correlate", counted)
+        monkeypatch.setattr(_kernels, "stacked_correlate", counted)
         cwth_strided(noise(160_000, seed=30), DESK_GRID, PARAMS, 128)
-        assert calls == [128] * 64
+        # one call per stack, which together hold every row once, in fewer calls than rows
+        assert [stack.hop for stack in calls] == [128] * len(sched.stacks)
+        assert [len(stack.leads) for stack in calls] == list(map(len, sched.stacks))
+        assert sorted(row for rows in sched.stacks for row in rows) == list(range(64))
+        assert len(calls) < 64
 
     def test_no_class_holds_a_direct_row(self):
         # n = 320 000 at hop 8 on the sweep grid: the four narrowest rows go direct
@@ -752,14 +769,16 @@ class TestExplain:
         frames = -(-n // hop)
         # a lag of n or more meets no sample, so rows are priced on at most 2n - 1 taps
         reach = tuple(min(w, 2 * n - 1) for w in widths)
-        classes = schedule(n, widths, hop).classes
+        sched = schedule(n, widths, hop)
         for row, record in enumerate(records):
             assert record["direct_s"] == _kernels.direct_seconds(reach[row], hop, frames)
-            if record["route"] == "direct":  # a direct row has no class
+            if record["route"] == "direct":  # a direct row has a stack and no class
+                assert row in sched.stacks[record["stack"]]
                 fields = [record[k] for k in ("spectral_s", "block_len", "blocks", "class")]
                 assert fields == [None] * 4
                 continue
-            cls = classes[record["class"]]
+            assert record["stack"] is None
+            cls = sched.classes[record["class"]]
             assert row in cls.rows
             assert (record["block_len"], record["blocks"]) == (cls.block_len, cls.blocks)
             assert record["spectral_s"] == _kernels.spectral_seconds(cls.block_len, hop, cls.blocks)
