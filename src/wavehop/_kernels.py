@@ -9,13 +9,15 @@ shares, so the route is a pure function of (length, taps, hop) and never
 changes a result beyond roundoff.  The direct kernel is a polyphase
 matmul whose inner dimension is at least ``MIN_SPAN``, computed in the
 runs ``product_runs`` sets and priced row by row.  A stack's rows share
-one product: ``stack_sizes`` cuts a call's direct rows into stacks,
-``stack_taps`` lays out a stack's taps once, by the offsets
-``stack_shape`` reads, and ``wavelet.CwtPlan`` holds that layout across
-calls.  ``strided_correlate`` is the stack of one row, the form
+one product and one centre, its widest row's, so ``row_layout`` alone
+places a row in it: ``stack_sizes`` cuts a call's direct rows into
+stacks, ``stack_shape`` reads each row's place, ``stack_taps`` lays
+out a stack's taps once, and ``wavelet.CwtPlan`` holds that layout
+across calls.  ``strided_correlate`` is the stack of one row, the form
 ``signal_io.decimate`` (the anti-alias FIR, real taps alone) and the
-calibration script call.  Callers check the signal with
-``check_overflow`` and pad it with ``zero_padded``.
+calibration script call.  ``reach`` cuts the tap counts and the hop to
+what meets a signal; callers check the signal with ``check_overflow``
+and pad it with ``zero_padded``.
 
 Each price sums constants times terms: ``direct_terms``, ``fft_terms``
 and ``row_terms`` count what each constant of ``DIRECT_CONSTANTS``,
@@ -79,6 +81,17 @@ def zero_padded(x: np.ndarray, pad: int, hop: int) -> np.ndarray:
     return xpad
 
 
+def reach(n: int, widths, hop: int) -> tuple[tuple, int]:
+    """The tap counts and hop that matter on a signal of ``n`` samples.
+
+    A lag of ``n`` or more meets no sample, so a row needs at most
+    2n - 1 taps; and any hop of ``n`` or more keeps column 0 alone, as a
+    hop of ``n`` does.  Work sized by these is bounded by the signal,
+    whatever the scale or the hop.
+    """
+    return tuple(min(w, 2 * n - 1) for w in widths), min(hop, n)
+
+
 def strided_correlate(xpad, taps_re, taps_im, hop, frames):
     """Correlate ``xpad`` with the taps at translations 0, hop, 2*hop, ...
 
@@ -87,10 +100,10 @@ def strided_correlate(xpad, taps_re, taps_im, hop, frames):
     reads past the last frame's taps (``zero_padded``); a shorter
     ``xpad`` raises ValueError.  Returns (real, imag) parts;
     ``taps_im`` None computes the real part alone and returns None as
-    the imaginary part.  The stack of this one row, at offset 0, by
+    the imaginary part.  The stack of this one row, by
     ``stacked_correlate``.
     """
-    (re, im), = stacked_correlate(xpad, stack_taps([(taps_re, taps_im)], [0], hop), frames)
+    (re, im), = stacked_correlate(xpad, stack_taps([(taps_re, taps_im)], hop), frames)
     return re, im
 
 
@@ -110,56 +123,53 @@ class Stack(NamedTuple):
     reach: int
 
 
-def stack_shape(widths, offsets, hop: int) -> tuple[tuple, tuple, int]:
-    """(leads, blocks, reach) of rows of these tap counts at these offsets into ``xpad``.
+def row_layout(width, widest, hop: int):
+    """(lead, blocks) of a row of ``width`` taps in a stack centred on its ``widest`` row.
 
-    Row r's offset past the least, ``lead_r * span + rem_r``, puts its
-    phase-s taps at ``rem_r + s*hop`` in a band of ``blocks_r`` blocks of
-    ``span``, summed from signal row ``lead_r``; ``reach`` is the most
-    signal rows a group's frames read, ``max(lead_r + blocks_r)``.
+    The row's first tap is ``widest // 2 - width // 2`` samples past the
+    widest row's, ``lead * span + rem``: its phase-s taps sit at
+    ``rem + s*hop`` in a band of ``blocks`` blocks of ``span``, summed
+    from signal row ``lead``.  The widest row is at lead 0, and no row
+    reads past its last block, so its ``blocks`` are the stack's reach.
+    Ints or numpy arrays, elementwise.
     """
-    phases, span, _, _ = polyphase(1, hop, 1)
-    least = min(offsets)
-    leads, blocks = [], []
-    for width, offset in zip(widths, offsets):
-        lead, rem = divmod(offset - least, span)
-        leads.append(lead)
-        blocks.append(-(-(rem + (phases - 1) * hop + width) // span))
-    return tuple(leads), tuple(blocks), max(map(sum, zip(leads, blocks)))
+    phases, span, _ = polyphase(hop, 1)
+    lead, rem = divmod(widest // 2 - width // 2, span)
+    return lead, -(-(rem + (phases - 1) * hop + width) // span)
 
 
-def centred_offsets(widths) -> list[int]:
-    """Offsets into ``xpad`` that put rows of these tap counts on one centre, the widest at 0."""
-    half = max(widths) // 2
-    return [half - width // 2 for width in widths]
+def stack_shape(widths, hop: int) -> tuple[tuple, tuple, int]:
+    """(leads, blocks, reach) of a stack of rows of these tap counts: each one's ``row_layout``,
+    and the most signal rows a group's frames read."""
+    widest = max(widths)
+    leads, blocks = zip(*(row_layout(width, widest, hop) for width in widths))
+    return leads, blocks, row_layout(widest, widest, hop)[1]
 
 
 def stack_sizes(widths, hop: int, frames: int) -> tuple:
     """How many rows each stack takes, in order, of rows of these ascending tap counts.
 
     A row joins the current stack while the stack's whole product,
-    ``2*phases*sum(blocks) * (groups + reach - 1)`` elements with its rows
-    at ``centred_offsets``, stays within the largest product one of the
-    rows makes alone (``product_runs``); otherwise it starts the next.
-    So no product is larger than one a row computed alone would make.
-    A stack ends at its widest row j, whose last block is the stack's
-    last since the rows ascend (its ``reach`` is row j's blocks alone),
-    and row r's blocks in it (``stack_shape``) do not depend on where
-    the stack starts, so one pass of cumulative sums over
-    ``blocks[j, r]`` sizes every candidate stack.
+    ``2*phases*sum(blocks) * (groups + reach - 1)`` elements, stays
+    within the largest product one of the rows makes alone
+    (``product_runs``); otherwise it starts the next.  So no product is
+    larger than one a row computed alone would make.  A stack ends at
+    its widest row j, whose blocks are its reach, and row r's blocks in
+    it (``row_layout``) do not depend on where the stack starts, so one
+    pass of cumulative sums over ``blocks[j, r]`` sizes every candidate
+    stack.
     """
     if len(widths) < 2:
         return (1,) * len(widths)
-    phases, span, _, groups = polyphase(1, hop, frames)
+    phases, _, groups = polyphase(hop, frames)
     widths = np.asarray(widths)
     # [j, r]: row r in a stack centred on row j, read for r <= j alone
-    offsets = widths[:, None] // 2 - widths // 2
-    last = (offsets + (phases - 1) * hop + widths - 1) // span
-    counts = np.cumsum(last - offsets // span + 1, axis=1).tolist()
-    reach = (np.diagonal(last) + 1).tolist()
+    _, blocks = row_layout(widths, widths[:, None], hop)
+    counts = np.cumsum(blocks, axis=1).tolist()
+    reach = np.diagonal(blocks).tolist()
     budget = 0
     for alone in reach:
-        chunk, _ = product_runs(phases, alone, groups)
+        chunk, _ = product_runs(2 * phases * alone, alone, groups)
         budget = max(budget, 2 * phases * alone * (chunk + alone - 1))
     sizes, start = [], 0
     for row in range(1, len(widths)):
@@ -170,20 +180,20 @@ def stack_sizes(widths, hop: int, frames: int) -> tuple:
     return tuple(sizes) + (len(widths) - start,)
 
 
-def stack_taps(taps, offsets, hop: int) -> Stack:
-    """The :class:`Stack` of rows of (real, imaginary or None) ``taps`` at these offsets.
+def stack_taps(taps, hop: int) -> Stack:
+    """The :class:`Stack` of rows of (real, imaginary or None) ``taps``, centred on the widest.
 
     Every row's imaginary taps are None, or none is.  The layout does
     not depend on the signal, so a stack held across calls is laid out once.
     """
     widths = [re.shape[0] for re, _ in taps]
-    leads, blocks, reach = stack_shape(widths, offsets, hop)
+    leads, blocks, reach = stack_shape(widths, hop)
     parts = 1 if taps[0][1] is None else 2
-    phases, span, _, _ = polyphase(1, hop, 1)
+    phases, span, _ = polyphase(hop, 1)
     matrix = np.zeros((parts * phases * sum(blocks), span))
-    least, base = min(offsets), 0
-    for (re, im), width, offset, count in zip(taps, widths, offsets, blocks):
-        rem = (offset - least) % span
+    widest, base = max(widths), 0
+    for (re, im), width, lead, count in zip(taps, widths, leads, blocks):
+        rem = widest // 2 - width // 2 - lead * span  # as ``row_layout`` places the row
         band = matrix[base:base + parts * phases * count].reshape(parts, phases, count * span)
         for s in range(phases):
             band[:, s, rem + s * hop:rem + s * hop + width] = (re,) if im is None else (re, im)
@@ -195,8 +205,8 @@ def stack_taps(taps, offsets, hop: int) -> Stack:
 def stacked_correlate(xpad, stack: Stack, frames: int) -> list:
     """Each stacked row's (real, imag) frames, as ``strided_correlate`` gives them, in one product.
 
-    ``xpad`` starts at the stack's least offset and holds the zeros its
-    widest row reads past the last frame.  A polyphase split (Crochiere
+    ``xpad`` starts at the widest row's first tap and holds the zeros
+    that row reads past the last frame.  A polyphase split (Crochiere
     & Rabiner, Multirate Digital Signal Processing, 1983) of the frames
     into ``phases`` (``polyphase``): frame ``g*phases + s`` is
     translation ``g*span`` of the taps shifted by ``s*hop``.  With the
@@ -205,15 +215,15 @@ def stacked_correlate(xpad, stack: Stack, frames: int) -> list:
     ``(2*phases*sum(blocks), span) x (span, groups+reach-1)``, plus a
     sum over row r's block q of product rows shifted by ``lead_r + q``.
     The product is laid out one block per row, so that sum reads
-    contiguous memory, and it is computed in runs of groups, set as
-    ``product_runs`` sets a lone row's, so memory grows with the tap count
-    rather than with the signal.
+    contiguous memory, and it is computed in the runs of groups
+    ``product_runs`` sets, so memory grows with the tap count rather
+    than with the signal.
     """
     _, parts, hop, leads, blocks, reach = stack
-    phases, span, _, groups = polyphase(1, hop, frames)
+    phases, span, groups = polyphase(hop, frames)
     rows = groups + reach - 1
     x2d = xpad[:rows * span].reshape(rows, span)
-    chunk, _ = _runs(2 * phases * sum(blocks), reach, groups)
+    chunk, _ = product_runs(2 * phases * sum(blocks), reach, groups)
     runs = [[] for _ in blocks]
     for start in range(0, groups, chunk):
         count = min(chunk, groups - start)
@@ -237,27 +247,22 @@ def stacked_correlate(xpad, stack: Stack, frames: int) -> list:
     return frames_of
 
 
-def polyphase(width: int, hop: int, frames: int) -> tuple[int, int, int, int]:
-    """(phases, span, blocks, groups) of ``strided_correlate``; ``span = phases*hop >= MIN_SPAN``."""
+def polyphase(hop: int, frames: int) -> tuple[int, int, int]:
+    """(phases, span, groups) of ``stacked_correlate``; ``span = phases*hop >= MIN_SPAN``."""
     phases = -(-MIN_SPAN // hop)
-    span = phases * hop
-    return phases, span, -(-((phases - 1) * hop + width) // span), -(-frames // phases)
+    return phases, phases * hop, -(-frames // phases)
 
 
-def product_runs(phases: int, blocks: int, groups: int) -> tuple[int, int]:
-    """(groups per run, signal rows multiplied) of the phased product of ``blocks`` tap blocks.
+def product_runs(products: int, reach: int, groups: int) -> tuple[int, int]:
+    """(groups per run, signal rows multiplied) of ``products`` product rows whose groups read
+    ``reach`` signal rows.
 
-    The whole product, ``2 * phases * blocks * (groups + blocks - 1)``
-    elements, is one run unless it exceeds ``CHUNK_PRODUCTS``.  Then
-    each run holds as many groups as keep its product within that
-    budget, and at least ``blocks``; every run multiplies
-    ``blocks - 1`` signal rows beyond its groups.
+    The whole product, ``products * (groups + reach - 1)`` elements, is
+    one run unless it exceeds ``CHUNK_PRODUCTS``.  Then each run holds as
+    many groups as keep its product within that budget, and at least
+    ``reach``; every run multiplies ``reach - 1`` signal rows beyond its
+    groups.
     """
-    return _runs(2 * phases * blocks, blocks, groups)
-
-
-def _runs(products: int, reach: int, groups: int) -> tuple[int, int]:
-    """``product_runs`` of ``products`` product rows whose groups read ``reach`` signal rows."""
     chunk = groups
     if products * (groups + reach - 1) > CHUNK_PRODUCTS:
         chunk = max(reach, CHUNK_PRODUCTS // products - reach + 1)
@@ -275,8 +280,9 @@ def direct_terms(width: int, hop: int, frames: int) -> tuple:
     elements each run multiplies, with several phases' copy into frame
     order as product elements; and each element's ``span`` multiply-adds.
     """
-    phases, span, blocks, groups = polyphase(width, hop, frames)
-    chunk, rows = product_runs(phases, blocks, groups)
+    phases, span, groups = polyphase(hop, frames)
+    _, blocks = row_layout(width, width, hop)
+    chunk, rows = product_runs(2 * phases * blocks, blocks, groups)
     runs = -(-groups // chunk)
     products = 2 * phases * blocks * rows
     return (runs, runs * blocks + phases - 1, rows * span,

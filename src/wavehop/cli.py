@@ -214,7 +214,7 @@ def _cmd_scan(args) -> int:
             write_matrix_bin(matrix, out_dir / (path.stem + ".scg1"))
             if args.pgm:
                 write_pgm(render(magnitude(matrix, args.mag)), out_dir / (path.stem + ".pgm"))
-        except (WavehopError, OSError) as exc:
+        except (WavehopError, OSError, MemoryError) as exc:
             return exc
         return None
 
@@ -340,6 +340,9 @@ def run_cli(argv: list[str] | None = None) -> int:
         return 1
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:  # a size flag too large for this host's memory
+        print(f"error: MemoryError: {exc}", file=sys.stderr)
         return 1
 
 

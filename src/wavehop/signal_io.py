@@ -147,10 +147,12 @@ def decimate(signal: SignalBuffer, hop: int, anti_alias: bool = False) -> Signal
     input rate divided by hop.  With ``anti_alias`` a linear-phase FIR
     low-pass (cutoff 0.45/hop of the input rate) is evaluated at the kept
     samples alone, by ``_kernels.strided_correlate``, the one-row stack of
-    ``cwth_strided``'s direct kernel; the default is plain selection.  The
-    FIR is a Hamming-windowed sinc scaled to unit DC gain, the same design
-    as SciPy's ``firwin`` with its default window.  Samples so large that
-    the filtered signal could overflow raise CoefficientOverflow first.
+    ``cwth_strided``'s direct kernel, on the taps and stride that meet
+    the signal (``_kernels.reach``, as ``cwth_strided`` cuts its rows);
+    the default is plain selection.  The FIR is a Hamming-windowed sinc
+    scaled to unit DC gain, the same design as SciPy's ``firwin`` with
+    its default window.  Samples so large that the filtered signal could
+    overflow raise CoefficientOverflow first.
     """
     hop = _check_hop(hop)
     x = signal.samples
@@ -158,12 +160,10 @@ def decimate(signal: SignalBuffer, hop: int, anti_alias: bool = False) -> Signal
         return SignalBuffer(x[::hop].copy(), signal.sample_rate / hop, signal.source_label)
     # 10*hop+1 taps keeps the transition band a fixed fraction of the
     # target Nyquist across hops; the centred pad cancels the FIR delay.
-    # Taps more than len(x) - 1 from the centre meet no sample.
-    taps = _lowpass_taps(10 * hop + 1, 0.9 / hop, reach=x.size - 1)  # cutoff relative to Nyquist
+    # Only the taps and the stride that meet the signal are used (``_kernels.reach``).
+    (width,), stride = _kernels.reach(x.size, [10 * hop + 1], hop)
+    taps = _lowpass_taps(10 * hop + 1, 0.9 / hop, reach=width // 2)  # cutoff relative to Nyquist
     _kernels.check_overflow(x, float(np.abs(taps).sum()), "the filtered signal")
-    # a stride of n or more keeps sample 0 alone, as a stride of n does, and
-    # capping it keeps the kernel's work sized by the signal (``wavelet._reach``)
-    stride = min(hop, x.size)
     xpad = _kernels.zero_padded(x, taps.size // 2, stride)
     filtered, _ = _kernels.strided_correlate(xpad, taps[::-1], None, stride, -(-x.size // hop))
     return SignalBuffer(filtered, signal.sample_rate / hop, signal.source_label)

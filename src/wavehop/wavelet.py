@@ -313,9 +313,10 @@ class CwtPlan:
     real and imaginary parts.  ``stack_taps`` lays a stack's rows out for
     the direct kernel's product; that layout depends on the hop and the
     rows' tap counts alone, so the plan holds the last ones it built in
-    a bounded LRU.  ``_kernel_spectra`` writes a width class's rows into
-    the real and imaginary parts of its kernels; kernel spectra depend on
-    the block length, hence on the signal length, so a plan holds none.
+    a bounded LRU, unless ``_kernels.reach`` cut them to a short signal.
+    ``_kernel_spectra`` writes a width class's rows into the real and
+    imaginary parts of its kernels; kernel spectra depend on the block
+    length, hence on the signal length, so a plan holds none.
     """
 
     def __init__(self, params: MorletParams, grid: ScaleGrid):
@@ -378,6 +379,7 @@ class CwtPlan:
         """
         _kernels.check_overflow(x, self.gain, "the coefficients")
         sched = schedule(x.size, self.widths, hop)
+        whole_hop = sched.hop == hop
         widths, hop, frames = sched.widths, sched.hop, sched.frames
         if sched.stacks:
             pad = max(widths) // 2
@@ -389,8 +391,11 @@ class CwtPlan:
             stack_widths = [tuple(widths[row] for row in rows) for rows in sched.stacks]
             # each stack reads xpad from its widest row's first tap
             starts = [xpad[pad - max(ws) // 2:] for ws in stack_widths]
-            stacks = [self.stack_taps(hop, rows, ws)
-                      for rows, ws in zip(sched.stacks, stack_widths)]
+            stacks = []
+            for rows, ws in zip(sched.stacks, stack_widths):
+                # one whose hop or taps ``_kernels.reach`` cut serves signals this short alone
+                held = whole_hop and all(w == self.widths[row] for row, w in zip(rows, ws))
+                stacks.append((self.stack_taps if held else self._stack_taps)(hop, rows, ws))
             # list() waits for the tasks and raises their errors
             list(run(_direct_stack, repeat(out), starts, stacks, sched.stacks, repeat(frames)))
         for cls in sched.classes:
@@ -407,9 +412,8 @@ class CwtPlan:
         return re[(re.size - width) // 2:][:width], im[(im.size - width) // 2:][:width]
 
     def _stack_taps(self, hop: int, rows: tuple, widths: tuple) -> _kernels.Stack:
-        """The stacked taps of ``rows`` cut to ``widths`` at ``hop``, centred on the widest row."""
-        return _kernels.stack_taps([self._row_taps(row, w) for row, w in zip(rows, widths)],
-                                   _kernels.centred_offsets(widths), hop)
+        """The stacked taps of ``rows`` cut to ``widths`` at ``hop``."""
+        return _kernels.stack_taps([self._row_taps(row, w) for row, w in zip(rows, widths)], hop)
 
 
 PLAN_CACHE_SIZE = 8
@@ -441,17 +445,6 @@ clear_plan_cache = _build_plan.cache_clear
 
 def _copy_grid(grid: ScaleGrid) -> ScaleGrid:
     return ScaleGrid(grid.scales.copy())
-
-
-def _reach(n: int, widths, hop: int) -> tuple[tuple, int]:
-    """The tap counts and hop that matter on a signal of ``n`` samples.
-
-    A lag of ``n`` or more meets no sample, so a row needs at most
-    2n - 1 taps; and any hop of ``n`` or more keeps column 0 alone, as a
-    hop of ``n`` does.  Work sized by these is bounded by the signal,
-    whatever the scale or the hop.
-    """
-    return tuple(min(w, 2 * n - 1) for w in widths), min(hop, n)
 
 
 # candidate block lengths, in units of a class's reach 2*pad + 1
@@ -541,7 +534,7 @@ def _smooth_numbers(limit: int, primes: tuple = (2, 3, 5, 7, 11)) -> list[int]:
 class Schedule(NamedTuple):
     """How one transform call computes its rows, and what the model predicts it costs.
 
-    ``widths`` and ``hop`` are what reaches the signal (``_reach``),
+    ``widths`` and ``hop`` are what reaches the signal (``_kernels.reach``),
     ``frames`` the retained columns and ``classes`` the width classes of
     the spectral rows.  ``direct_s`` is each row's direct-route seconds,
     ``routes`` is True where a row goes spectral, and ``seconds`` prices
@@ -573,7 +566,7 @@ def schedule(n: int, widths, hop: int) -> Schedule:
     priced above all rows direct or one class of a single block; a class
     is taken only where it is strictly cheaper than direct rows.
     """
-    return _schedule(n, *_reach(n, widths, hop))
+    return _schedule(n, *_kernels.reach(n, widths, hop))
 
 
 @functools.lru_cache(maxsize=256)

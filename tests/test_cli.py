@@ -615,6 +615,17 @@ class TestScanCommand:
         in_dir.mkdir()
         assert run_cli(["scan", str(in_dir), "--out-dir", str(tmp_path / "out")]) == 1
 
+    def test_scales_too_many_for_memory_are_a_per_file_failure(self, tmp_path):
+        in_dir, out_dir = tmp_path / "in", tmp_path / "out"
+        in_dir.mkdir()
+        make_wav(in_dir / "a.wav", n=1_000)
+        child = run_wavehop(["scan", str(in_dir), "--out-dir", str(out_dir),
+                             "--scales", "1000000000"], address_space=CHILD_ADDRESS_SPACE)
+        assert child.returncode == 1, child.stderr
+        assert child.stderr.startswith("failed a.wav: "), child.stderr
+        assert "Traceback" not in child.stderr and child.stdout == ""
+        assert not any(out_dir.iterdir())
+
 
 FLOAT_VALUES = ("nan", "inf", "-inf", "0", "1e-300", "1e300")
 GRID_FLOATS = ("--fmin", "--fmax", "--wavelet-b", "--wavelet-c")
@@ -648,3 +659,20 @@ def test_bad_float_flags_end_in_a_typed_error(args):
         assert child.returncode in (1, 2), (args, child.stderr)
         assert "Traceback" not in child.stderr and "Warning" not in child.stderr, child.stderr
         assert not any(Path(scratch).iterdir()), args
+
+
+@pytest.mark.parametrize("args", [
+    ["transform", "white_noise:seed=7", "--length", "1000", "--scales", "1000000000",
+     "--out", "o.scg1"],
+    ["transform", "white_noise:seed=7", "--length", "4000000000", "--out", "o.scg1"],
+    ["synth", "white_noise", "--length", "4000000000", "--out", "o.wav"],
+    ["bench", "--length", "4000000000", "--scales", "4", "--reps", "3"],
+])
+def test_sizes_too_large_for_memory_end_in_an_error_line(tmp_path, args):
+    """Integer flags past the host's memory fail to allocate: one error line, exit 1."""
+    args = [str(tmp_path / arg) if arg.startswith("o.") else arg for arg in args]
+    child = run_wavehop(args, address_space=CHILD_ADDRESS_SPACE)
+    assert child.returncode == 1, child.stderr
+    assert child.stderr.startswith("error: MemoryError: "), child.stderr
+    assert "Traceback" not in child.stderr and child.stdout == ""
+    assert not any(tmp_path.iterdir())

@@ -48,6 +48,12 @@ def test_real_taps_alone_give_the_real_part(hop, width):
         assert np.max(np.abs(real - re)) <= 1e-13 * np.max(np.abs(re))
 
 
+def _lone(width, hop, frames):
+    """(phases, span, blocks, groups) of one row of ``width`` taps computed alone."""
+    phases, span, groups = _kernels.polyphase(hop, frames)
+    return phases, span, _kernels.row_layout(width, width, hop)[1], groups
+
+
 def _padded_case(n, hop, width, seed):
     """A signal of ``n`` samples padded as ``CwtPlan.execute`` pads it for a row of ``width`` taps."""
     rng = np.random.default_rng(seed)
@@ -62,7 +68,7 @@ def test_xpad_without_the_tail_the_layout_reads_raises(hop, width, n):
     xpad, taps_re, taps_im, frames = _padded_case(n, hop, width, seed=6)
     _kernels.strided_correlate(xpad, taps_re, taps_im, hop, frames)
     # one sample short of the rows the layout reshapes, every frame's taps still covered
-    phases, span, blocks, groups = _kernels.polyphase(width, hop, frames)
+    phases, span, blocks, groups = _lone(width, hop, frames)
     short = xpad[:(groups + blocks - 1) * span - 1]
     assert short.size >= (frames - 1) * hop + width
     with pytest.raises(ValueError):
@@ -81,8 +87,8 @@ def test_long_row_memory_is_bounded():
         tracemalloc.stop()
     assert peak < 64 * 2**20, f"peak {peak / 2**20:.1f} MB"
     # every run boundary, both ends and a random sample, against plain dot products
-    phases, _, blocks, groups = _kernels.polyphase(width, hop, frames)
-    chunk, _ = _kernels.product_runs(phases, blocks, groups)
+    phases, _, blocks, groups = _lone(width, hop, frames)
+    chunk, _ = _kernels.product_runs(2 * phases * blocks, blocks, groups)
     assert chunk < groups
     picks = {0, frames - 1} | set(np.random.default_rng(2).integers(0, frames, 40).tolist())
     picks |= {g * phases + d for g in range(chunk, groups, chunk) for d in (-1, 0)}
@@ -100,8 +106,8 @@ def test_chunked_product_matches_unchunked(monkeypatch, budget):
         xpad, taps_re, taps_im, frames = _padded_case(30_001, hop, 801, seed=3)
         whole = _kernels.strided_correlate(xpad, taps_re, taps_im, hop, frames)
         monkeypatch.setattr(_kernels, "CHUNK_PRODUCTS", budget)
-        phases, _, blocks, groups = _kernels.polyphase(801, hop, frames)
-        runs = -(-groups // _kernels.product_runs(phases, blocks, groups)[0])
+        phases, _, blocks, groups = _lone(801, hop, frames)
+        runs = -(-groups // _kernels.product_runs(2 * phases * blocks, blocks, groups)[0])
         assert phases > 1 and (runs > 1 or hop == 8)  # hop 2 takes several runs at every budget
         chunked = _kernels.strided_correlate(xpad, taps_re, taps_im, hop, frames)
         monkeypatch.undo()
@@ -142,8 +148,8 @@ def test_priced_rows_are_the_rows_the_runs_multiply(monkeypatch, budget):
     monkeypatch.setattr(_kernels, "CHUNK_PRODUCTS", budget)
     monkeypatch.setattr(_CountedRows, "seen", [])
     _kernels.strided_correlate(xpad.view(_CountedRows), taps_re, taps_im, hop, frames)
-    phases, span, blocks, groups = _kernels.polyphase(width, hop, frames)
-    chunk, rows = _kernels.product_runs(phases, blocks, groups)
+    phases, span, blocks, groups = _lone(width, hop, frames)
+    chunk, rows = _kernels.product_runs(2 * phases * blocks, blocks, groups)
     assert len(_CountedRows.seen) == -(-groups // chunk)
     assert all(inner == span for inner, _ in _CountedRows.seen)
     # each run's blocks - 1 overlap included
@@ -161,13 +167,14 @@ def test_chunked_call_is_priced_as_the_sum_of_its_runs(monkeypatch, n, hop, widt
     # a budget at which every case takes several runs of at least its blocks
     monkeypatch.setattr(_kernels, "CHUNK_PRODUCTS", 1 << 19)
     frames = -(-n // hop)
-    phases, _, blocks, groups = _kernels.polyphase(width, hop, frames)
-    chunk, _ = _kernels.product_runs(phases, blocks, groups)
+    phases, _, blocks, groups = _lone(width, hop, frames)
+    chunk, _ = _kernels.product_runs(2 * phases * blocks, blocks, groups)
     assert chunk < groups and 2 * phases * blocks * (chunk + blocks - 1) <= _kernels.CHUNK_PRODUCTS
     counts = [min(chunk * phases, frames - start * phases) for start in range(0, groups, chunk)]
     # each run, priced as a call of its own, is one run
     for count in counts:
-        assert _kernels.product_runs(phases, blocks, -(-count // phases))[0] == -(-count // phases)
+        groups = -(-count // phases)
+        assert _kernels.product_runs(2 * phases * blocks, blocks, groups)[0] == groups
     # a call places its phases' taps once, not once per run
     runs_s = sum(_kernels.direct_seconds(width, hop, count) for count in counts)
     runs_s -= (len(counts) - 1) * (phases - 1) * _kernels.BLOCK_S
@@ -180,41 +187,41 @@ def test_no_corpus_shape_is_chunked():
               for s in make_scale_grid(20.0, 7200.0, 64, 16_000.0).scales]
     frames = -(-160_000 // 128)
     for width in widths:
-        phases, _, blocks, groups = _kernels.polyphase(width, 128, frames)
-        assert _kernels.product_runs(phases, blocks, groups)[0] == groups
+        phases, _, blocks, groups = _lone(width, 128, frames)
+        assert _kernels.product_runs(2 * phases * blocks, blocks, groups)[0] == groups
 
 
 @st.composite
 def stacked_rows(draw):
-    """Rows of 1-2 000 taps at arbitrary offsets, at hops of several phases and of one, with
-    imaginary taps or without, and an ``xpad`` long enough for the stack and each row alone."""
+    """Rows of 1-2 000 taps, odd and even, centred on the widest, at hops of several phases and
+    of one, with imaginary taps or without, and an ``xpad`` long enough for the stack and each
+    row alone; with each row's first tap past the widest row's."""
     span = _kernels.MIN_SPAN
     hop = draw(st.one_of(st.integers(1, span - 1), st.integers(span, 300)))
     count = draw(st.integers(1, 5))
     widths = draw(st.lists(st.integers(1, 2_000), min_size=count, max_size=count))
-    offsets = draw(st.lists(st.integers(0, 2_500), min_size=count, max_size=count))
     frames = draw(st.integers(1, 80))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     imaginary = draw(st.booleans())
     taps = [(rng.standard_normal(w), rng.standard_normal(w) if imaginary else None)
             for w in widths]
-    phases, span, _, groups = _kernels.polyphase(1, hop, frames)
-    _, _, reach = _kernels.stack_shape(widths, offsets, hop)
-    lone = max(o - min(offsets) + (_kernels.polyphase(w, hop, frames)[2] + groups - 1) * span
-               for w, o in zip(widths, offsets))
+    _, span, _, groups = _lone(1, hop, frames)
+    _, _, reach = _kernels.stack_shape(widths, hop)
+    starts = [max(widths) // 2 - w // 2 for w in widths]
+    lone = max(start + (_lone(w, hop, frames)[2] + groups - 1) * span
+               for w, start in zip(widths, starts))
     xpad = rng.standard_normal(max(lone, (groups + reach - 1) * span))
-    return xpad, taps, offsets, hop, frames
+    return xpad, taps, starts, hop, frames
 
 
 @given(stacked_rows())
 @settings(max_examples=300, deadline=None)
 def test_stack_equals_each_rows_own_call(case):
-    xpad, taps, offsets, hop, frames = case
-    got = _kernels.stacked_correlate(xpad, _kernels.stack_taps(taps, offsets, hop), frames)
+    xpad, taps, starts, hop, frames = case
+    got = _kernels.stacked_correlate(xpad, _kernels.stack_taps(taps, hop), frames)
     assert len(got) == len(taps)
-    for (re, im), (taps_re, taps_im), offset in zip(got, taps, offsets):
-        want_re, want_im = _kernels.strided_correlate(xpad[offset - min(offsets):], taps_re,
-                                                      taps_im, hop, frames)
+    for (re, im), (taps_re, taps_im), start in zip(got, taps, starts):
+        want_re, want_im = _kernels.strided_correlate(xpad[start:], taps_re, taps_im, hop, frames)
         assert (im is None) == (taps_im is None) and re.shape == (frames,)
         peak = max(np.max(np.abs(want_re)), 0.0 if im is None else np.max(np.abs(want_im)))
         assert np.max(np.abs(re - want_re)) <= 1e-12 * peak
@@ -225,14 +232,21 @@ def test_stack_equals_each_rows_own_call(case):
 @given(stacked_rows())
 @settings(max_examples=100, deadline=None)
 def test_stack_of_one_row_is_the_lone_call(case):
-    xpad, taps, offsets, hop, frames = case
-    (taps_re, taps_im), offset = taps[0], offsets[0]
-    start = offset - min(offsets)
+    xpad, taps, starts, hop, frames = case
+    (taps_re, taps_im), start = taps[0], starts[0]
     (re, im), = _kernels.stacked_correlate(
-        xpad[start:], _kernels.stack_taps([(taps_re, taps_im)], [offset], hop), frames)
+        xpad[start:], _kernels.stack_taps([(taps_re, taps_im)], hop), frames)
     want_re, want_im = _kernels.strided_correlate(xpad[start:], taps_re, taps_im, hop, frames)
     assert np.array_equal(re, want_re)
     assert (im is None and want_im is None) or np.array_equal(im, want_im)
+
+
+@given(st.lists(st.integers(1, 20_000), min_size=1, max_size=8), st.integers(1, 600))
+def test_row_layout_is_elementwise_and_the_widest_row_reaches_furthest(widths, hop):
+    leads, blocks, reach = _kernels.stack_shape(widths, hop)
+    assert reach == max(lead + count for lead, count in zip(leads, blocks))
+    array_leads, array_blocks = _kernels.row_layout(np.array(widths), max(widths), hop)
+    assert array_leads.tolist() == list(leads) and array_blocks.tolist() == list(blocks)
 
 
 GRIDS = {count: [sample_wavelet(MorletParams(), s).size for s in
@@ -249,22 +263,20 @@ def test_no_stack_product_exceeds_the_largest_lone_row_product(scales, n, hop):
                     key=lambda row: (sched.widths[row], row))
     # the stacks cut the direct rows, in order of tap count, into consecutive runs
     assert [row for rows in sched.stacks for row in rows] == direct
-    phases, _, _, groups = _kernels.polyphase(1, sched.hop, sched.frames)
+    phases, _, groups = _kernels.polyphase(sched.hop, sched.frames)
     lone = []
     for row in direct:
-        blocks = _kernels.polyphase(sched.widths[row], sched.hop, sched.frames)[2]
-        chunk, _ = _kernels.product_runs(phases, blocks, groups)
+        _, _, blocks, _ = _lone(sched.widths[row], sched.hop, sched.frames)
+        chunk, _ = _kernels.product_runs(2 * phases * blocks, blocks, groups)
         lone.append(2 * phases * blocks * (chunk + blocks - 1))
 
     def shape(rows):
-        widths = [sched.widths[row] for row in rows]
-        offsets = [max(widths) // 2 - w // 2 for w in widths]
-        _, blocks, reach = _kernels.stack_shape(widths, offsets, sched.hop)
+        _, blocks, reach = _kernels.stack_shape([sched.widths[row] for row in rows], sched.hop)
         return 2 * phases * sum(blocks), reach
 
     for index, rows in enumerate(sched.stacks):
         products, reach = shape(rows)
-        chunk, _ = _kernels._runs(products, reach, groups)
+        chunk, _ = _kernels.product_runs(products, reach, groups)
         assert products * (min(chunk, groups) + reach - 1) <= max(lone)
         # each stack took rows while its whole product fit, and no more
         assert len(rows) == 1 or products * (groups + reach - 1) <= max(lone)

@@ -38,7 +38,8 @@ def test_a_deleted_name_is_reported(tmp_path):
 def test_calibration_names_no_formula_of_the_model():
     """The terms come from ``_kernels``' term functions, never from the kernel's layout."""
     source = (SCRIPTS / "calibrate_router.py").read_text()
-    for name in ("polyphase", "product_runs", "_large_prime_sum", "math."):
+    for name in ("polyphase", "product_runs", "row_layout", "stack_shape", "reach",
+                 "_large_prime_sum", "math."):
         assert name not in source
 
 

@@ -686,6 +686,23 @@ class TestPlanCache:
         plan_for(PARAMS, grids[0])
         assert plan_for(PARAMS, oldest) is kept
 
+    def test_stacks_cut_to_a_short_signal_are_not_held(self):
+        """A stack whose hop or taps ``reach`` cut serves signals that short alone."""
+        plan = plan_for(PARAMS, SWEEP_GRID)
+        info = plan.stack_taps.cache_info
+        cwth_strided(noise(100, seed=43), SWEEP_GRID, PARAMS, 128)  # hop 128 cut to 100
+        assert info().currsize == 0 and info().misses == 0
+        # at 1 000 samples the rows past 1 999 taps are cut: the two widest stacks are not held
+        sched = schedule(1_000, plan.widths, 128)
+        assert sched.stacks[-2:] == ((6,), (7,)) and sched.widths[5] == plan.widths[5]
+        cwth_strided(noise(1_000, seed=44), SWEEP_GRID, PARAMS, 128)
+        assert info().currsize == len(sched.stacks) - 2
+        # nothing is cut at 20 000 samples: its two stacks are held, and a second call hits both
+        assert len(schedule(20_000, plan.widths, 128).stacks) == 2
+        for _ in range(2):
+            cwth_strided(noise(20_000, seed=45), SWEEP_GRID, PARAMS, 128)
+        assert info().currsize == len(sched.stacks) and info().hits == 2
+
     def test_taps_are_sampled_only_on_the_first_call(self, monkeypatch):
         calls = []
         original = wavelet.sample_wavelet
