@@ -1,13 +1,17 @@
 """Fit the seconds model that routes cwth_strided's scale rows.
 
-Times ``_kernels.strided_correlate``, bare ``numpy.fft.fft`` calls and
-whole block rows over a grid of shapes on one thread, and fits each
-route's constants on the terms ``_kernels.direct_terms``,
-``_kernels.fft_terms`` and ``_kernels.row_terms`` count, by
-non-negative least squares on relative error.  A block row's own
-constants are fitted to what whole rows take beyond their FFTs as the
-fitted FFT constants price them.  Prints each fit's error, then the
-block to paste into ``src/wavehop/_kernels.py``.  Takes about a minute.
+Times ``_kernels.strided_correlate``, bare ``numpy.fft.fft`` calls,
+whole block rows and whole band classes over a grid of shapes on one
+thread, and fits each route's constants on the terms
+``_kernels.direct_terms``, ``_kernels.fft_terms``, ``_kernels.row_terms``
+and ``_kernels.band_terms`` count, by non-negative least squares on
+relative error.  A block row's own constants are fitted to what it
+takes beyond its FFTs as the fitted FFT constants price them.  A band
+class's are fitted first, in the units of the constants ``_kernels``
+holds (``band``), so they can be pasted alone; after pasting the
+others, run the script again for band constants that match them.
+Prints each fit's error, then the block to paste into
+``src/wavehop/_kernels.py``.  Takes a few minutes.
 
     PYTHONPATH=src python scripts/calibrate_router.py
 """
@@ -29,6 +33,7 @@ LENGTHS = (2_000, 20_000, 160_000, 320_000)
 WIDTHS = (25, 127, 673, 3615, 8315)
 HOPS = (1, 2, 3, 8, 32, 127, 128)
 FOLD_HOPS = (1, 2, 8, 32, 127, 128, 131)
+BAND_ROWS = (2, 6, 24)
 LONGEST_SECONDS = 0.3  # shapes the current model prices above this are skipped
 
 
@@ -111,7 +116,7 @@ def block_row_seconds(rng, n, hop, cls, reps=9):
     out = np.empty(-(-n // hop), dtype=np.complex128)
 
     def row():
-        wavelet._block_row(out, spectra, cls, wavelet._kernel_spectra(one, taps)[0], hop)
+        wavelet._block_row(out, spectra, cls, wavelet._kernel_spectra(one, taps, hop)[0], hop)
 
     return median_seconds(row, reps)
 
@@ -133,10 +138,76 @@ def spectral(rng, fft_constants):
     return fit(terms, seconds, _kernels.ROW_CONSTANTS, target=residuals)
 
 
+def band_and_rows_seconds(rng, n, hop, cls, rows, reps=9):
+    """Median seconds of ``rows`` rows of ``cls`` on ``n`` samples, as one band and as block rows.
+
+    The rows are as wide as the class, and the two executions are timed
+    in turn, so a slow spell of the host meets both.  The band's kernels
+    are laid out once, outside the timing, as a held band's are; the
+    block rows transform theirs in each call, in one batch as a
+    transform does.
+    """
+    spectra = wavelet._block_spectra(rng.standard_normal(n), cls)
+    half = min(cls.pad, n - 1)
+    band = cls._replace(rows=tuple(range(rows)), execution="band")
+    taps = [tuple(rng.standard_normal((2, 2 * half + 1))) for _ in range(rows)]
+    out = np.empty((rows, -(-n // hop)), dtype=np.complex128)
+    kernels = wavelet._band_kernels(band, taps, hop)
+
+    def as_band():
+        wavelet._band_rows(out, spectra, band, kernels, hop)
+
+    def as_rows():
+        for row_out, kernel in zip(out, wavelet._kernel_spectra(band, taps, hop)):
+            wavelet._block_row(row_out, spectra, band, kernel, hop)
+
+    times = ([], [])
+    for _ in range(reps + 1):
+        for call, seconds in zip((as_band, as_rows), times):
+            start = time.perf_counter()
+            call()
+            seconds.append(time.perf_counter() - start)
+    # the first call of each warms its buffers
+    return statistics.median(times[0][1:]), statistics.median(times[1][1:])
+
+
+def band(rng):
+    """A band class's own constants, in the units of the model that ``_kernels`` holds.
+
+    Band seconds are scaled by the host's speed against that model: the
+    median, over the shapes, of the price of a class's rows as block rows
+    at ``_kernels``' constants over the seconds they took beside its
+    band.  The constants are fitted to what a band takes beyond its FFTs
+    at ``_kernels``' FFT constants.  Only layouts that ``wavelet._holds``
+    take a band, and classes of one row are left out: numpy takes their
+    matmuls as vector products, without the per-bin cost of the others.
+    Run before the other fits change ``_kernels``.
+    """
+    vars(_kernels).update(dict.fromkeys(_kernels.BAND_CONSTANTS, 0.0))
+    shapes, seconds, speeds = [], [], []
+    for n, hop, cls in block_shapes():
+        for rows in BAND_ROWS:
+            if (cls.blocks * cls.block_len > 1 << 21 or not wavelet._holds(cls, hop)
+                    or wavelet._band_capacity(cls, hop) < rows):
+                continue
+            shapes.append((cls.block_len, hop, cls.blocks, rows))
+            band_t, rows_t = band_and_rows_seconds(rng, n, hop, cls, rows)
+            seconds.append(band_t)
+            speeds.append(rows * _kernels.spectral_seconds(cls.block_len, hop, cls.blocks) / rows_t)
+    speed = statistics.median(speeds)
+    seconds = speed * np.array(seconds)
+    ffts = [_kernels.band_seconds(*shape) for shape in shapes]
+    print(f"# band class, at {speed:.2f} times its seconds: beyond its FFTs, bins, points copied, "
+          "read and folded, multiply-adds, rows")
+    return fit([_kernels.band_terms(*shape) for shape in shapes], seconds,
+               _kernels.BAND_CONSTANTS, target=seconds - ffts)
+
+
 def main():
     rng = np.random.default_rng(0)
+    band_constants = band(rng)  # first, against the constants _kernels holds
     direct_constants, fft_constants = direct(rng), ffts(rng)
-    constants = direct_constants | fft_constants | spectral(rng, fft_constants)
+    constants = direct_constants | fft_constants | spectral(rng, fft_constants) | band_constants
     print("# paste into src/wavehop/_kernels.py")
     for name, value in constants.items():
         print(f"{name} = {value:.2g}")

@@ -1,12 +1,13 @@
-"""The strided transform's direct kernel, and the seconds model of both row routes.
+"""The strided transform's direct kernel, and the seconds model of every route.
 
 ``cwth_strided`` computes its direct scale rows by this module's kernel,
 ``stacked_correlate``, a few stacks of rows at a time, and the rest by
-the block spectral row in ``wavelet.py``.  ``direct_seconds`` and
-``spectral_seconds`` predict each route's wall time from the row's
-shape alone, and ``fft_seconds`` the segment spectra a width class
-shares, so the route is a pure function of (length, taps, hop) and never
-changes a result beyond roundoff.  The direct kernel is a polyphase
+the width classes of ``wavelet.py``'s spectral route.  ``direct_seconds``,
+``spectral_seconds`` (a class's row taken alone) and ``band_seconds``
+(a class's rows taken as one band) predict wall time from the shape
+alone, and ``fft_seconds`` the segment spectra a width class shares, so
+the route is a pure function of (length, taps, hop) and never changes a
+result beyond roundoff.  The direct kernel is a polyphase
 matmul whose inner dimension is at least ``MIN_SPAN``, computed in the
 runs ``product_runs`` sets and priced row by row.  A stack's rows share
 one product and one centre, its widest row's, so ``row_layout`` alone
@@ -19,16 +20,23 @@ calibration script call.  ``reach`` cuts the tap counts and the hop to
 what meets a signal; callers check the signal with ``check_overflow``
 and pad it with ``zero_padded``.
 
-Each price sums constants times terms: ``direct_terms``, ``fft_terms``
-and ``row_terms`` count what each constant of ``DIRECT_CONSTANTS``,
-``FFT_CONSTANTS`` and ``ROW_CONSTANTS`` multiplies, so a new term goes
-here alone.  ``PYTHONPATH=src python scripts/calibrate_router.py`` fits
-the constants on those functions and prints the block to paste below.
+Each price sums constants times terms: ``direct_terms``, ``fft_terms``,
+``row_terms`` and ``band_terms`` count what each constant of
+``DIRECT_CONSTANTS``, ``FFT_CONSTANTS``, ``ROW_CONSTANTS`` and
+``BAND_CONSTANTS`` multiplies, so a new term goes here alone.
+``PYTHONPATH=src python scripts/calibrate_router.py`` fits the
+constants on those functions and prints the block to paste below.
 The block was fitted on a 2-vCPU x86 host (numpy 2.4, scipy 1.17, one
 BLAS thread) with a since-dropped paging term, ``CALL_S`` and ``BLOCK_S``
 per call, the kernel without phases at hops above 2 only, FFTs timed on
 ``scipy.fft`` (pocketfft, as ``numpy.fft``) and each row's kernel FFT
-alone, where a class's kernels now take one batched FFT.
+alone, where a class's kernels now take one batched FFT.  The band
+constants alone come from a later, busier run of an earlier form of the
+script, fitted on its raw seconds (it read the FFT constants 1.7-3.3x
+higher), so they price a band about twice as dear, relative to the other
+routes, as the script's ``band`` fit, now in the units of the constants
+above, does; README's "Strided kernel and row routing" says why they
+stay.
 """
 
 import functools
@@ -62,6 +70,12 @@ FFT_BATCH_S = 4.3e-10
 FFT_PRIME_S = 1e-10
 ROW_CALL_S = 7.5e-06
 SPECTRAL_POINT_S = 2.4e-09
+BAND_BIN_S = 3.2e-08
+BAND_POINT_S = 2.9e-09
+BAND_KERNEL_S = 2.2e-09
+BAND_FOLD_S = 1.3e-08
+BAND_MAC_S = 2.8e-10
+BAND_ROW_S = 2.7e-06
 
 
 def check_overflow(x: np.ndarray, gain: float, guarded: str) -> None:
@@ -342,6 +356,38 @@ def spectral_seconds(block_len: int, hop: int, blocks: int = 1) -> float:
     rows, points = row_terms(block_len, blocks)
     return (ROW_CALL_S * rows + SPECTRAL_POINT_S * points + fft_seconds(block_len)
             + fft_seconds(block_len // hop, blocks))
+
+
+BAND_CONSTANTS = ("BAND_BIN_S", "BAND_POINT_S", "BAND_KERNEL_S", "BAND_FOLD_S", "BAND_MAC_S",
+                  "BAND_ROW_S")
+
+
+def band_terms(block_len: int, hop: int, blocks: int, rows: int) -> tuple:
+    """What each of ``BAND_CONSTANTS`` multiplies in a class of ``rows`` taken as one band.
+
+    Each bin's small matmul, ``(blocks, hop) x (hop, rows)``; each point
+    of the segment spectra copied into that layout; each kernel point the
+    matmuls read; each point of the folded spectra, written out of the
+    matmuls' layout and copied into the output; each complex
+    multiply-add; and each row.
+    """
+    bins = block_len // hop
+    return (bins, blocks * block_len, rows * block_len, rows * blocks * bins,
+            rows * blocks * block_len, rows)
+
+
+def band_seconds(block_len: int, hop: int, blocks: int, rows: int) -> float:
+    """Predicted seconds of a band class of ``rows``, the segment spectra it shares excluded.
+
+    Its ``band_terms`` priced, and the ``rows * blocks`` inverse FFTs of
+    length ``block_len / hop`` taken as one batch; its kernels are held,
+    so they cost nothing per call.  Affine in ``rows``, so a schedule
+    prices a class as a fixed cost and a cost per row.
+    """
+    bins, points, kernel, folded, macs, rows = band_terms(block_len, hop, blocks, rows)
+    return (BAND_BIN_S * bins + BAND_POINT_S * points + BAND_KERNEL_S * kernel
+            + BAND_FOLD_S * folded + BAND_MAC_S * macs + BAND_ROW_S * rows + FFT_CALL_S
+            + rows * blocks * _each_fft_seconds(block_len // hop, True))
 
 
 def _large_prime_sum(m: int) -> int:

@@ -26,21 +26,32 @@ larger than the largest product one of the call's direct rows makes
 alone, and the plan holds each stack's taps, laid out for that
 product, across calls.
 
-There is one spectral route, the overlap-save block row: spectral rows
-are grouped into width classes (``schedule``), each class takes one
-batched FFT of overlapping signal segments and one of its rows'
-kernels, and each of its rows multiplies its kernel spectrum into the
-segment spectra, folds every block into hop bands and takes one batched
-inverse FFT; at hop 1 the fold is the identity.  Work is sized by what can reach a sample: at most 2N - 1
-taps, and a hop of N or more computes as hop N.
+There is one spectral route, overlap-save: spectral rows are grouped
+into width classes (``schedule``), and each class takes one batched FFT
+of overlapping signal segments.  A row's kernel spectrum times the
+segment spectra, every block folded into hop bands, is the spectrum of
+the retained outputs; at hop 1 the fold is the identity.  A class
+computes that product and fold in one of two executions, whichever its
+``schedule`` prices cheaper: ``"row"``, each row on its own
+(``_block_row``, one batched inverse FFT a row), or ``"band"``, all its
+rows at once as one matmul per bin (``_band_rows``, one batched inverse
+FFT a class).  A band is offered only in a layout whose block length
+does not depend on the signal, and takes its kernels, laid out for that
+matmul, from ``held_kernels``, one byte-bounded LRU that every plan
+shares.  Work is
+sized by what can reach a sample: at most 2N - 1 taps, and a hop of N
+or more computes as hop N.
 """
 
 from __future__ import annotations
 
 import bisect
 import functools
+import itertools
 import math
 import os
+import threading
+from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import repeat
@@ -165,7 +176,8 @@ def make_scale_grid(
         raise InvalidCount(f"count must be >= 1, got {count}")
     if count == 1 and f_min != f_max:
         raise InvalidCount("count == 1 needs f_min == f_max")
-    scales = params.center_frequency * sample_rate / np.geomspace(f_max, f_min, count)
+    with np.errstate(over="ignore"):  # a scale past the largest double is inf: refused below
+        scales = params.center_frequency * sample_rate / np.geomspace(f_max, f_min, count)
     reach = params.support_radius * scales[0] * math.sqrt(params.bandwidth / 2.0)
     if not reach >= 1:
         raise InvalidScale(f"scale {scales[0]:.6g} reaches {reach:.3g} samples a side, not one")
@@ -315,8 +327,12 @@ class CwtPlan:
     rows' tap counts alone, so the plan holds the last ones it built in
     a bounded LRU, unless ``_kernels.reach`` cut them to a short signal.
     ``_kernel_spectra`` writes a width class's rows into the real and
-    imaginary parts of its kernels; kernel spectra depend on the block
-    length, hence on the signal length, so a plan holds none.
+    imaginary parts of its kernels.  Kernel spectra depend on the block
+    length, so a row-execution class transforms its kernels in each
+    call.  A band, whose ``_factor_blocks`` layout does not follow the
+    signal's length (``_holds``), keeps them, as ``_band_kernels`` lays
+    them out, in ``held_kernels`` under the plan's ``serial``, unless
+    ``_kernels.reach`` cut its rows or hop.
     """
 
     def __init__(self, params: MorletParams, grid: ScaleGrid):
@@ -335,6 +351,7 @@ class CwtPlan:
         self.gain = max(float(np.abs(re).sum() + np.abs(im).sum()) for re, im in self.taps)
         # a call makes at most ``count`` stacks: room for those of four calls of other shapes
         self.stack_taps = functools.lru_cache(maxsize=4 * self.count)(self._stack_taps)
+        self.serial = next(_plan_serials)  # this plan's part of its held kernels' keys
 
     @property
     def count(self) -> int:
@@ -346,25 +363,29 @@ class CwtPlan:
         Read from ``schedule(n, widths, hop)``, as ``execute`` reads it.
         ``direct_s`` is the row's direct-route seconds.  A direct row's
         ``stack`` is an index into the schedule's ``stacks``.  A spectral
-        row's ``spectral_s`` prices its block row without the block
-        spectra its width class shares, and ``block_len``, ``blocks`` and
+        row's ``spectral_s`` prices it without the block spectra its width
+        class shares (``class_row_seconds``), ``block_len``, ``blocks`` and
         ``class`` (an index into the schedule's ``classes``) give its
-        layout.  A field of the other route is None.
+        layout, ``execution`` is its class's, ``"row"`` or ``"band"``, and
+        ``held`` whether that class's kernels are held across calls.  A
+        field of the other route is None.
         """
         sched = schedule(n, self.widths, hop)
         records = [{"scale": float(scale), "taps": width, "route": "direct",
                     "direct_s": direct_s, "stack": None, "spectral_s": None, "block_len": None,
-                    "blocks": None, "class": None}
+                    "blocks": None, "class": None, "execution": None, "held": None}
                    for scale, width, direct_s in zip(self.scales, self.widths, sched.direct_s)]
         for index, rows in enumerate(sched.stacks):
             for row in rows:
                 records[row]["stack"] = index
         for index, cls in enumerate(sched.classes):
-            spectral_s = _kernels.spectral_seconds(cls.block_len, sched.hop, cls.blocks)
+            spectral_s = class_row_seconds(cls, sched.hop)
+            held = (cls.execution == "band" and _holds(cls, sched.hop)
+                    and self._whole(sched, cls.rows, hop))
             for row in cls.rows:
                 records[row] |= {"route": "spectral", "spectral_s": spectral_s,
                                  "block_len": cls.block_len, "blocks": cls.blocks,
-                                 "class": index}
+                                 "class": index, "execution": cls.execution, "held": held}
         return records
 
     def execute(self, x: np.ndarray, hop: int, threads: int = 1) -> np.ndarray:
@@ -372,18 +393,18 @@ class CwtPlan:
 
         ``schedule(x.size, widths, hop)`` lays out the work: each stack of
         direct rows is one task, then each width class's rows one task
-        each, so only one class's block spectra are held.  Each task writes
-        its own rows, on the calling thread or on ``_pool(threads)``.
+        each, or a band class's chunks of bins one task each, so only one
+        class's block spectra are held.  Each task writes its own rows or
+        bins, on the calling thread or on ``_pool(threads)``.
         Samples that could overflow a coefficient or a spectrum raise
         CoefficientOverflow before any work.
         """
         _kernels.check_overflow(x, self.gain, "the coefficients")
         sched = schedule(x.size, self.widths, hop)
-        whole_hop = sched.hop == hop
-        widths, hop, frames = sched.widths, sched.hop, sched.frames
+        widths, frames = sched.widths, sched.frames
         if sched.stacks:
             pad = max(widths) // 2
-            xpad = _kernels.zero_padded(x, pad, hop)
+            xpad = _kernels.zero_padded(x, pad, sched.hop)
         # out after xpad: the other order measured ~400 more page faults a corpus_scan request
         out = np.empty((self.count, frames), dtype=np.complex128)
         run = map if threads <= 1 else _pool(threads).map
@@ -391,20 +412,33 @@ class CwtPlan:
             stack_widths = [tuple(widths[row] for row in rows) for rows in sched.stacks]
             # each stack reads xpad from its widest row's first tap
             starts = [xpad[pad - max(ws) // 2:] for ws in stack_widths]
-            stacks = []
-            for rows, ws in zip(sched.stacks, stack_widths):
-                # one whose hop or taps ``_kernels.reach`` cut serves signals this short alone
-                held = whole_hop and all(w == self.widths[row] for row, w in zip(rows, ws))
-                stacks.append((self.stack_taps if held else self._stack_taps)(hop, rows, ws))
+            stacks = [(self.stack_taps if self._whole(sched, rows, hop) else self._stack_taps)(
+                sched.hop, rows, ws) for rows, ws in zip(sched.stacks, stack_widths)]
             # list() waits for the tasks and raises their errors
             list(run(_direct_stack, repeat(out), starts, stacks, sched.stacks, repeat(frames)))
         for cls in sched.classes:
+            # kernels first: a band's are laid out through a buffer of their own size
+            taps = [self._row_taps(row, widths[row]) for row in cls.rows]
+            if cls.execution == "row":
+                kernels = _kernel_spectra(cls, taps, sched.hop)
+            elif _holds(cls, sched.hop) and self._whole(sched, cls.rows, hop):
+                key = (self.serial, sched.hop, cls.pad, cls.block_len, cls.rows)
+                kernels = held_kernels.get(key, lambda: _band_kernels(cls, taps, sched.hop))
+            else:
+                kernels = _band_kernels(cls, taps, sched.hop)
             spectra = _block_spectra(x, cls)
-            kernels = _kernel_spectra(cls, [self._row_taps(row, widths[row]) for row in cls.rows])
-            list(run(_block_row, [out[row] for row in cls.rows], repeat(spectra), repeat(cls),
-                     kernels, repeat(hop)))
+            if cls.execution == "row":
+                list(run(_block_row, [out[row] for row in cls.rows], repeat(spectra),
+                         repeat(cls), kernels, repeat(sched.hop)))
+            else:
+                _band_rows(out, spectra, cls, kernels, sched.hop, run)
             del spectra, kernels
         return out
+
+    def _whole(self, sched: Schedule, rows: tuple, hop: int) -> bool:
+        """Whether ``rows`` run at ``hop`` on their whole taps: work laid out for rows or a hop
+        that ``_kernels.reach`` cut serves signals this short alone, so it is not held."""
+        return sched.hop == hop and all(sched.widths[row] == self.widths[row] for row in rows)
 
     def _row_taps(self, row: int, width: int) -> tuple:
         """The row's (real, imaginary) taps, cut to the ``width`` around the centre that matter."""
@@ -417,6 +451,48 @@ class CwtPlan:
 
 
 PLAN_CACHE_SIZE = 8
+# the most bytes of band kernels held across calls, by all plans together
+HELD_KERNEL_BYTES = 16 << 20
+
+
+class HeldKernels:
+    """Band kernels held across calls, by key, in one LRU bounded by bytes.
+
+    ``get`` returns the entry of ``key``, or builds it with ``build()``
+    and holds it, then drops the least recently used entries until the
+    total is within ``budget`` again; an entry larger than the budget is
+    returned and not held.  Safe to call from several threads; two
+    threads missing the same key each build it, with the same result.
+    """
+
+    def __init__(self, budget: int):
+        self.budget = budget
+        self.entries = OrderedDict()
+        self.bytes = 0
+        self.lock = threading.Lock()
+
+    def get(self, key, build) -> np.ndarray:
+        with self.lock:
+            if key in self.entries:
+                self.entries.move_to_end(key)
+                return self.entries[key]
+        value = build()
+        with self.lock:
+            if key not in self.entries and value.nbytes <= self.budget:
+                self.entries[key] = value
+                self.bytes += value.nbytes
+                while self.bytes > self.budget:
+                    self.bytes -= self.entries.popitem(last=False)[1].nbytes
+        return value
+
+    def clear(self) -> None:
+        with self.lock:
+            self.entries.clear()
+            self.bytes = 0
+
+
+held_kernels = HeldKernels(HELD_KERNEL_BYTES)
+_plan_serials = itertools.count()
 
 
 def plan_for(params: MorletParams, grid: ScaleGrid) -> CwtPlan:
@@ -437,7 +513,10 @@ def _build_plan(center_frequency: float, bandwidth: float, support_radius: float
                    ScaleGrid(np.frombuffer(scales)))
 
 
-clear_plan_cache = _build_plan.cache_clear
+def clear_plan_cache() -> None:
+    """Drop every cached plan and every band kernel held for one."""
+    _build_plan.cache_clear()
+    held_kernels.clear()
 
 
 # --- shared row machinery ----------------------------------------------------
@@ -457,6 +536,9 @@ class BlockClass(NamedTuple):
     Segment k is ``x[k*step - pad : k*step - pad + block_len]``, zeros
     outside the signal; ``blocks`` segments cover translations
     0..n-1, ``step`` of them each.  ``rows`` are the row indices.
+    ``execution`` is ``"row"``, each row's product and fold on its own
+    (``_block_row``), or ``"band"``, all of them in one matmul over bins
+    (``_band_rows``).
     """
 
     pad: int
@@ -464,6 +546,7 @@ class BlockClass(NamedTuple):
     step: int
     blocks: int
     rows: tuple = ()
+    execution: str = "row"
 
 
 def class_options(n: int, pad: int, hop: int) -> list[BlockClass]:
@@ -539,7 +622,8 @@ class Schedule(NamedTuple):
     the spectral rows.  ``direct_s`` is each row's direct-route seconds,
     ``routes`` is True where a row goes spectral, and ``seconds`` prices
     the call: each direct row by its direct seconds, each class by its
-    block spectra and its rows.  ``stacks`` cuts the direct rows, in
+    block spectra and its rows, in its execution; a band's kernels are
+    held, so not priced per call.  ``stacks`` cuts the direct rows, in
     order of tap count, into the stacks ``_kernels.stacked_correlate``
     computes (``_stacks``); they are not priced apart from their rows.
     """
@@ -560,11 +644,14 @@ def schedule(n: int, widths, hop: int) -> Schedule:
     A pure function of the signal length, the tap counts and the hop,
     cached.  Taken in order of tap count, the narrowest rows stay direct
     and the rest are split into runs, each a class padded for its widest
-    row in the ``class_options`` layout the seconds model prices
-    cheapest.  The split and the direct prefix are the cheapest of all
-    (one shortest-path pass over the run ends), so the call is never
-    priced above all rows direct or one class of a single block; a class
-    is taken only where it is strictly cheaper than direct rows.
+    row in the ``class_options`` layout and the execution, row or band,
+    that the seconds model prices cheapest; a band is offered only in a
+    layout that ``_holds`` its kernels, and takes at most the rows
+    ``_band_capacity`` allows.  The split and the direct prefix are
+    the cheapest of all (one shortest-path pass over the run ends), so
+    the call is never priced above all rows direct or one class of a
+    single block; a class is taken only where it is strictly cheaper
+    than direct rows.
     """
     return _schedule(n, *_kernels.reach(n, widths, hop))
 
@@ -575,13 +662,19 @@ def _schedule(n: int, widths: tuple, hop: int) -> Schedule:
     direct_s = tuple(_kernels.direct_seconds(w, hop, frames) for w in widths)
     order = sorted(range(len(widths)), key=widths.__getitem__)
     options = [class_options(n, widths[row] // 2, hop) for row in order]
-    # prices[j, o]: seconds of the segment spectra, paid once per class, and of one row, in
-    # option o of a class ending at row j in order; inf past the row's options
-    prices = np.array([[(_kernels.fft_seconds(cls.block_len, cls.blocks),
-                         _kernels.spectral_seconds(cls.block_len, hop, cls.blocks))
-                        for cls in row_options]
-                       + [(np.inf, np.inf)] * (1 + len(BLOCK_FACTORS) - len(row_options))
+    # option o of a class ending at row j in order is layout o // 2 of its options in execution
+    # EXECUTIONS[o % 2]; prices[j, o]: its seconds paid once per class (the segment spectra, and
+    # a band's own fixed cost) and per row, inf past the row's options; most[j, o]: the rows
+    # it may take (``_band_capacity``)
+    width = len(EXECUTIONS) * (1 + len(BLOCK_FACTORS))
+    prices = np.array([[price for cls in row_options
+                        for price in _class_prices(cls, hop)]
+                       + [(np.inf, np.inf)] * (width - len(EXECUTIONS) * len(row_options))
                        for row_options in options])
+    most = np.array([[count for cls in row_options
+                      for count in (len(order), _band_capacity(cls, hop))]
+                     + [0] * (width - len(EXECUTIONS) * len(row_options))
+                     for row_options in options])
     # best[j]: seconds of the cheapest schedule of the first j rows in order, at
     # first all direct; where a class is cheaper, it starts at row start[j] in the
     # layout last[j]
@@ -591,11 +684,13 @@ def _schedule(n: int, widths: tuple, hop: int) -> Schedule:
     for end in range(1, len(best)):
         # per option and first row of the run: the run's seconds
         runs = prices[end - 1, :, :1] + prices[end - 1, :, 1:] * counts[-end:]
+        runs[most[end - 1, :, None] < counts[-end:]] = np.inf
         seconds = best[:end] + runs.min(axis=0)
         first = int(seconds.argmin())
         if seconds[first] < best[end]:
             best[end], start[end] = seconds[first], first
-            last[end] = options[end - 1][int(runs[:, first].argmin())]
+            layout, execution = divmod(int(runs[:, first].argmin()), len(EXECUTIONS))
+            last[end] = options[end - 1][layout]._replace(execution=EXECUTIONS[execution])
     classes = []
     end = len(order)
     while last[end] is not None:
@@ -605,6 +700,51 @@ def _schedule(n: int, widths: tuple, hop: int) -> Schedule:
     routes = tuple(row in spectral for row in range(len(widths)))
     return Schedule(widths, hop, frames, tuple(reversed(classes)), direct_s, routes,
                     float(best[-1]), _stacks(widths, order[:end], hop, frames))
+
+
+EXECUTIONS = ("row", "band")
+
+
+def _holds(cls: BlockClass, hop: int) -> bool:
+    """Whether a band of this layout holds its kernels across calls: a layout of
+    ``_factor_blocks``, whose ``block_len`` does not follow the signal's length."""
+    return (cls.block_len, cls.step) in _factor_blocks(cls.pad, hop)
+
+
+def _class_prices(cls: BlockClass, hop: int) -> tuple:
+    """(seconds paid once, seconds per row) of a class of this layout in each of ``EXECUTIONS``.
+
+    A band is offered only where ``_holds`` its kernels: a single block
+    would lay them out and transform them in every call, and so ran
+    slower as a band than as rows.
+    """
+    spectra = _kernels.fft_seconds(cls.block_len, cls.blocks)
+    row = (spectra, _kernels.spectral_seconds(cls.block_len, hop, cls.blocks))
+    if not _holds(cls, hop):
+        return row, (np.inf, np.inf)
+    fixed = _kernels.band_seconds(cls.block_len, hop, cls.blocks, 0)
+    return row, (spectra + fixed, _kernels.band_seconds(cls.block_len, hop, cls.blocks, 1) - fixed)
+
+
+def class_row_seconds(cls: BlockClass, hop: int) -> float:
+    """Predicted seconds of one row of ``cls``, the segment spectra the class shares excluded:
+    a block row's, or a band row's share of its class."""
+    if cls.execution == "row":
+        return _kernels.spectral_seconds(cls.block_len, hop, cls.blocks)
+    return _kernels.band_seconds(cls.block_len, hop, cls.blocks, len(cls.rows)) / len(cls.rows)
+
+
+# the most bytes one band class's kernels, or its folded spectra, may take
+BAND_CLASS_BYTES = 8 << 20
+# a band class copies its segment spectra into the matmul's layout this many bytes at a time
+BAND_CHUNK_BYTES = 1 << 18
+
+
+def _band_capacity(cls: BlockClass, hop: int) -> int:
+    """The most rows a band class of this layout takes: as many as keep its kernels,
+    ``rows * block_len`` points, and its folded spectra, ``rows * blocks * block_len / hop``,
+    within ``BAND_CLASS_BYTES``."""
+    return BAND_CLASS_BYTES // (16 * cls.block_len * -(-cls.blocks // hop))
 
 
 def _stacks(widths: tuple, direct, hop: int, frames: int) -> tuple:
@@ -633,14 +773,16 @@ def _block_spectra(x: np.ndarray, cls: BlockClass) -> np.ndarray:
     return spectra
 
 
-def _kernel_spectra(cls: BlockClass, taps) -> np.ndarray:
+def _kernel_spectra(cls: BlockClass, taps, hop: int) -> np.ndarray:
     """The ``(rows, block_len)`` kernel spectra of the class's rows, in the order of ``cls.rows``.
 
     ``taps`` holds each of those rows' (real, imaginary) taps, in that
-    order.  A row's kernel is its reversed taps, lag d at index -pad - d
-    modulo the block, so lag -pad of a row as wide as the class wraps to
-    index 0.  All kernels are laid out in one contiguous buffer and
-    transformed in place by one batched FFT.
+    order.  A row's kernel is its reversed taps over ``hop``, lag d at
+    index -pad - d modulo the block, so lag -pad of a row as wide as the
+    class wraps to index 0; the fold sums ``hop`` bands, and the ``1/hop``
+    here makes that sum the retained outputs' spectrum, exactly so at a
+    power-of-two hop.  All kernels are laid out in one contiguous buffer
+    and transformed in place by one batched FFT.
     """
     kernels = np.zeros((len(cls.rows), cls.block_len), dtype=np.complex128)
     for kernel, row_taps in zip(kernels, taps):
@@ -649,9 +791,19 @@ def _kernel_spectra(cls: BlockClass, taps) -> np.ndarray:
         # lag -pad of a row as wide as the class, one past the block's end, wraps to index 0
         wrap = max(0, start + width - cls.block_len)
         for part, part_taps in zip((kernel.real, kernel.imag), row_taps):
-            part[start:start + width - wrap] = part_taps[wrap:][::-1]
-            part[:wrap] = part_taps[:wrap][::-1]
+            part_taps = part_taps[::-1] * (1 / hop)
+            part[start:start + width - wrap] = part_taps[:width - wrap]
+            part[:wrap] = part_taps[width - wrap:]
     return np.fft.fft(kernels, axis=-1, out=kernels)
+
+
+def _band_kernels(cls: BlockClass, taps, hop: int) -> np.ndarray:
+    """The class's ``_kernel_spectra`` in the band layout, ``(block_len/hop, hop, rows)``:
+    [m, h, r] is row r's bin ``h*block_len/hop + m``.  Read-only, as it may be held."""
+    kernels = _kernel_spectra(cls, taps, hop)
+    band = np.ascontiguousarray(kernels.reshape(len(cls.rows), hop, -1).transpose(2, 1, 0))
+    band.setflags(write=False)
+    return band
 
 
 def _direct_stack(out, xpad, stack: _kernels.Stack, rows: tuple, frames: int) -> None:
@@ -670,20 +822,51 @@ def _block_row(out, spectra, cls: BlockClass, kernel, hop: int) -> None:
     reaches segment samples pad + i - half .. pad + i + half, so the
     first ``step`` outputs of every block are free of wrap-around.
     Keeping every hop-th output of a block equals summing the hop
-    aliased bands of its spectrum and taking one inverse FFT of
-    length block_len/hop (Crochiere & Rabiner, Multirate Digital Signal
-    Processing, 1983); at hop 1 the fold is the identity.
+    aliased bands of its spectrum over ``hop`` and taking one inverse FFT
+    of length block_len/hop (Crochiere & Rabiner, Multirate Digital
+    Signal Processing, 1983); at hop 1 the fold is the identity.
     """
     blocks, block_len = spectra.shape
     product = kernel * spectra
     if hop > 1:
         product = product.reshape(blocks, hop, block_len // hop).sum(axis=1)
-    outputs = np.fft.ifft(product, axis=-1, out=product)
-    keep = cls.step // hop
+    _retained(out, np.fft.ifft(product, axis=-1, out=product), cls.step // hop)
+
+
+def _band_rows(out, spectra, cls: BlockClass, kernels, hop: int, run=map) -> None:
+    """Translations 0, hop, 2*hop, ... of every row of ``cls`` into its rows of ``out``.
+
+    The block row's product and fold of all the class's rows at once:
+    bin m of the folded spectra of every block and row is the segment
+    spectra's ``(blocks, hop)`` bands at m times the kernels'
+    ``(hop, rows)`` (``_band_kernels``), a matmul.  The bins are taken
+    as many at a time as ``BAND_CHUNK_BYTES`` of segment spectra hold,
+    so by the shape alone and never by a thread count, each chunk copied
+    into that layout, and ``run`` maps over the chunks; then one batched
+    inverse FFT of ``(rows, blocks, block_len/hop)`` in place.
+    """
+    blocks, block_len = spectra.shape
+    bands = spectra.reshape(blocks, hop, block_len // hop)
+    folded = np.empty((len(cls.rows), blocks, block_len // hop), dtype=np.complex128)
+    chunk = max(1, BAND_CHUNK_BYTES // (16 * blocks * hop))
+
+    def fold(start: int) -> None:
+        bins = slice(start, start + chunk)
+        segments = np.ascontiguousarray(bands[:, :, bins].transpose(2, 0, 1))
+        folded[:, :, bins] = (segments @ kernels[bins]).transpose(2, 1, 0)
+
+    list(run(fold, range(0, block_len // hop, chunk)))
+    outputs = np.fft.ifft(folded, axis=-1, out=folded)
+    for row, row_outputs in zip(cls.rows, outputs):
+        _retained(out[row], row_outputs, cls.step // hop)
+
+
+def _retained(out, outputs, keep: int) -> None:
+    """The first ``keep`` outputs of each block, in order, into ``out``: the frames they hold."""
     whole, rest = divmod(out.size, keep)
-    np.divide(outputs[:whole, :keep], hop, out=out[:whole * keep].reshape(whole, keep))
+    out[:whole * keep].reshape(whole, keep)[...] = outputs[:whole, :keep]
     if rest:
-        np.divide(outputs[whole, :rest], hop, out=out[whole * keep:])
+        out[whole * keep:] = outputs[whole, :rest]
 
 
 @functools.lru_cache(maxsize=1)

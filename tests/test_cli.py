@@ -20,7 +20,7 @@ from wavehop import (
     synthesize,
 )
 from wavehop.cli import parse_synth_spec, run_cli
-from wavehop.wavelet import schedule
+from wavehop.wavelet import _holds, schedule
 from testutil import run_wavehop, write_float32_wav, write_reference_wav
 
 
@@ -184,15 +184,23 @@ class TestTransformCommand:
         want = list(schedule(n, widths, ran_hop).routes)
         assert [r["route"] == "spectral" for r in records] == want
         assert all(r["direct_s"] > 0 for r in records)
+        classes = schedule(n, widths, ran_hop).classes
         for r in records:
             if r["route"] == "spectral":
                 assert r["spectral_s"] > 0 and r["block_len"] > 0 and r["blocks"] >= 1
+                cls = classes[r["class"]]
+                # the class's execution, and whether its kernels are held across calls
+                assert r["execution"] == cls.execution in ("row", "band")
+                held = _holds(cls, schedule(n, widths, ran_hop).hop)
+                assert r["held"] is (cls.execution == "band" and held)
             else:  # a direct row has a stack and no class
                 assert isinstance(r["stack"], int)
-                assert [r[k] for k in ("spectral_s", "block_len", "blocks", "class")] == [None] * 4
+                fields = ("spectral_s", "block_len", "blocks", "class", "execution", "held")
+                assert [r[k] for k in fields] == [None] * 6
 
     def test_explain_names_each_direct_rows_stack_at_desk_scale(self, tmp_path):
-        # 64 scales on 10 s at 16 kHz, hop 128: every row goes direct, in fewer stacks than rows
+        # 64 scales on 10 s at 16 kHz, hop 128: the narrowest rows go direct, in fewer stacks
+        # than rows, and the widest in one band class whose kernels are held
         out, explain = tmp_path / "out.scg1", tmp_path / "explain.jsonl"
         code = run_cli([
             "transform", "noise:seed=3", "--length", "160000", "--rate", "16000",
@@ -201,7 +209,13 @@ class TestTransformCommand:
         ])
         assert code == 0
         records = [json.loads(line) for line in explain.read_text().splitlines()]
-        assert len(records) == 64 and all(r["route"] == "direct" for r in records)
+        assert len(records) == 64
+        direct = [r["route"] for r in records].count("direct")
+        assert 32 < direct < 64
+        assert [r["route"] for r in records] == ["direct"] * direct + ["spectral"] * (64 - direct)
+        assert {(r["class"], r["execution"], r["held"]) for r in records[direct:]} == {
+            (0, "band", True)}
+        records = records[:direct]
         stacks = [r["stack"] for r in records]
         assert all(isinstance(stack, int) for stack in stacks)
         assert sorted(set(stacks)) == list(range(len(set(stacks))))

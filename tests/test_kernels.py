@@ -283,3 +283,26 @@ def test_no_stack_product_exceeds_the_largest_lone_row_product(scales, n, hop):
         if index + 1 < len(sched.stacks):
             products, reach = shape(rows + sched.stacks[index + 1][:1])
             assert products * (groups + reach - 1) > max(lone)
+
+
+BAND_SHAPES = [(25_088, 128, 10), (4_480, 8, 41), (1_350, 1, 236), (165_888, 128, 1),
+               (7_336, 131, 3)]
+
+
+@pytest.mark.parametrize("block_len,hop,blocks", BAND_SHAPES)
+def test_band_seconds_are_affine_in_rows(block_len, hop, blocks):
+    """A schedule prices a band class as a fixed cost plus a cost per row, exactly."""
+    fixed = _kernels.band_seconds(block_len, hop, blocks, 0)
+    each = _kernels.band_seconds(block_len, hop, blocks, 1) - fixed
+    for rows in (2, 7, 24):
+        priced = _kernels.band_seconds(block_len, hop, blocks, rows)
+        assert math.isclose(priced, fixed + rows * each, rel_tol=1e-12)
+
+
+@pytest.mark.parametrize("block_len,hop,blocks", BAND_SHAPES)
+def test_band_terms_count_the_matmuls(block_len, hop, blocks):
+    bins, points, kernel, folded, macs, rows = _kernels.band_terms(block_len, hop, blocks, 6)
+    # bins of (blocks, hop) x (hop, 6) matmuls, whose products are the folded spectra
+    assert (bins, kernel, macs, folded, rows) == (block_len // hop, bins * hop * 6,
+                                                  bins * blocks * hop * 6, bins * blocks * 6, 6)
+    assert points == blocks * block_len

@@ -25,6 +25,8 @@ from wavehop import (
 from wavehop import _kernels
 from wavehop.wavelet import (
     BlockClass,
+    _band_kernels,
+    _band_rows,
     _block_row,
     _block_spectra,
     _kernel_spectra,
@@ -105,11 +107,45 @@ def test_spectral_row_matches_direct_kernel(data, hop, half, seed):
     cut = slice(half - reach, half + reach + 1)
     cls = data.draw(block_classes(n, reach, min(hop, n)), label="class")
     spectral = np.empty(frames, dtype=np.complex128)
-    (kernel,) = _kernel_spectra(cls._replace(rows=(0,)), [(taps_re[cut], taps_im[cut])])
+    (kernel,) = _kernel_spectra(cls._replace(rows=(0,)), [(taps_re[cut], taps_im[cut])],
+                                min(hop, n))
     _block_row(spectral, _block_spectra(x, cls), cls, kernel, min(hop, n))
     re, im = _kernels.strided_correlate(_kernels.zero_padded(x, half, hop), taps_re, taps_im,
                                         hop, frames)
     assert_rel_close(spectral, re + 1j * im, 1e-9)
+
+
+@st.composite
+def band_cases(draw):
+    """(hop, class, half widths, n): 1-12 rows of a class of 1-20 blocks, at hops 1-300."""
+    hop = draw(st.one_of(st.integers(1, 300), st.sampled_from([13, 127, 131, 251, 293])),
+               label="hop")
+    halves = draw(st.lists(st.integers(0, 300), min_size=1, max_size=12), label="halves")
+    pad = max(halves) + draw(st.integers(0, 50), label="extra pad")
+    shortest = -(-(2 * pad + hop) // hop)
+    block_len = hop * draw(st.integers(shortest, shortest + 16), label="block_len / hop")
+    step = (block_len - 2 * pad) // hop * hop
+    blocks = draw(st.integers(1, 20), label="blocks")
+    n = draw(st.integers((blocks - 1) * step + 1, blocks * step), label="n")
+    return hop, BlockClass(pad, block_len, step, blocks, tuple(range(len(halves)))), halves, n
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=band_cases(), seed=seeds)
+def test_band_execution_equals_block_rows(case, seed):
+    """A class's rows in one band equal the same class's block rows, to 1e-12 of each peak."""
+    hop, cls, halves, n = case
+    rng = np.random.default_rng(seed)
+    spectra = _block_spectra(rng.standard_normal(n), cls)
+    taps = [tuple(rng.standard_normal((2, 2 * half + 1))) for half in halves]
+    frames = -(-n // hop)
+    rows = np.empty((len(halves), frames), dtype=np.complex128)
+    for out, kernel in zip(rows, _kernel_spectra(cls, taps, hop)):
+        _block_row(out, spectra, cls, kernel, hop)
+    band = np.empty_like(rows)
+    _band_rows(band, spectra, cls._replace(execution="band"), _band_kernels(cls, taps, hop), hop)
+    for got, want in zip(band, rows):
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 @settings(max_examples=200, deadline=None)

@@ -2,13 +2,17 @@
 
 import ast
 import importlib.util
+import json
+import math
+import statistics
 from pathlib import Path
 
 import numpy as np
 
 from wavehop import _kernels, wavelet
 
-SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+ROOT = Path(__file__).resolve().parent.parent
+SCRIPTS = ROOT / "scripts"
 MODULES = {"_kernels": _kernels, "wavelet": wavelet}
 
 
@@ -66,15 +70,23 @@ def test_fit_recovers_the_constants_from_the_seconds_they_predict(monkeypatch):
                         _kernels.DIRECT_CONSTANTS)
     fitted |= script.fit([_kernels.fft_terms(*shape) for shape in ffts],
                          [_kernels.fft_seconds(*shape) for shape in ffts], _kernels.FFT_CONSTANTS)
+    bands = [(cls.block_len, hop, cls.blocks, rows) for _, hop, cls in script.block_shapes()
+             if wavelet._holds(cls, hop) for rows in script.BAND_ROWS]
     rows = [_kernels.spectral_seconds(*shape) for shape in classes]
-    for name in _kernels.ROW_CONSTANTS:  # as the script prices a row's FFTs alone
+    band = [_kernels.band_seconds(*shape) for shape in bands]
+    # as the script prices a row's and a band's FFTs alone
+    for name in _kernels.ROW_CONSTANTS + _kernels.BAND_CONSTANTS:
         monkeypatch.setattr(_kernels, name, 0.0)
     ffts_alone = [_kernels.spectral_seconds(*shape) for shape in classes]
+    band_ffts = [_kernels.band_seconds(*shape) for shape in bands]
     monkeypatch.undo()
     fitted |= script.fit([_kernels.row_terms(block_len, blocks) for block_len, _, blocks in classes],
                          rows, _kernels.ROW_CONSTANTS,
                          target=[t - f for t, f in zip(rows, ffts_alone)])
-    names = _kernels.DIRECT_CONSTANTS + _kernels.FFT_CONSTANTS + _kernels.ROW_CONSTANTS
+    fitted |= script.fit([_kernels.band_terms(*shape) for shape in bands], band,
+                         _kernels.BAND_CONSTANTS, target=[t - f for t, f in zip(band, band_ffts)])
+    names = (_kernels.DIRECT_CONSTANTS + _kernels.FFT_CONSTANTS + _kernels.ROW_CONSTANTS
+             + _kernels.BAND_CONSTANTS)
     assert list(fitted) == list(names)
     for name in names:
         assert abs(fitted[name] - getattr(_kernels, name)) <= 1e-9 * getattr(_kernels, name), name
@@ -86,3 +98,69 @@ def test_calibration_times_a_block_row_through_the_package(monkeypatch):
         for cls in wavelet.class_options(n, pad, hop):
             seconds = script.block_row_seconds(np.random.default_rng(0), n, hop, cls, reps=1)
             assert 0 < seconds < 1
+
+
+def test_band_terms_are_in_the_order_band_seconds_prices_them(monkeypatch):
+    """Each of ``BAND_CONSTANTS`` alone at 1 prices its own term of ``band_terms``."""
+    shapes = [(25_088, 128, 10, 20), (1_350, 2, 236, 3), (9_856, 8, 3, 6)]
+    for name in _kernels.BAND_CONSTANTS:
+        monkeypatch.setattr(_kernels, name, 0.0)
+    base = [_kernels.band_seconds(*shape) for shape in shapes]
+    for index, name in enumerate(_kernels.BAND_CONSTANTS):
+        monkeypatch.setattr(_kernels, name, 1.0)
+        for shape, fft_seconds in zip(shapes, base):
+            term = _kernels.band_terms(*shape)[index]
+            assert math.isclose(_kernels.band_seconds(*shape) - fft_seconds, term, rel_tol=1e-12)
+        monkeypatch.setattr(_kernels, name, 0.0)
+
+
+def test_calibration_times_a_band_class_and_its_rows_through_the_package(monkeypatch):
+    script = load_calibration(monkeypatch)
+    for n, hop, pad in ((50, 2, 3), (40, 1, 39), (3_000, 131, 20)):
+        for cls in wavelet.class_options(n, pad, hop):
+            seconds = script.band_and_rows_seconds(np.random.default_rng(0), n, hop, cls, 3, reps=1)
+            assert all(0 < t < 1 for t in seconds)
+
+
+def load_ab_pairs():
+    spec = importlib.util.spec_from_file_location("ab_pairs", SCRIPTS / "ab_pairs.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    return script
+
+
+def test_ab_pairs_alternate_which_side_goes_first():
+    script = load_ab_pairs()
+    assert script.pair_orders(4) == [("parent", "change"), ("change", "parent")] * 2
+    calls = []
+
+    def runner(side):
+        calls.append(side)
+        return {"corpus_scan.latency_p50_ms": float(len(calls))}
+
+    runs = script.run_pairs(3, runner)
+    assert calls == ["parent", "change", "change", "parent", "parent", "change"]
+    assert [r["corpus_scan.latency_p50_ms"] for r in runs["parent"]] == [1.0, 4.0, 5.0]
+    assert [r["corpus_scan.latency_p50_ms"] for r in runs["change"]] == [2.0, 3.0, 6.0]
+
+
+def test_ab_pairs_report_medians_wins_and_the_parents_iqr():
+    script = load_ab_pairs()
+    parent = [10.0, 12.0, 11.0, 13.0, 14.0]
+    change = [12.0, 13.0, 10.0, 15.0, 16.0]
+    # higher is better for throughput, lower for latency; an unknown metric is left out
+    runs = {side: [{"corpus_scan.throughput_audio_x": value, "corpus_scan.latency_p50_ms": value,
+                    "corpus_scan.unlisted": value} for value in values]
+            for side, values in (("parent", parent), ("change", change))}
+    better, seconds = script.benchmark()
+    assert better["throughput_audio_x"] == "higher" and better["latency_p50_ms"] == "lower"
+    assert seconds == json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"]
+    metrics = script.summarise(runs, better)
+    assert set(metrics) == {"corpus_scan.throughput_audio_x", "corpus_scan.latency_p50_ms"}
+    throughput = metrics["corpus_scan.throughput_audio_x"]
+    assert (throughput["parent_median"], throughput["change_median"]) == (12.0, 13.0)
+    assert throughput["wins"] == 4 and throughput["pairs"] == 5
+    q1, _, q3 = statistics.quantiles(parent, n=4)
+    assert throughput["parent_iqr"] == q3 - q1
+    assert (throughput["parent"], throughput["change"]) == (parent, change)
+    assert metrics["corpus_scan.latency_p50_ms"]["wins"] == 1  # lower is better

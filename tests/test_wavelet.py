@@ -96,6 +96,11 @@ class TestMakeScaleGrid:
         with pytest.raises(InvalidRange):
             make_scale_grid(100.0, 8000.0, 8, 16_000.0, PARAMS)  # fmax not < rate/2
 
+    def test_scales_past_the_largest_double_are_refused_without_a_warning(self):
+        # rate / fmin overflows; warnings are errors in this suite
+        with pytest.raises(InvalidScale, match="finite"):
+            make_scale_grid(1e-300, 1.0, 4, 1e300, PARAMS)
+
     def test_count_errors(self):
         with pytest.raises(InvalidCount):
             make_scale_grid(100.0, 200.0, 0, 16_000.0, PARAMS)
@@ -501,9 +506,14 @@ def tap_counts(grid):
 
 
 class TestRouting:
-    def test_desk_grid_routes_every_row_direct(self, monkeypatch):
+    def test_desk_grid_routes_the_widest_rows_to_one_band(self, monkeypatch):
         sched = schedule(160_000, tap_counts(DESK_GRID), 128)
-        assert sched.routes == (False,) * 64
+        direct = sched.routes.count(False)
+        assert 32 < direct < 64 and sched.routes == (False,) * direct + (True,) * (64 - direct)
+        (cls,) = sched.classes
+        assert cls.rows == tuple(range(direct, 64)) and cls.execution == "band"
+        assert wavelet._holds(cls, 128)
+        assert cls.block_len == 25_088 and cls.blocks == 10
         calls = []
         kernel = _kernels.stacked_correlate
 
@@ -513,11 +523,11 @@ class TestRouting:
 
         monkeypatch.setattr(_kernels, "stacked_correlate", counted)
         cwth_strided(noise(160_000, seed=30), DESK_GRID, PARAMS, 128)
-        # one call per stack, which together hold every row once, in fewer calls than rows
+        # one call per stack, which together hold every direct row once, in fewer calls than rows
         assert [stack.hop for stack in calls] == [128] * len(sched.stacks)
         assert [len(stack.leads) for stack in calls] == list(map(len, sched.stacks))
-        assert sorted(row for rows in sched.stacks for row in rows) == list(range(64))
-        assert len(calls) < 64
+        assert sorted(row for rows in sched.stacks for row in rows) == list(range(direct))
+        assert len(calls) < direct
 
     def test_no_class_holds_a_direct_row(self):
         # n = 320 000 at hop 8 on the sweep grid: the four narrowest rows go direct
@@ -771,6 +781,126 @@ class TestPlanCache:
         assert len(blobs) == 1
 
 
+def band_classes_of(sched):
+    return [cls for cls in sched.classes if cls.execution == "band"]
+
+
+@pytest.fixture
+def held(monkeypatch):
+    """A fresh, empty store of held band kernels, as large as the package's."""
+    store = wavelet.HeldKernels(wavelet.HELD_KERNEL_BYTES)
+    monkeypatch.setattr(wavelet, "held_kernels", store)
+    return store
+
+
+class TestBandExecution:
+    def test_held_kernels_stay_within_their_budget_and_drop_the_least_recent(self):
+        store = wavelet.HeldKernels(3 * 800)
+        one = lambda: np.zeros(100)  # noqa: E731  - 800 bytes
+        for key in "abc":
+            store.get(key, one)
+        assert store.get("a", lambda: pytest.fail("a is held")) is store.entries["a"]
+        store.get("d", one)  # b is now the least recently used
+        assert list(store.entries) == ["c", "a", "d"] and store.bytes == 3 * 800
+        store.get("e", lambda: np.zeros(200))  # 1 600 bytes: c and a go
+        assert list(store.entries) == ["d", "e"] and store.bytes == 2_400
+        huge = store.get("f", lambda: np.zeros(400))  # past the budget: returned, not held
+        assert huge.size == 400 and "f" not in store.entries and store.bytes == 2_400
+
+    def test_plans_share_one_budget(self, monkeypatch):
+        # four-row plans, as wavebench builds to check a transform against cwt_fft
+        store = wavelet.HeldKernels(2 << 20)
+        monkeypatch.setattr(wavelet, "held_kernels", store)
+        sig = noise(20_000, seed=60)
+        keys = []
+        for first in range(40, 64, 4):
+            grid = ScaleGrid(DESK_GRID.scales[first:first + 4])
+            (cls,) = band_classes_of(schedule(20_000, tap_counts(grid), 32))
+            assert wavelet._holds(cls, 32)
+            values = cwth_strided(sig, grid, PARAMS, 32).values
+            keys.append((plan_for(PARAMS, grid).serial, 32, cls.pad, cls.block_len, cls.rows))
+            assert keys[-1] in store.entries and store.bytes <= store.budget
+            assert store.bytes == sum(kernels.nbytes for kernels in store.entries.values())
+            assert_rel_close(values, cwt_fft(sig, grid, PARAMS).values[:, ::32], 1e-9)
+        # the latest calls' kernels are held, the earliest dropped
+        assert list(store.entries) == keys[-len(store.entries):] and len(store.entries) < 6
+
+    def test_repeat_calls_reuse_the_held_kernels(self, held, monkeypatch):
+        sig = noise(160_000, seed=61)
+        first = cwth_strided(sig, DESK_GRID, PARAMS, 128).values
+        (kernels,) = held.entries.values()
+        (cls,) = schedule(160_000, tap_counts(DESK_GRID), 128).classes
+        assert kernels.shape == (25_088 // 128, 128, len(cls.rows)) and not kernels.flags.writeable
+        monkeypatch.setattr(wavelet, "_band_kernels", lambda *args: pytest.fail("laid out again"))
+        np.testing.assert_array_equal(cwth_strided(sig, DESK_GRID, PARAMS, 128).values, first)
+
+    def test_only_a_layout_fixed_apart_from_the_signal_holds_kernels(self):
+        # a single block's block_len follows n; the factor layouts' do not
+        for width in sorted(set(tap_counts(DESK_GRID))):
+            for n in SURFACE_LENGTHS:
+                for hop in SURFACE_HOPS:
+                    options = wavelet.class_options(n, min(width, 2 * n - 1) // 2, hop)
+                    holds = [wavelet._holds(cls, hop) for cls in options]
+                    assert holds == [False] + [True] * (len(options) - 1), (width, n, hop)
+        # and only such a layout is offered as a band
+        for grid in (SWEEP_GRID, DESK_GRID):
+            for n in SURFACE_LENGTHS:
+                for hop in SURFACE_HOPS:
+                    sched = schedule(n, tap_counts(grid), hop)
+                    assert all(wavelet._holds(cls, sched.hop) for cls in band_classes_of(sched))
+
+    @pytest.mark.parametrize("n", [2_000, 8_000])
+    @pytest.mark.parametrize("hop", [8, 32])
+    def test_short_signals_on_the_sweep_grid_take_no_band(self, n, hop):
+        # bands of 3-5 rows in 2-3 blocks, which fits of the band constants in the units of the
+        # other routes take here, ran 0.81-0.88x the rows and stacks they replaced
+        assert band_classes_of(schedule(n, tap_counts(SWEEP_GRID), hop)) == []
+
+    def test_a_single_block_band_class_holds_nothing(self, held, monkeypatch):
+        n, hop = 3_000, 8
+        sig = noise(n, seed=62)
+        widths = tap_counts(SWEEP_GRID)
+        sched = schedule(n, widths, hop)
+        one = wavelet.class_options(n, max(sched.widths) // 2, hop)[0]
+        assert one.blocks == 1 and one.block_len >= n
+        band = one._replace(rows=tuple(range(len(widths))), execution="band")
+        forced = sched._replace(classes=(band,), routes=(True,) * len(widths), stacks=())
+        monkeypatch.setattr(wavelet, "schedule", lambda *args: forced)
+        values = cwth_strided(sig, SWEEP_GRID, PARAMS, hop).values
+        assert held.entries == {} and held.bytes == 0
+        records = plan_for(PARAMS, SWEEP_GRID).explain(n, hop)
+        assert {(r["execution"], r["held"]) for r in records} == {("band", False)}
+        monkeypatch.undo()
+        assert_rel_close(values, cwt_fft(sig, SWEEP_GRID, PARAMS).values[:, ::hop], 1e-9)
+
+    def test_threads_give_the_same_bytes_in_chunks_fixed_by_size(self, monkeypatch):
+        # chunks of a few bins, so the pool maps over many
+        monkeypatch.setattr(wavelet, "BAND_CHUNK_BYTES", 1 << 15)
+        sig = noise(160_000, seed=63)
+        assert band_classes_of(schedule(160_000, tap_counts(DESK_GRID), 128))
+        first = cwth_strided(sig, DESK_GRID, PARAMS, 128).values
+        for threads in (2, 3, 4, 1):
+            again = cwth_strided(sig, DESK_GRID, PARAMS, 128, threads=threads).values
+            assert again.tobytes() == first.tobytes(), threads
+
+    @pytest.mark.parametrize("hop", [1, 2, 8, 32, 128])
+    def test_block_rows_divide_by_a_power_of_two_hop_exactly(self, hop):
+        """The 1/hop in the kernels is exact there: a row is ``ifft(fold) / hop``, bit for bit."""
+        n, rng = 20_000, np.random.default_rng(64)
+        x = rng.standard_normal(n)
+        taps = [tuple(rng.standard_normal((2, width))) for width in (301, 673)]
+        for cls in wavelet.class_options(n, 336, hop):
+            cls = cls._replace(rows=(0, 1))
+            spectra = wavelet._block_spectra(x, cls)
+            unscaled = wavelet._kernel_spectra(cls, taps, 1)
+            for kernel, scaled in zip(unscaled, wavelet._kernel_spectra(cls, taps, hop)):
+                out = np.empty(-(-n // hop), dtype=np.complex128)
+                wavelet._block_row(out, spectra, cls, scaled, hop)
+                folded = (kernel * spectra).reshape(cls.blocks, hop, -1).sum(axis=1)
+                outputs = np.fft.ifft(folded, axis=-1)[:, :cls.step // hop] / hop
+                np.testing.assert_array_equal(out, outputs.reshape(-1)[:out.size])
+
+
 class TestExplain:
     @pytest.mark.parametrize("grid,n,hop", [(DESK_GRID, 160_000, 128), (DESK_GRID, 160_000, 1),
                                             (SWEEP_GRID, 2_000, 1), (SWEEP_GRID, 320_000, 8)])
@@ -781,8 +911,10 @@ class TestExplain:
         assert [r["route"] == "spectral" for r in records] == routes
         assert [r["taps"] for r in records] == widths
         assert [r["scale"] for r in records] == list(grid.scales)
-        if grid is DESK_GRID and hop == 128:
-            assert not any(routes)
+        if grid is DESK_GRID and hop == 128:  # the widest rows in one band, kernels held
+            direct = routes.count(False)
+            assert 32 < direct < 64 and routes == [False] * direct + [True] * (64 - direct)
+            assert {(r["execution"], r["held"]) for r in records[direct:]} == {("band", True)}
         frames = -(-n // hop)
         # a lag of n or more meets no sample, so rows are priced on at most 2n - 1 taps
         reach = tuple(min(w, 2 * n - 1) for w in widths)
@@ -791,14 +923,17 @@ class TestExplain:
             assert record["direct_s"] == _kernels.direct_seconds(reach[row], hop, frames)
             if record["route"] == "direct":  # a direct row has a stack and no class
                 assert row in sched.stacks[record["stack"]]
-                fields = [record[k] for k in ("spectral_s", "block_len", "blocks", "class")]
-                assert fields == [None] * 4
+                fields = [record[k] for k in ("spectral_s", "block_len", "blocks", "class",
+                                              "execution", "held")]
+                assert fields == [None] * 6
                 continue
             assert record["stack"] is None
             cls = sched.classes[record["class"]]
             assert row in cls.rows
             assert (record["block_len"], record["blocks"]) == (cls.block_len, cls.blocks)
-            assert record["spectral_s"] == _kernels.spectral_seconds(cls.block_len, hop, cls.blocks)
+            held = cls.execution == "band" and wavelet._holds(cls, sched.hop)
+            assert (record["execution"], record["held"]) == (cls.execution, held)
+            assert record["spectral_s"] == wavelet.class_row_seconds(cls, hop)
 
 
 class TestCwthDecimate:
