@@ -13,7 +13,7 @@ runs ``product_runs`` sets and priced row by row.  A stack's rows share
 one product and one centre, its widest row's, so ``row_layout`` alone
 places a row in it: ``stack_sizes`` cuts a call's direct rows into
 stacks, ``stack_shape`` reads each row's place, ``stack_taps`` lays
-out a stack's taps once, and ``wavelet.CwtPlan`` holds that layout
+out a stack's taps once, and ``wavelet.held_layouts`` holds that layout
 across calls.  ``strided_correlate`` is the stack of one row, the form
 ``signal_io.decimate`` (the anti-alias FIR, real taps alone) and the
 calibration script call.  ``reach`` cuts the tap counts and the hop to
@@ -135,6 +135,10 @@ class Stack(NamedTuple):
     leads: tuple
     blocks: tuple
     reach: int
+
+    @property
+    def nbytes(self) -> int:
+        return self.taps.nbytes
 
 
 def row_layout(width, widest, hop: int):

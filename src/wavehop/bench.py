@@ -26,8 +26,8 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .dwt import DB4, dwt_decompose
-from .errors import InvalidCount
-from .signal_io import SignalBuffer
+from .errors import InvalidCount, InvalidParameter
+from .signal_io import SignalBuffer, _check_int
 from .wavelet import (
     MorletParams,
     ScaleGrid,
@@ -89,10 +89,13 @@ def bench_single(
 
     Always measures ``cwt_fft`` (the reference for speedup_vs_full) and
     ``cwth_strided``; flags add the decimate path and the dyadic DWT.
-    The DWT is db4 at min(12, log2 N) levels.
+    The DWT is db4 at min(12, log2 N) levels.  A ``hop`` or ``threads``
+    that is not a whole number >= 1 raises InvalidHop or InvalidParameter
+    before any call.
     """
     if reps < 3:
         raise InvalidCount(f"reps must be >= 3, got {reps}")
+    hop, threads = _check_int(hop), _check_int(threads, "threads", InvalidParameter)
     params = params or MorletParams()
 
     jobs = {

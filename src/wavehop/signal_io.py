@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import struct
+from contextlib import suppress
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -154,7 +155,7 @@ def decimate(signal: SignalBuffer, hop: int, anti_alias: bool = False) -> Signal
     its default window.  Samples so large that the filtered signal could
     overflow raise CoefficientOverflow first.
     """
-    hop = _check_hop(hop)
+    hop = _check_int(hop)
     x = signal.samples
     if not anti_alias:
         return SignalBuffer(x[::hop].copy(), signal.sample_rate / hop, signal.source_label)
@@ -193,10 +194,13 @@ def _lowpass_taps(numtaps: int, cutoff: float, reach: float = math.inf) -> np.nd
 _TAP_CHUNK = 1 << 16
 
 
-def _check_hop(hop) -> int:
-    if int(hop) != hop or hop < 1:
-        raise InvalidHop(f"hop must be an integer >= 1, got {hop!r}")
-    return int(hop)
+def _check_int(value, name: str = "hop", error: type = InvalidHop) -> int:
+    """``value`` as an int, if it is a whole number >= 1; otherwise ``error``, whatever its
+    type, never a bare TypeError, ValueError or OverflowError."""
+    with suppress(TypeError, ValueError, OverflowError):
+        if value >= 1 and int(value) == value:
+            return int(value)
+    raise error(f"{name} must be an integer >= 1, got {value!r}")
 
 
 # --- WAV reading and writing -----------------------------------------------

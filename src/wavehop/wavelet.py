@@ -23,8 +23,8 @@ The direct rows are cut, in order of tap count, into stacks
 (``schedule``'s ``stacks``, sized by ``_kernels.stack_sizes``): each
 stack is one polyphase product of ``_kernels.stacked_correlate``, no
 larger than the largest product one of the call's direct rows makes
-alone, and the plan holds each stack's taps, laid out for that
-product, across calls.
+alone, and each stack's taps, laid out for that product, are held
+across calls in ``held_layouts``.
 
 There is one spectral route, overlap-save: spectral rows are grouped
 into width classes (``schedule``), and each class takes one batched FFT
@@ -37,8 +37,8 @@ computes that product and fold in one of two executions, whichever its
 rows at once as one matmul per bin (``_band_rows``, one batched inverse
 FFT a class).  A band is offered only in a layout whose block length
 does not depend on the signal, and takes its kernels, laid out for that
-matmul, from ``held_kernels``, one byte-bounded LRU that every plan
-shares.  Work is
+matmul, from ``held_layouts``, one byte-bounded LRU that every plan
+shares and that holds the stacked taps as well.  Work is
 sized by what can reach a sample: at most 2N - 1 taps, and a hop of N
 or more computes as hop N.
 """
@@ -66,7 +66,7 @@ from .errors import (
     InvalidRange,
     InvalidScale,
 )
-from .signal_io import SignalBuffer, decimate, _check_hop
+from .signal_io import SignalBuffer, decimate, _check_int
 
 
 @dataclass
@@ -136,7 +136,7 @@ class CoefficientMatrix:
         self.values = np.asarray(self.values, dtype=np.complex128)
         if self.values.ndim != 2:
             raise ValueError("values must be a 2-D matrix")
-        self.hop = _check_hop(self.hop)
+        self.hop = _check_int(self.hop)
         self.source_rate = float(self.source_rate)
         if not self.source_rate > 0:
             raise ValueError("source_rate must be positive")
@@ -285,9 +285,11 @@ def cwth_strided(
 
     The choice depends only on the signal length, the tap counts and the
     hop, so repeated calls give bit-identical coefficients whatever
-    ``threads`` is; above 1 it sizes a row pool kept across calls.
+    ``threads`` is; above 1 it sizes a row pool kept across calls.  A
+    ``hop`` or ``threads`` that is not a whole number >= 1 raises
+    InvalidHop or InvalidParameter before any work.
     """
-    hop = _check_hop(hop)
+    hop, threads = _check_int(hop), _check_int(threads, "threads", InvalidParameter)
     plan = plan_for(params or MorletParams(), grid)
     out = plan.execute(signal.samples, hop, threads)
     return CoefficientMatrix(out, hop, signal.sample_rate, _copy_grid(grid))
@@ -308,7 +310,7 @@ def cwth_decimate(
     the scales now act on the decimated rate, and frequencies above the
     new Nyquist alias unless ``anti_alias`` is set.
     """
-    hop = _check_hop(hop)
+    _check_int(threads, "threads", InvalidParameter)  # before decimate's work; it checks hop
     reduced = decimate(signal, hop, anti_alias)
     inner = cwt_fft(reduced, grid, params, threads=threads)
     return CoefficientMatrix(inner.values, hop, reduced.sample_rate, inner.scale_grid)
@@ -322,17 +324,14 @@ class CwtPlan:
 
     Taps do not depend on the signal, so a plan serves every length and
     hop.  Each row is held once, as read-only contiguous arrays of its
-    real and imaginary parts.  ``stack_taps`` lays a stack's rows out for
-    the direct kernel's product; that layout depends on the hop and the
-    rows' tap counts alone, so the plan holds the last ones it built in
-    a bounded LRU, unless ``_kernels.reach`` cut them to a short signal.
-    ``_kernel_spectra`` writes a width class's rows into the real and
-    imaginary parts of its kernels.  Kernel spectra depend on the block
-    length, so a row-execution class transforms its kernels in each
-    call.  A band, whose ``_factor_blocks`` layout does not follow the
-    signal's length (``_holds``), keeps them, as ``_band_kernels`` lays
-    them out, in ``held_kernels`` under the plan's ``serial``, unless
-    ``_kernels.reach`` cut its rows or hop.
+    real and imaginary parts, and a plan does not change after it is
+    built.  ``_kernels.stack_taps`` lays a stack's rows out for the
+    direct kernel's product, and ``_band_kernels`` a band's kernel
+    spectra for its matmul; neither depends on the signal, so
+    ``execute`` takes both from ``held_layouts``, under keys that start
+    with the plan's ``serial``, by one rule (``_held_key``).  A row
+    class's kernel spectra (``_kernel_spectra``) depend on the block
+    length, so it transforms its kernels in each call.
     """
 
     def __init__(self, params: MorletParams, grid: ScaleGrid):
@@ -349,9 +348,7 @@ class CwtPlan:
         self.widths = [re.size for re, _ in self.taps]
         # no coefficient exceeds the largest sample times this
         self.gain = max(float(np.abs(re).sum() + np.abs(im).sum()) for re, im in self.taps)
-        # a call makes at most ``count`` stacks: room for those of four calls of other shapes
-        self.stack_taps = functools.lru_cache(maxsize=4 * self.count)(self._stack_taps)
-        self.serial = next(_plan_serials)  # this plan's part of its held kernels' keys
+        self.serial = next(_plan_serials)  # this plan's part of its held layouts' keys
 
     @property
     def count(self) -> int:
@@ -366,9 +363,10 @@ class CwtPlan:
         row's ``spectral_s`` prices it without the block spectra its width
         class shares (``class_row_seconds``), ``block_len``, ``blocks`` and
         ``class`` (an index into the schedule's ``classes``) give its
-        layout, ``execution`` is its class's, ``"row"`` or ``"band"``, and
-        ``held`` whether that class's kernels are held across calls.  A
-        field of the other route is None.
+        layout, and ``execution`` is its class's, ``"row"`` or ``"band"``.
+        ``held`` is whether the row's layout, its stack's taps or its
+        class's kernels, is held across calls (``_held_key``).  A field of
+        the other route is None.
         """
         sched = schedule(n, self.widths, hop)
         records = [{"scale": float(scale), "taps": width, "route": "direct",
@@ -376,12 +374,12 @@ class CwtPlan:
                     "blocks": None, "class": None, "execution": None, "held": None}
                    for scale, width, direct_s in zip(self.scales, self.widths, sched.direct_s)]
         for index, rows in enumerate(sched.stacks):
+            held = self._held_key(sched, hop, rows) is not None
             for row in rows:
-                records[row]["stack"] = index
+                records[row] |= {"stack": index, "held": held}
         for index, cls in enumerate(sched.classes):
             spectral_s = class_row_seconds(cls, sched.hop)
-            held = (cls.execution == "band" and _holds(cls, sched.hop)
-                    and self._whole(sched, cls.rows, hop))
+            held = self._held_key(sched, hop, cls.rows, cls) is not None
             for row in cls.rows:
                 records[row] |= {"route": "spectral", "spectral_s": spectral_s,
                                  "block_len": cls.block_len, "blocks": cls.blocks,
@@ -409,23 +407,19 @@ class CwtPlan:
         out = np.empty((self.count, frames), dtype=np.complex128)
         run = map if threads <= 1 else _pool(threads).map
         if sched.stacks:
-            stack_widths = [tuple(widths[row] for row in rows) for rows in sched.stacks]
             # each stack reads xpad from its widest row's first tap
-            starts = [xpad[pad - max(ws) // 2:] for ws in stack_widths]
-            stacks = [(self.stack_taps if self._whole(sched, rows, hop) else self._stack_taps)(
-                sched.hop, rows, ws) for rows, ws in zip(sched.stacks, stack_widths)]
+            starts = [xpad[pad - max(widths[row] for row in rows) // 2:] for rows in sched.stacks]
+            stacks = [held_layouts.get(self._held_key(sched, hop, rows), lambda: (
+                _kernels.stack_taps([self._row_taps(row, widths[row]) for row in rows], sched.hop)))
+                for rows in sched.stacks]
             # list() waits for the tasks and raises their errors
             list(run(_direct_stack, repeat(out), starts, stacks, sched.stacks, repeat(frames)))
         for cls in sched.classes:
             # kernels first: a band's are laid out through a buffer of their own size
             taps = [self._row_taps(row, widths[row]) for row in cls.rows]
-            if cls.execution == "row":
-                kernels = _kernel_spectra(cls, taps, sched.hop)
-            elif _holds(cls, sched.hop) and self._whole(sched, cls.rows, hop):
-                key = (self.serial, sched.hop, cls.pad, cls.block_len, cls.rows)
-                kernels = held_kernels.get(key, lambda: _band_kernels(cls, taps, sched.hop))
-            else:
-                kernels = _band_kernels(cls, taps, sched.hop)
+            build = _kernel_spectra if cls.execution == "row" else _band_kernels
+            kernels = held_layouts.get(self._held_key(sched, hop, cls.rows, cls),
+                                       lambda: build(cls, taps, sched.hop))
             spectra = _block_spectra(x, cls)
             if cls.execution == "row":
                 list(run(_block_row, [out[row] for row in cls.rows], repeat(spectra),
@@ -435,34 +429,39 @@ class CwtPlan:
             del spectra, kernels
         return out
 
-    def _whole(self, sched: Schedule, rows: tuple, hop: int) -> bool:
-        """Whether ``rows`` run at ``hop`` on their whole taps: work laid out for rows or a hop
-        that ``_kernels.reach`` cut serves signals this short alone, so it is not held."""
-        return sched.hop == hop and all(sched.widths[row] == self.widths[row] for row in rows)
+    def _held_key(self, sched: Schedule, hop: int, rows: tuple, cls: BlockClass | None = None):
+        """The ``held_layouts`` key of the stacked taps of ``rows``, or with ``cls`` of its
+        kernels, at ``hop``; None where that layout is built in each call and not held.
+
+        Work laid out for rows or a hop that ``_kernels.reach`` cut serves
+        signals this short alone, and only a band whose layout ``_holds``
+        keeps its kernels: a row class's, or a single block's, follow the
+        signal's length.
+        """
+        whole = sched.hop == hop and all(sched.widths[row] == self.widths[row] for row in rows)
+        held = whole and (cls is None or cls.execution == "band" and _holds(cls, hop))
+        return (self.serial, hop, rows, None if cls is None else cls.block_len) if held else None
 
     def _row_taps(self, row: int, width: int) -> tuple:
         """The row's (real, imaginary) taps, cut to the ``width`` around the centre that matter."""
-        re, im = self.taps[row]
-        return re[(re.size - width) // 2:][:width], im[(im.size - width) // 2:][:width]
-
-    def _stack_taps(self, hop: int, rows: tuple, widths: tuple) -> _kernels.Stack:
-        """The stacked taps of ``rows`` cut to ``widths`` at ``hop``."""
-        return _kernels.stack_taps([self._row_taps(row, w) for row, w in zip(rows, widths)], hop)
+        return tuple(part[(part.size - width) // 2:][:width] for part in self.taps[row])
 
 
 PLAN_CACHE_SIZE = 8
-# the most bytes of band kernels held across calls, by all plans together
-HELD_KERNEL_BYTES = 16 << 20
+# the most bytes of layouts held across calls, by all plans together
+HELD_BYTES = 16 << 20
 
 
-class HeldKernels:
-    """Band kernels held across calls, by key, in one LRU bounded by bytes.
+class HeldLayouts:
+    """Layouts held across calls, by key, in one LRU bounded by bytes: a plan's stacked taps
+    (``_kernels.Stack``) and its bands' kernels (``_band_kernels``).
 
     ``get`` returns the entry of ``key``, or builds it with ``build()``
     and holds it, then drops the least recently used entries until the
-    total is within ``budget`` again; an entry larger than the budget is
-    returned and not held.  Safe to call from several threads; two
-    threads missing the same key each build it, with the same result.
+    total ``nbytes`` is within ``budget`` again; an entry larger than
+    the budget, or of key None, is returned and not held.  Safe to call
+    from several threads; two threads missing the same key each build
+    it, with the same result.
     """
 
     def __init__(self, budget: int):
@@ -471,14 +470,14 @@ class HeldKernels:
         self.bytes = 0
         self.lock = threading.Lock()
 
-    def get(self, key, build) -> np.ndarray:
+    def get(self, key, build):
         with self.lock:
             if key in self.entries:
                 self.entries.move_to_end(key)
                 return self.entries[key]
         value = build()
         with self.lock:
-            if key not in self.entries and value.nbytes <= self.budget:
+            if key is not None and key not in self.entries and value.nbytes <= self.budget:
                 self.entries[key] = value
                 self.bytes += value.nbytes
                 while self.bytes > self.budget:
@@ -491,7 +490,7 @@ class HeldKernels:
             self.bytes = 0
 
 
-held_kernels = HeldKernels(HELD_KERNEL_BYTES)
+held_layouts = HeldLayouts(HELD_BYTES)
 _plan_serials = itertools.count()
 
 
@@ -514,9 +513,9 @@ def _build_plan(center_frequency: float, bandwidth: float, support_radius: float
 
 
 def clear_plan_cache() -> None:
-    """Drop every cached plan and every band kernel held for one."""
+    """Drop every cached plan and every layout held for one."""
     _build_plan.cache_clear()
-    held_kernels.clear()
+    held_layouts.clear()
 
 
 # --- shared row machinery ----------------------------------------------------

@@ -123,6 +123,17 @@ class TestTransformCommand:
         assert code == 0
         assert read_matrix_bin(out).columns == 64
 
+    @pytest.mark.parametrize("mode,columns", [
+        (["--mode", "strided", "--hop", "8"], 500), (["--mode", "full"], 4000),
+        (["--mode", "decimate", "--hop", "4", "--anti-alias"], 1000)])
+    def test_each_mode_on_the_default_grid(self, tmp_path, mode, columns):
+        out = tmp_path / "out.scg1"
+        code = run_cli(["transform", "white_noise:seed=7", "--length", "4000", "--out", str(out),
+                        *mode])
+        assert code == 0
+        matrix = read_matrix_bin(out)
+        assert (matrix.rows, matrix.columns) == (64, columns)
+
     def test_decimate_mode_records_reduced_rate(self, tmp_path):
         out = tmp_path / "dec.scg1"
         code = run_cli([
@@ -184,19 +195,20 @@ class TestTransformCommand:
         want = list(schedule(n, widths, ran_hop).routes)
         assert [r["route"] == "spectral" for r in records] == want
         assert all(r["direct_s"] > 0 for r in records)
-        classes = schedule(n, widths, ran_hop).classes
+        sched = schedule(n, widths, ran_hop)
         for r in records:
             if r["route"] == "spectral":
                 assert r["spectral_s"] > 0 and r["block_len"] > 0 and r["blocks"] >= 1
-                cls = classes[r["class"]]
+                cls = sched.classes[r["class"]]
                 # the class's execution, and whether its kernels are held across calls
                 assert r["execution"] == cls.execution in ("row", "band")
-                held = _holds(cls, schedule(n, widths, ran_hop).hop)
-                assert r["held"] is (cls.execution == "band" and held)
+                assert r["held"] is (cls.execution == "band" and _holds(cls, sched.hop))
             else:  # a direct row has a stack and no class
                 assert isinstance(r["stack"], int)
-                fields = ("spectral_s", "block_len", "blocks", "class", "execution", "held")
-                assert [r[k] for k in fields] == [None] * 6
+                fields = ("spectral_s", "block_len", "blocks", "class", "execution")
+                assert [r[k] for k in fields] == [None] * 5
+                # and its stack's taps are held across calls, nothing being cut at this length
+                assert r["held"] is True
 
     def test_explain_names_each_direct_rows_stack_at_desk_scale(self, tmp_path):
         # 64 scales on 10 s at 16 kHz, hop 128: the narrowest rows go direct, in fewer stacks
@@ -218,6 +230,7 @@ class TestTransformCommand:
         records = records[:direct]
         stacks = [r["stack"] for r in records]
         assert all(isinstance(stack, int) for stack in stacks)
+        assert all(r["held"] is True for r in records)
         assert sorted(set(stacks)) == list(range(len(set(stacks))))
         assert len(set(stacks)) < len(records)
 
@@ -473,6 +486,12 @@ class TestBenchCommand:
                          for m in ("cwt_fft", "cwth_strided")]
         assert all(r["predicted_seconds"] > 0 for r in reports)
 
+    def test_sweep_on_the_default_grid(self, capsys):
+        assert run_cli(["bench", "--hop", "1,8", "--length", "2000"]) == 0
+        env, *reports = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        assert [(r["method"], r["hop"], r["scale_count"]) for r in reports] == [
+            ("cwt_fft", 1, 64), ("cwth_strided", 1, 64), ("cwt_fft", 1, 64), ("cwth_strided", 8, 64)]
+
     @pytest.mark.parametrize("value", ["1,0", "8,x", ""])
     def test_bad_sweep_list_is_a_usage_error(self, value, capsys):
         for flag in ("--length", "--hop"):
@@ -509,6 +528,20 @@ class TestScanCommand:
         assert sorted(p.name for p in out_dir.iterdir()) == ["a.scg1", "b.scg1", "c.scg1"]
         out_lines = capsys.readouterr().out.strip().split("\n")
         assert out_lines == ["ok a.wav", "ok b.wav", "ok c.wav"]
+
+    def test_synthesized_files_scanned_on_two_threads_render_again(self, tmp_path):
+        wavs, scanned = tmp_path / "wavs", tmp_path / "scanned"
+        wavs.mkdir()
+        for seed in (1, 2):
+            assert run_cli(["synth", f"white_noise:seed={seed}", "--length", "16000",
+                            "--out", str(wavs / f"n{seed}.wav")]) == 0
+        assert run_cli(["scan", str(wavs), "--out-dir", str(scanned), "--threads", "2", "--pgm",
+                        "--hop", "32"]) == 0
+        assert sorted(p.name for p in scanned.iterdir()) == ["n1.pgm", "n1.scg1", "n2.pgm",
+                                                            "n2.scg1"]
+        pgm = tmp_path / "n1.pgm"
+        assert run_cli(["scalogram", str(scanned / "n1.scg1"), "--out", str(pgm)]) == 0
+        assert pgm.read_bytes() == (scanned / "n1.pgm").read_bytes()
 
     def test_failure_continues_and_exits_one(self, tmp_path, capsys):
         # The sequential and threaded paths must report failures identically.

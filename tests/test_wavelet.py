@@ -37,6 +37,7 @@ from wavehop import (
     synthesize,
 )
 from wavehop import _kernels, wavelet
+from wavehop.bench import bench_single
 from wavehop.cli import run_cli
 from wavehop.wavelet import clear_plan_cache, plan_for, schedule
 from testutil import assert_rel_close, child_env, write_reference_wav
@@ -371,6 +372,55 @@ class TestCwthStrided:
             cwth_strided(noise(100, seed=0), grid, PARAMS, 0)
 
 
+# not whole numbers >= 1, of every type a caller might pass
+BAD_COUNTS = [None, math.nan, math.inf, -math.inf, 0, -3, 2.5, "2", 1j, np.float64(2.5)]
+BAD_IDS = [repr(value) for value in BAD_COUNTS]
+
+
+class TestIntegerArguments:
+    """A bad ``hop`` or ``threads`` ends in a typed error before any work, whatever its type."""
+
+    @pytest.fixture
+    def no_work(self, monkeypatch):
+        def work(*args, **kwargs):
+            raise AssertionError("work began before the arguments were checked")
+
+        monkeypatch.setattr(wavelet.CwtPlan, "execute", work)
+        monkeypatch.setattr(_kernels, "strided_correlate", work)
+
+    @pytest.mark.parametrize("hop", BAD_COUNTS, ids=BAD_IDS)
+    def test_bad_hop_is_invalid_hop(self, hop, no_work):
+        sig, grid = noise(300, seed=70), SWEEP_GRID
+        calls = [lambda: cwth_strided(sig, grid, PARAMS, hop),
+                 lambda: cwth_decimate(sig, grid, PARAMS, hop),
+                 lambda: cwth_decimate(sig, grid, PARAMS, hop, anti_alias=True),
+                 lambda: decimate(sig, hop), lambda: decimate(sig, hop, anti_alias=True),
+                 lambda: bench_single(sig, grid, PARAMS, hop, reps=3)]
+        for call in calls:
+            with pytest.raises(InvalidHop, match="hop must be an integer >= 1"):
+                call()
+
+    @pytest.mark.parametrize("threads", BAD_COUNTS, ids=BAD_IDS)
+    def test_bad_threads_is_invalid_parameter(self, threads, no_work):
+        sig, grid = noise(300, seed=71), SWEEP_GRID
+        calls = [lambda: cwth_strided(sig, grid, PARAMS, 8, threads=threads),
+                 lambda: cwt_fft(sig, grid, PARAMS, threads=threads),
+                 lambda: cwth_decimate(sig, grid, PARAMS, 4, True, threads=threads),
+                 lambda: bench_single(sig, grid, PARAMS, 8, reps=3, threads=threads)]
+        for call in calls:
+            with pytest.raises(InvalidParameter, match="threads must be an integer >= 1"):
+                call()
+
+    def test_any_whole_thread_count_gives_the_same_bytes(self):
+        sig = noise(20_000, seed=72)
+        for call in (lambda threads: cwth_strided(sig, DESK_GRID, PARAMS, 32, threads=threads),
+                     lambda threads: cwt_fft(sig, SWEEP_GRID, PARAMS, threads=threads),
+                     lambda threads: cwth_decimate(sig, DESK_GRID, PARAMS, 4, True,
+                                                   threads=threads)):
+            first = call(1).values.tobytes()
+            assert all(call(threads).values.tobytes() == first for threads in (2, np.int64(3)))
+
+
 @pytest.fixture
 def recorded_pools(monkeypatch):
     """Weak references to every row pool the transforms build, from an empty pool cache."""
@@ -696,22 +746,31 @@ class TestPlanCache:
         plan_for(PARAMS, grids[0])
         assert plan_for(PARAMS, oldest) is kept
 
-    def test_stacks_cut_to_a_short_signal_are_not_held(self):
+    def test_stacks_cut_to_a_short_signal_are_not_held(self, held, monkeypatch):
         """A stack whose hop or taps ``reach`` cut serves signals that short alone."""
         plan = plan_for(PARAMS, SWEEP_GRID)
-        info = plan.stack_taps.cache_info
+        built, stack_taps = [], _kernels.stack_taps
+
+        def counted(taps, hop):
+            built.append(len(taps))
+            return stack_taps(taps, hop)
+
+        monkeypatch.setattr(_kernels, "stack_taps", counted)
         cwth_strided(noise(100, seed=43), SWEEP_GRID, PARAMS, 128)  # hop 128 cut to 100
-        assert info().currsize == 0 and info().misses == 0
+        assert held.entries == {} and built
+        assert {r["held"] for r in plan.explain(100, 128)} == {False}
         # at 1 000 samples the rows past 1 999 taps are cut: the two widest stacks are not held
         sched = schedule(1_000, plan.widths, 128)
         assert sched.stacks[-2:] == ((6,), (7,)) and sched.widths[5] == plan.widths[5]
         cwth_strided(noise(1_000, seed=44), SWEEP_GRID, PARAMS, 128)
-        assert info().currsize == len(sched.stacks) - 2
-        # nothing is cut at 20 000 samples: its two stacks are held, and a second call hits both
+        assert [key[2] for key in held_stacks(held)] == list(sched.stacks[:-2])
+        assert [r["held"] for r in plan.explain(1_000, 128)] == [True] * 6 + [False] * 2
+        # nothing is cut at 20 000 samples: its two stacks are held, and a second call builds none
         assert len(schedule(20_000, plan.widths, 128).stacks) == 2
-        for _ in range(2):
-            cwth_strided(noise(20_000, seed=45), SWEEP_GRID, PARAMS, 128)
-        assert info().currsize == len(sched.stacks) and info().hits == 2
+        cwth_strided(noise(20_000, seed=45), SWEEP_GRID, PARAMS, 128)
+        count = len(built)
+        cwth_strided(noise(20_000, seed=45), SWEEP_GRID, PARAMS, 128)
+        assert len(built) == count and len(held_stacks(held)) == len(sched.stacks)
 
     def test_taps_are_sampled_only_on_the_first_call(self, monkeypatch):
         calls = []
@@ -787,15 +846,25 @@ def band_classes_of(sched):
 
 @pytest.fixture
 def held(monkeypatch):
-    """A fresh, empty store of held band kernels, as large as the package's."""
-    store = wavelet.HeldKernels(wavelet.HELD_KERNEL_BYTES)
-    monkeypatch.setattr(wavelet, "held_kernels", store)
+    """A fresh, empty store of held layouts, as large as the package's."""
+    store = wavelet.HeldLayouts(wavelet.HELD_BYTES)
+    monkeypatch.setattr(wavelet, "held_layouts", store)
     return store
+
+
+def held_stacks(store):
+    """The keys of the stacked taps ``store`` holds, least recently used first."""
+    return [key for key, value in store.entries.items() if isinstance(value, _kernels.Stack)]
+
+
+def held_bands(store):
+    """The keys of the band kernels ``store`` holds, least recently used first."""
+    return [key for key, value in store.entries.items() if not isinstance(value, _kernels.Stack)]
 
 
 class TestBandExecution:
     def test_held_kernels_stay_within_their_budget_and_drop_the_least_recent(self):
-        store = wavelet.HeldKernels(3 * 800)
+        store = wavelet.HeldLayouts(3 * 800)
         one = lambda: np.zeros(100)  # noqa: E731  - 800 bytes
         for key in "abc":
             store.get(key, one)
@@ -809,8 +878,8 @@ class TestBandExecution:
 
     def test_plans_share_one_budget(self, monkeypatch):
         # four-row plans, as wavebench builds to check a transform against cwt_fft
-        store = wavelet.HeldKernels(2 << 20)
-        monkeypatch.setattr(wavelet, "held_kernels", store)
+        store = wavelet.HeldLayouts(2 << 20)
+        monkeypatch.setattr(wavelet, "held_layouts", store)
         sig = noise(20_000, seed=60)
         keys = []
         for first in range(40, 64, 4):
@@ -818,17 +887,19 @@ class TestBandExecution:
             (cls,) = band_classes_of(schedule(20_000, tap_counts(grid), 32))
             assert wavelet._holds(cls, 32)
             values = cwth_strided(sig, grid, PARAMS, 32).values
-            keys.append((plan_for(PARAMS, grid).serial, 32, cls.pad, cls.block_len, cls.rows))
+            keys.append((plan_for(PARAMS, grid).serial, 32, cls.rows, cls.block_len))
             assert keys[-1] in store.entries and store.bytes <= store.budget
             assert store.bytes == sum(kernels.nbytes for kernels in store.entries.values())
             assert_rel_close(values, cwt_fft(sig, grid, PARAMS).values[:, ::32], 1e-9)
         # the latest calls' kernels are held, the earliest dropped
-        assert list(store.entries) == keys[-len(store.entries):] and len(store.entries) < 6
+        bands = held_bands(store)
+        assert bands == keys[-len(bands):] and len(bands) < 6
 
     def test_repeat_calls_reuse_the_held_kernels(self, held, monkeypatch):
         sig = noise(160_000, seed=61)
         first = cwth_strided(sig, DESK_GRID, PARAMS, 128).values
-        (kernels,) = held.entries.values()
+        (key,) = held_bands(held)
+        kernels = held.entries[key]
         (cls,) = schedule(160_000, tap_counts(DESK_GRID), 128).classes
         assert kernels.shape == (25_088 // 128, 128, len(cls.rows)) and not kernels.flags.writeable
         monkeypatch.setattr(wavelet, "_band_kernels", lambda *args: pytest.fail("laid out again"))
@@ -901,6 +972,53 @@ class TestBandExecution:
                 np.testing.assert_array_equal(out, outputs.reshape(-1)[:out.size])
 
 
+class TestHeldLayouts:
+    """Stacked taps and band kernels are held in one store, under one byte budget."""
+
+    def test_both_kinds_share_one_budget_and_one_order(self):
+        stack = _kernels.stack_taps([(np.ones(100), np.ones(100))], 8)
+        band = np.zeros(stack.nbytes // 16, dtype=np.complex128)
+        assert band.nbytes == stack.nbytes
+        store = wavelet.HeldLayouts(2 * stack.nbytes)
+        store.get("stack", lambda: stack)
+        store.get("band", lambda: band)
+        store.get("other stack", lambda: stack)  # the stack is the least recently used: it goes
+        assert list(store.entries) == ["band", "other stack"] and store.bytes == 2 * stack.nbytes
+        store.get("stack", lambda: stack)  # and now the band
+        assert list(store.entries) == ["other stack", "stack"] and store.bytes == 2 * stack.nbytes
+
+    def test_a_desk_call_holds_its_stacks_then_its_band(self, held, monkeypatch):
+        sig = noise(160_000, seed=66)
+        values = cwth_strided(sig, DESK_GRID, PARAMS, 128).values
+        sched = schedule(160_000, tap_counts(DESK_GRID), 128)
+        (cls,) = band_classes_of(sched)
+        serial = plan_for(PARAMS, DESK_GRID).serial
+        stacks = [(serial, 128, rows, None) for rows in sched.stacks]
+        assert list(held.entries) == stacks + [(serial, 128, cls.rows, cls.block_len)]
+        assert held.bytes == sum(value.nbytes for value in held.entries.values())
+        # a byte short of that: the band, held last, drops the least recently used stack
+        store = wavelet.HeldLayouts(held.bytes - 1)
+        monkeypatch.setattr(wavelet, "held_layouts", store)
+        np.testing.assert_array_equal(cwth_strided(sig, DESK_GRID, PARAMS, 128).values, values)
+        assert list(store.entries) == list(held.entries)[1:] and store.bytes <= store.budget
+
+    def test_an_entry_larger_than_the_budget_is_returned_and_not_held(self, held, monkeypatch):
+        sig = noise(160_000, seed=67)
+        values = cwth_strided(sig, DESK_GRID, PARAMS, 128).values
+        (key,) = held_bands(held)
+        store = wavelet.HeldLayouts(held.entries[key].nbytes - 1)
+        monkeypatch.setattr(wavelet, "held_layouts", store)
+        np.testing.assert_array_equal(cwth_strided(sig, DESK_GRID, PARAMS, 128).values, values)
+        assert held_bands(store) == []
+        assert len(held_stacks(store)) == len(schedule(160_000, tap_counts(DESK_GRID), 128).stacks)
+
+    def test_clear_plan_cache_drops_held_stacks_as_well(self, held):
+        cwth_strided(noise(20_000, seed=68), SWEEP_GRID, PARAMS, 128)
+        assert held_stacks(held) and held_bands(held) == []
+        clear_plan_cache()
+        assert held.entries == {} and held.bytes == 0
+
+
 class TestExplain:
     @pytest.mark.parametrize("grid,n,hop", [(DESK_GRID, 160_000, 128), (DESK_GRID, 160_000, 1),
                                             (SWEEP_GRID, 2_000, 1), (SWEEP_GRID, 320_000, 8)])
@@ -922,10 +1040,14 @@ class TestExplain:
         for row, record in enumerate(records):
             assert record["direct_s"] == _kernels.direct_seconds(reach[row], hop, frames)
             if record["route"] == "direct":  # a direct row has a stack and no class
-                assert row in sched.stacks[record["stack"]]
+                stack = sched.stacks[record["stack"]]
+                assert row in stack
                 fields = [record[k] for k in ("spectral_s", "block_len", "blocks", "class",
-                                              "execution", "held")]
-                assert fields == [None] * 6
+                                              "execution")]
+                assert fields == [None] * 5
+                # its stack is held unless ``reach`` cut its rows or the hop
+                whole = sched.hop == hop and all(reach[r] == widths[r] for r in stack)
+                assert record["held"] is whole
                 continue
             assert record["stack"] is None
             cls = sched.classes[record["class"]]
