@@ -5,13 +5,11 @@ whole block rows and whole band classes over a grid of shapes on one
 thread, and fits each route's constants on the terms
 ``_kernels.direct_terms``, ``_kernels.fft_terms``, ``_kernels.row_terms``
 and ``_kernels.band_terms`` count, by non-negative least squares on
-relative error.  A block row's own constants are fitted to what it
-takes beyond its FFTs as the fitted FFT constants price them.  A band
-class's are fitted first, in the units of the constants ``_kernels``
-holds (``band``), so they can be pasted alone; after pasting the
-others, run the script again for band constants that match them.
-Prints each fit's error, then the block to paste into
-``src/wavehop/_kernels.py``.  Takes a few minutes.
+relative error, in that order.  A block row's and a band class's own
+constants are fitted to what they take beyond their FFTs as the FFT
+constants fitted in the same run price them, so every constant is in
+this host's seconds.  Prints each fit's error, then the block to paste
+into ``src/wavehop/_kernels.py``.  Takes a few minutes.
 
     PYTHONPATH=src python scripts/calibrate_router.py
 """
@@ -121,11 +119,16 @@ def block_row_seconds(rng, n, hop, cls, reps=9):
     return median_seconds(row, reps)
 
 
+def priced_at(fft_constants, own):
+    """Price as if ``fft_constants`` were pasted and the constants named in ``own`` were 0, so
+    that a route without constants of its own costs its FFTs alone."""
+    vars(_kernels).update(fft_constants | dict.fromkeys(own, 0.0))
+    _kernels._each_fft_seconds.cache_clear()
+
+
 def spectral(rng, fft_constants):
     """The block row's own constants, from whole rows beyond their FFTs at ``fft_constants``."""
-    # priced as if pasted, without constants of its own a block row costs its FFTs alone
-    vars(_kernels).update(fft_constants | dict.fromkeys(_kernels.ROW_CONSTANTS, 0.0))
-    _kernels._each_fft_seconds.cache_clear()
+    priced_at(fft_constants, _kernels.ROW_CONSTANTS)
     terms, seconds, residuals = [], [], []
     for n, hop, cls in block_shapes():
         if cls.blocks * cls.block_len > 1 << 21:
@@ -138,14 +141,11 @@ def spectral(rng, fft_constants):
     return fit(terms, seconds, _kernels.ROW_CONSTANTS, target=residuals)
 
 
-def band_and_rows_seconds(rng, n, hop, cls, rows, reps=9):
-    """Median seconds of ``rows`` rows of ``cls`` on ``n`` samples, as one band and as block rows.
+def band_class_seconds(rng, n, hop, cls, rows, reps=9):
+    """Median seconds of ``rows`` rows of ``cls`` on ``n`` samples, taken as one band.
 
-    The rows are as wide as the class, and the two executions are timed
-    in turn, so a slow spell of the host meets both.  The band's kernels
-    are laid out once, outside the timing, as a held band's are; the
-    block rows transform theirs in each call, in one batch as a
-    transform does.
+    The rows are as wide as the class.  Their kernels are laid out once,
+    outside the timing, as a held band's are.
     """
     spectra = wavelet._block_spectra(rng.standard_normal(n), cls)
     half = min(cls.pad, n - 1)
@@ -153,61 +153,37 @@ def band_and_rows_seconds(rng, n, hop, cls, rows, reps=9):
     taps = [tuple(rng.standard_normal((2, 2 * half + 1))) for _ in range(rows)]
     out = np.empty((rows, -(-n // hop)), dtype=np.complex128)
     kernels = wavelet._band_kernels(band, taps, hop)
-
-    def as_band():
-        wavelet._band_rows(out, spectra, band, kernels, hop)
-
-    def as_rows():
-        for row_out, kernel in zip(out, wavelet._kernel_spectra(band, taps, hop)):
-            wavelet._block_row(row_out, spectra, band, kernel, hop)
-
-    times = ([], [])
-    for _ in range(reps + 1):
-        for call, seconds in zip((as_band, as_rows), times):
-            start = time.perf_counter()
-            call()
-            seconds.append(time.perf_counter() - start)
-    # the first call of each warms its buffers
-    return statistics.median(times[0][1:]), statistics.median(times[1][1:])
+    return median_seconds(lambda: wavelet._band_rows(out, spectra, band, kernels, hop), reps)
 
 
-def band(rng):
-    """A band class's own constants, in the units of the model that ``_kernels`` holds.
+def band(rng, fft_constants):
+    """A band class's own constants, from whole bands beyond their FFTs at ``fft_constants``.
 
-    Band seconds are scaled by the host's speed against that model: the
-    median, over the shapes, of the price of a class's rows as block rows
-    at ``_kernels``' constants over the seconds they took beside its
-    band.  The constants are fitted to what a band takes beyond its FFTs
-    at ``_kernels``' FFT constants.  Only layouts that ``wavelet._holds``
-    take a band, and classes of one row are left out: numpy takes their
-    matmuls as vector products, without the per-bin cost of the others.
-    Run before the other fits change ``_kernels``.
+    Only layouts that ``wavelet._holds`` take a band, and classes of one
+    row are left out: numpy takes their matmuls as vector products,
+    without the per-bin cost of the others.
     """
-    vars(_kernels).update(dict.fromkeys(_kernels.BAND_CONSTANTS, 0.0))
-    shapes, seconds, speeds = [], [], []
+    priced_at(fft_constants, _kernels.BAND_CONSTANTS)
+    terms, seconds, residuals = [], [], []
     for n, hop, cls in block_shapes():
         for rows in BAND_ROWS:
             if (cls.blocks * cls.block_len > 1 << 21 or not wavelet._holds(cls, hop)
                     or wavelet._band_capacity(cls, hop) < rows):
                 continue
-            shapes.append((cls.block_len, hop, cls.blocks, rows))
-            band_t, rows_t = band_and_rows_seconds(rng, n, hop, cls, rows)
-            seconds.append(band_t)
-            speeds.append(rows * _kernels.spectral_seconds(cls.block_len, hop, cls.blocks) / rows_t)
-    speed = statistics.median(speeds)
-    seconds = speed * np.array(seconds)
-    ffts = [_kernels.band_seconds(*shape) for shape in shapes]
-    print(f"# band class, at {speed:.2f} times its seconds: beyond its FFTs, bins, points copied, "
-          "read and folded, multiply-adds, rows")
-    return fit([_kernels.band_terms(*shape) for shape in shapes], seconds,
-               _kernels.BAND_CONSTANTS, target=seconds - ffts)
+            shape = (cls.block_len, hop, cls.blocks, rows)
+            t = band_class_seconds(rng, n, hop, cls, rows)
+            terms.append(_kernels.band_terms(*shape))
+            seconds.append(t)
+            residuals.append(t - _kernels.band_seconds(*shape))
+    print("# band class: beyond its FFTs, bins, points copied, read and folded, multiply-adds, rows")
+    return fit(terms, seconds, _kernels.BAND_CONSTANTS, target=residuals)
 
 
 def main():
     rng = np.random.default_rng(0)
-    band_constants = band(rng)  # first, against the constants _kernels holds
     direct_constants, fft_constants = direct(rng), ffts(rng)
-    constants = direct_constants | fft_constants | spectral(rng, fft_constants) | band_constants
+    constants = (direct_constants | fft_constants | spectral(rng, fft_constants)
+                 | band(rng, fft_constants))
     print("# paste into src/wavehop/_kernels.py")
     for name, value in constants.items():
         print(f"{name} = {value:.2g}")

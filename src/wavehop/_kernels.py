@@ -32,11 +32,11 @@ per call, the kernel without phases at hops above 2 only, FFTs timed on
 ``scipy.fft`` (pocketfft, as ``numpy.fft``) and each row's kernel FFT
 alone, where a class's kernels now take one batched FFT.  The band
 constants alone come from a later, busier run of an earlier form of the
-script, fitted on its raw seconds (it read the FFT constants 1.7-3.3x
-higher), so they price a band about twice as dear, relative to the other
-routes, as the script's ``band`` fit, now in the units of the constants
-above, does; README's "Strided kernel and row routing" says why they
-stay.
+script, which read the FFT constants 1.7-3.3x higher than those above,
+so they price a band about twice as dear, relative to the other routes,
+as it runs.  The script now fits every family in one run, in that run's
+seconds, so a refit pastes its whole block; README's "Calibration" says
+why the band constants stay until then.
 """
 
 import functools

@@ -28,7 +28,6 @@ from .scalogram import (
 from .signal_io import SignalBuffer, SynthSpec, read_wav, synthesize, write_wav
 from .wavelet import (
     MorletParams,
-    cwt_fft,
     cwth_decimate,
     cwth_strided,
     make_scale_grid,
@@ -96,49 +95,49 @@ def _add_transform_flags(parser: argparse.ArgumentParser) -> None:
     _add_grid_flags(parser)
 
 
-def _params_and_grid(signal: SignalBuffer, args):
+def _grid(args, rate: float):
+    """The wavelet and the scale grid the flags ask for, at ``rate``."""
     params = MorletParams(center_frequency=args.wavelet_c, bandwidth=args.wavelet_b)
-    grid_rate = signal.sample_rate / args.hop if args.mode == "decimate" else signal.sample_rate
-    fmax = args.fmax if args.fmax is not None else 0.45 * grid_rate
-    return params, make_scale_grid(args.fmin, fmax, args.scales, grid_rate, params)
+    fmax = args.fmax if args.fmax is not None else 0.45 * rate
+    return params, make_scale_grid(args.fmin, fmax, args.scales, rate, params)
 
 
-def _transform_matrix(signal: SignalBuffer, args):
-    params, grid = _params_and_grid(signal, args)
-    if args.mode == "full":
-        return cwt_fft(signal, grid, params)
-    if args.mode == "strided":
-        return cwth_strided(signal, grid, params, args.hop)
-    return cwth_decimate(signal, grid, params, args.hop, args.anti_alias)
+def _transform(signal: SignalBuffer, args):
+    """The transform the flags ask for: its matrix, its plan and the (n, hop) the plan ran at.
+
+    ``full`` mode is the strided transform at hop 1, as ``cwt_fft`` is;
+    ``decimate`` mode runs it at hop 1 on the decimated signal, with the
+    grid at the decimated rate.
+    """
+    if args.mode == "decimate":
+        params, grid = _grid(args, signal.sample_rate / args.hop)
+        matrix = cwth_decimate(signal, grid, params, args.hop, args.anti_alias)
+        return matrix, plan_for(params, grid), (matrix.columns, 1)
+    params, grid = _grid(args, signal.sample_rate)
+    hop = args.hop if args.mode == "strided" else 1
+    return cwth_strided(signal, grid, params, hop), plan_for(params, grid), (len(signal), hop)
 
 
-def _emit_outputs(matrix, args) -> None:
-    write_matrix_bin(matrix, args.out)
-    if args.csv:
-        write_csv(magnitude(matrix, args.mag), args.csv)
-    if args.pgm:
-        write_pgm(render(magnitude(matrix, args.mag)), args.pgm)
-
-
-def _write_explain(signal: SignalBuffer, matrix, args) -> None:
-    """One JSON line per scale row of the transform as it ran: its route and predicted seconds."""
-    # the decimate mode ran at hop 1 on a signal of ``columns`` samples at a lower rate
-    n, hop = ((len(signal), matrix.hop) if matrix.source_rate == signal.sample_rate
-              else (matrix.columns, 1))
-    records = plan_for(*_params_and_grid(signal, args)).explain(n, hop)
-    text = "".join(json.dumps(record) + "\n" for record in records)
-    try:
-        Path(args.explain).write_text(text)
-    except OSError as exc:
-        raise IoFailure(f"cannot write {args.explain}: {exc}") from exc
+def _write_outputs(matrix, mag: str, out, csv=None, pgm=None) -> None:
+    """The coefficient file at ``out``, and the magnitude CSV and PGM where a path is given."""
+    write_matrix_bin(matrix, out)
+    if csv:
+        write_csv(magnitude(matrix, mag), csv)
+    if pgm:
+        write_pgm(render(magnitude(matrix, mag)), pgm)
 
 
 def _cmd_transform(args) -> int:
     signal = _load_input(args.input, args.length, args.rate)
-    matrix = _transform_matrix(signal, args)
-    _emit_outputs(matrix, args)
+    matrix, plan, (n, hop) = _transform(signal, args)
+    _write_outputs(matrix, args.mag, args.out, args.csv, args.pgm)
     if args.explain:
-        _write_explain(signal, matrix, args)
+        # one JSON line per scale row of the transform as it ran: its route and predicted seconds
+        text = "".join(json.dumps(record) + "\n" for record in plan.explain(n, hop))
+        try:
+            Path(args.explain).write_text(text)
+        except OSError as exc:
+            raise IoFailure(f"cannot write {args.explain}: {exc}") from exc
     return 0
 
 
@@ -156,9 +155,7 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    params = MorletParams(center_frequency=args.wavelet_c, bandwidth=args.wavelet_b)
-    fmax = args.fmax if args.fmax is not None else 0.45 * args.rate
-    grid = make_scale_grid(args.fmin, fmax, args.scales, args.rate, params)
+    params, grid = _grid(args, args.rate)
     # written with the first cell's lines, so a run refused before any cell prints nothing
     head = json.dumps({"env": bench_env(args.threads)}) + "\n"
     for length in args.length:
@@ -209,11 +206,9 @@ def _cmd_scan(args) -> int:
     def process(path: Path):
         """Transform one file; returns the error that failed it, or None."""
         try:
-            signal = read_wav(path)
-            matrix = _transform_matrix(signal, args)
-            write_matrix_bin(matrix, out_dir / (path.stem + ".scg1"))
-            if args.pgm:
-                write_pgm(render(magnitude(matrix, args.mag)), out_dir / (path.stem + ".pgm"))
+            matrix, _, _ = _transform(read_wav(path), args)
+            _write_outputs(matrix, args.mag, out_dir / f"{path.stem}.scg1",
+                           pgm=out_dir / f"{path.stem}.pgm" if args.pgm else None)
         except (WavehopError, OSError, MemoryError) as exc:
             return exc
         return None

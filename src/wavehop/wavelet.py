@@ -366,7 +366,8 @@ class CwtPlan:
         layout, and ``execution`` is its class's, ``"row"`` or ``"band"``.
         ``held`` is whether the row's layout, its stack's taps or its
         class's kernels, is held across calls (``_held_key``).  A field of
-        the other route is None.
+        the other route is None.  A bad ``n`` or ``hop`` raises as in
+        ``schedule``.
         """
         sched = schedule(n, self.widths, hop)
         records = [{"scale": float(scale), "taps": width, "route": "direct",
@@ -395,10 +396,12 @@ class CwtPlan:
         class's block spectra are held.  Each task writes its own rows or
         bins, on the calling thread or on ``_pool(threads)``.
         Samples that could overflow a coefficient or a spectrum raise
-        CoefficientOverflow before any work.
+        CoefficientOverflow, and a bad ``hop``, a bad ``threads`` or an
+        empty ``x`` InvalidHop or InvalidParameter, before any work.
         """
-        _kernels.check_overflow(x, self.gain, "the coefficients")
+        threads = _check_int(threads, "threads", InvalidParameter)
         sched = schedule(x.size, self.widths, hop)
+        _kernels.check_overflow(x, self.gain, "the coefficients")
         widths, frames = sched.widths, sched.frames
         if sched.stacks:
             pad = max(widths) // 2
@@ -575,38 +578,26 @@ def _factor_blocks(pad: int, hop: int) -> tuple:
     return tuple(shapes)
 
 
-# the largest length the table of FFT-friendly lengths holds
-SMOOTH_LIMIT = 1 << 32
-
-
 def _next_fast_len(target: int) -> int:
     """The least integer >= ``target`` built from the factors 2, 3, 5, 7 and 11.
 
     These are the lengths pocketfft transforms fastest, and the value is
-    ``scipy.fft.next_fast_len(target)``'s.  A bisection of a sorted table
-    up to ``SMOOTH_LIMIT``; past it, the least odd such number times the
-    least power of two that reaches ``target``.
+    ``scipy.fft.next_fast_len(target)``'s.  A bisection of the table of
+    such integers up to the least power of two that reaches ``target``,
+    itself one of them.
     """
-    table = _smooth_table()
-    index = bisect.bisect_left(table, target)
-    if index < len(table):
-        return table[index]
-    return min(odd << ((target - 1) // odd).bit_length()
-               for odd in _smooth_numbers(2 * target, (3, 5, 7, 11)))
+    table = _smooth_numbers((target - 1).bit_length())
+    return table[bisect.bisect_left(table, target)]
 
 
 @functools.cache
-def _smooth_table() -> list[int]:
-    return _smooth_numbers(SMOOTH_LIMIT)
-
-
-def _smooth_numbers(limit: int, primes: tuple = (2, 3, 5, 7, 11)) -> list[int]:
-    """Every integer up to ``limit`` with no prime factor outside ``primes``, ascending."""
+def _smooth_numbers(bits: int) -> list[int]:
+    """Every integer up to ``2**bits`` with no prime factor above 11, ascending."""
     numbers = [1]
-    for prime in primes:
+    for prime in (2, 3, 5, 7, 11):
         grown = []
         for number in numbers:
-            while number <= limit:
+            while number <= 1 << bits:
                 grown.append(number)
                 number *= prime
         numbers = grown
@@ -650,8 +641,10 @@ def schedule(n: int, widths, hop: int) -> Schedule:
     the cheapest of all (one shortest-path pass over the run ends), so
     the call is never priced above all rows direct or one class of a
     single block; a class is taken only where it is strictly cheaper
-    than direct rows.
+    than direct rows.  An ``n`` or ``hop`` that is not a whole number
+    >= 1 raises InvalidParameter or InvalidHop.
     """
+    n, hop = _check_int(n, "n", InvalidParameter), _check_int(hop)
     return _schedule(n, *_kernels.reach(n, widths, hop))
 
 

@@ -114,12 +114,46 @@ def test_band_terms_are_in_the_order_band_seconds_prices_them(monkeypatch):
         monkeypatch.setattr(_kernels, name, 0.0)
 
 
-def test_calibration_times_a_band_class_and_its_rows_through_the_package(monkeypatch):
+def test_calibration_times_a_band_class_through_the_package(monkeypatch):
     script = load_calibration(monkeypatch)
     for n, hop, pad in ((50, 2, 3), (40, 1, 39), (3_000, 131, 20)):
         for cls in wavelet.class_options(n, pad, hop):
-            seconds = script.band_and_rows_seconds(np.random.default_rng(0), n, hop, cls, 3, reps=1)
-            assert all(0 < t < 1 for t in seconds)
+            seconds = script.band_class_seconds(np.random.default_rng(0), n, hop, cls, 3, reps=1)
+            assert 0 < seconds < 1
+
+
+def test_the_printed_block_is_in_one_set_of_units(monkeypatch, capsys):
+    """Timings at twice the committed model's price print every constant at twice its value."""
+    script = load_calibration(monkeypatch)
+    names = (_kernels.DIRECT_CONSTANTS + _kernels.FFT_CONSTANTS + _kernels.ROW_CONSTANTS
+             + _kernels.BAND_CONSTANTS)
+    committed = {name: getattr(_kernels, name) for name in names}
+    for name in names:  # the script writes them into _kernels; undo restores them
+        monkeypatch.setattr(_kernels, name, committed[name])
+    shapes = list(script.block_shapes())
+    rows = {(n, hop, cls): 2 * _kernels.spectral_seconds(cls.block_len, hop, cls.blocks)
+            for n, hop, cls in shapes}
+    bands = {(n, hop, cls, count): 2 * _kernels.band_seconds(cls.block_len, hop, cls.blocks, count)
+             for n, hop, cls in shapes for count in script.BAND_ROWS}
+
+    def doubled(group):
+        return lambda rng: {name: 2 * committed[name] for name in group}
+
+    monkeypatch.setattr(script, "direct", doubled(_kernels.DIRECT_CONSTANTS))
+    monkeypatch.setattr(script, "ffts", doubled(_kernels.FFT_CONSTANTS))
+    monkeypatch.setattr(script, "block_row_seconds", lambda rng, n, hop, cls: rows[n, hop, cls])
+    monkeypatch.setattr(script, "band_class_seconds",
+                        lambda rng, n, hop, cls, count: bands[n, hop, cls, count])
+    try:
+        script.main()
+    finally:
+        monkeypatch.undo()
+        _kernels._each_fft_seconds.cache_clear()
+    printed = dict(line.split(" = ") for line in capsys.readouterr().out.splitlines()
+                   if not line.startswith("#"))
+    assert list(printed) == list(names)
+    for name in names:
+        assert math.isclose(float(printed[name]), 2 * committed[name], rel_tol=0.05), name
 
 
 def load_ab_pairs():

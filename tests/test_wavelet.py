@@ -411,6 +411,26 @@ class TestIntegerArguments:
             with pytest.raises(InvalidParameter, match="threads must be an integer >= 1"):
                 call()
 
+    @pytest.mark.parametrize("value", BAD_COUNTS, ids=BAD_IDS)
+    def test_schedule_and_the_plan_check_their_own_arguments(self, value, monkeypatch):
+        """``schedule``, ``CwtPlan.explain`` and ``CwtPlan.execute`` refuse a bad length, hop or
+        thread count before they schedule anything."""
+        def work(*args, **kwargs):
+            raise AssertionError("scheduling began before the arguments were checked")
+
+        plan, x = plan_for(PARAMS, SWEEP_GRID), noise(1_000, seed=73).samples
+        monkeypatch.setattr(wavelet, "_schedule", work)
+        checks = [(InvalidHop, "hop", lambda: schedule(1_000, plan.widths, value)),
+                  (InvalidHop, "hop", lambda: plan.explain(1_000, value)),
+                  (InvalidHop, "hop", lambda: plan.execute(x, value)),
+                  (InvalidParameter, "n", lambda: schedule(value, plan.widths, 8)),
+                  (InvalidParameter, "n", lambda: plan.explain(value, 8)),
+                  (InvalidParameter, "n", lambda: plan.execute(np.zeros(0), 8)),
+                  (InvalidParameter, "threads", lambda: plan.execute(x, 8, value))]
+        for error, name, call in checks:
+            with pytest.raises(error, match=f"^{name} must be an integer >= 1"):
+                call()
+
     def test_any_whole_thread_count_gives_the_same_bytes(self):
         sig = noise(20_000, seed=72)
         for call in (lambda threads: cwth_strided(sig, DESK_GRID, PARAMS, 32, threads=threads),
@@ -1156,9 +1176,9 @@ class TestNextFastLen:
     def test_drawn_targets_up_to_the_table_end(self, target):
         assert wavelet._next_fast_len(target) == next_fast_len(target)
 
-    @pytest.mark.parametrize("target", [wavelet.SMOOTH_LIMIT + 1, 5 * 10**9, 3**21 + 1, 2**40 + 3])
+    @pytest.mark.parametrize("target", [2**32 + 1, 5 * 10**9, 3**21 + 1, 2**40 + 3])
     def test_targets_past_the_table(self, target):
-        assert target > wavelet.SMOOTH_LIMIT
+        assert target > 2**32
         assert wavelet._next_fast_len(target) == next_fast_len(target)
 
 
