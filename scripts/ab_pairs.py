@@ -1,33 +1,48 @@
-"""Time this checkout against a parent commit in alternating pairs of benchmark runs.
+"""Time this checkout against a parent commit in alternating pairs of runs.
 
     python scripts/ab_pairs.py PARENT_REF [--pairs 10] [--workload corpus_scan|hop_sweep|all]
                                [--seed 1]
+    python scripts/ab_pairs.py PARENT_REF --in-process SCALES,N,HOP [SCALES,N,HOP ...]
+                               [--pairs 10] [--seed 1]
 
-Checks ``PARENT_REF`` out with ``git worktree add`` under a temporary
-directory, copies this checkout's ``wavebench/`` over the parent's, and
+Extracts ``PARENT_REF`` with ``git archive`` into a temporary directory,
+removed afterwards.  The side that goes first alternates from pair to
+pair, so a slow spell of the host lands on both.
+
+By default, copies this checkout's ``wavebench/`` over the parent's and
 runs ``wavebench/run.py --trace 0`` once in each tree per pair, for
 ``BENCHMARK.json``'s ``run_seconds``, so the same harness times each
-side's ``src``.  The side that goes first
-alternates from pair to pair, so a slow spell of the host lands on both.
-The worktree is removed afterwards.
+side's ``src``.  For each end-to-end metric that ``BENCHMARK.json``
+names, prints the parent's median → this checkout's median, in how many
+pairs this checkout was better, and the interquartile range of the
+parent's runs.
 
-For each end-to-end metric that ``BENCHMARK.json`` names, prints the
-parent's median → this checkout's median, in how many pairs this
-checkout was better, and the interquartile range of the parent's runs,
-and writes them with every run's values to the first ``AB_<k>.json``
-at the root of the checkout that does not exist.
+With ``--in-process``, imports both trees' packages into this one
+interpreter, on one BLAS thread, and times ``cwth_strided`` calls of
+each on every given cell: ``SCALES`` scales of the benchmark's grid
+(20-7 200 Hz at 16 kHz), ``N`` samples of seeded noise and hop ``HOP``,
+after one untimed call of each side.  For each cell it prints the same
+figures of the calls' milliseconds.
+
+Either way the figures, with every run's values, go to the first
+``AB_<k>.json`` at the root of the checkout that does not exist.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib.util
+import io
 import json
+import os
 import shutil
 import signal
 import statistics
 import subprocess
 import sys
+import tarfile
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -98,6 +113,62 @@ def benchmark_runner(trees: dict[str, Path], workload: str, seed: int, seconds: 
     return run
 
 
+def extract(ref: str, dest: Path) -> None:
+    """The files of commit ``ref`` of this checkout's repository, written under ``dest``."""
+    archive = subprocess.run(["git", "archive", "--format=tar", ref], cwd=ROOT, check=True,
+                             capture_output=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+        tar.extractall(dest, filter="data")
+
+
+def load_package(package_dir: Path, name: str):
+    """The ``wavehop`` package in ``package_dir``, imported as ``name``: its modules import each
+    other relatively, so two trees' packages live side by side in one interpreter."""
+    spec = importlib.util.spec_from_file_location(name, package_dir / "__init__.py",
+                                                  submodule_search_locations=[str(package_dir)])
+    package = importlib.util.module_from_spec(spec)
+    sys.modules[name] = package
+    spec.loader.exec_module(package)
+    return package
+
+
+def parse_cell(text: str) -> tuple[int, int, int]:
+    """``SCALES,N,HOP`` as three ints."""
+    scales, n, hop = (int(part) for part in text.split(","))
+    return scales, n, hop
+
+
+def cell_call(package, cell: tuple[int, int, int], seed: int):
+    """A call of ``package``'s ``cwth_strided`` on ``cell``'s grid, noise and hop."""
+    import numpy as np  # here, once ``main`` has set the BLAS threads
+
+    scales, n, hop = cell
+    grid = package.make_scale_grid(20.0, 7200.0, scales, 16_000.0)
+    signal_buffer = package.SignalBuffer(np.random.default_rng(seed).standard_normal(n), 16_000.0)
+    return lambda: package.cwth_strided(signal_buffer, grid, hop=hop)
+
+
+def time_cells(calls: dict[str, dict], pairs: int, timer=time.perf_counter) -> dict[str, dict]:
+    """``summarise``'s figures of the milliseconds of each cell's calls, in alternating pairs.
+
+    ``calls[side][cell]`` is a side's call of the cell.  Each cell is
+    called once per side untimed, then ``pairs`` times per side.
+    """
+    summary = {}
+    for cell in calls["parent"]:
+        key = f"{','.join(map(str, cell))}.ms"
+
+        def run(side: str) -> dict:
+            start = timer()
+            calls[side][cell]()
+            return {key: (timer() - start) * 1e3}
+
+        for side in SIDES:
+            calls[side][cell]()
+        summary |= summarise(run_pairs(pairs, run), {"ms": "lower"})
+    return summary
+
+
 def default_out() -> Path:
     k = 1
     while (ROOT / f"AB_{k}.json").exists():
@@ -112,33 +183,43 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", default="all",
                         choices=("corpus_scan", "hop_sweep", "all"))
     parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--in-process", nargs="+", type=parse_cell, metavar="SCALES,N,HOP",
+                        help="time cwth_strided calls of both packages in this interpreter")
     args = parser.parse_args(argv)
     if args.pairs < 2:
         parser.error("--pairs must be at least 2, for quartiles")
     better, seconds = benchmark()
 
-    # a terminated run still removes its worktree
+    # a terminated run still removes its temporary directory
     signal.signal(signal.SIGTERM, lambda *_: sys.exit("terminated"))
     with tempfile.TemporaryDirectory(prefix="ab_pairs-") as tmp:
         parent = Path(tmp) / "parent"
-        subprocess.run(["git", "worktree", "add", "--detach", str(parent), args.parent_ref],
-                       cwd=ROOT, check=True, capture_output=True)
-        try:
+        extract(args.parent_ref, parent)
+        if args.in_process:
+            # one BLAS thread, as wavebench runs the transforms; set before numpy loads
+            for name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+                os.environ[name] = "1"
+            packages = {side: load_package(tree / "src" / "wavehop", f"wavehop_{side}")
+                        for side, tree in (("parent", parent), ("change", ROOT))}
+            summary = time_cells({side: {cell: cell_call(package, cell, args.seed)
+                                         for cell in args.in_process}
+                                  for side, package in packages.items()}, args.pairs)
+        else:
             shutil.copytree(ROOT / "wavebench", parent / "wavebench", dirs_exist_ok=True,
                             ignore=shutil.ignore_patterns("__pycache__"))
             trees = {"parent": parent, "change": ROOT}
-            runs = run_pairs(args.pairs, benchmark_runner(trees, args.workload, args.seed,
-                                                          seconds))
-        finally:
-            subprocess.run(["git", "worktree", "remove", "--force", str(parent)], cwd=ROOT,
-                           check=False, capture_output=True)
+            summary = summarise(run_pairs(args.pairs, benchmark_runner(
+                trees, args.workload, args.seed, seconds)), better)
 
-    summary = summarise(runs, better)
     for key, s in summary.items():
         print(f"{key:36s} {s['parent_median']:10.4g} -> {s['change_median']:10.4g}"
               f"  better in {s['wins']}/{s['pairs']}  parent IQR {s['parent_iqr']:.4g}")
-    record = {"parent_ref": args.parent_ref, "workload": args.workload, "seed": args.seed,
-              "seconds": seconds, "orders": pair_orders(args.pairs), "metrics": summary}
+    record = {"parent_ref": args.parent_ref, "seed": args.seed, "orders": pair_orders(args.pairs),
+              "metrics": summary}
+    if args.in_process:
+        record |= {"in_process": [list(cell) for cell in args.in_process]}
+    else:
+        record |= {"workload": args.workload, "seconds": seconds}
     out = default_out()
     out.write_text(json.dumps(record, indent=1) + "\n")
     print(f"wrote {out}")

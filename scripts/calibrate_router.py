@@ -144,10 +144,11 @@ def spectral(rng, fft_constants):
 def band_class_seconds(rng, n, hop, cls, rows, reps=9):
     """Median seconds of ``rows`` rows of ``cls`` on ``n`` samples, taken as one band.
 
-    The rows are as wide as the class.  Their kernels are laid out once,
-    outside the timing, as a held band's are.
+    The rows are as wide as the class, on the band's own segment spectra
+    (``wavelet._band_spectra``).  Their kernels are laid out once, outside
+    the timing, as a held band's are.
     """
-    spectra = wavelet._block_spectra(rng.standard_normal(n), cls)
+    spectra = wavelet._band_spectra(rng.standard_normal(n), cls, hop)
     half = min(cls.pad, n - 1)
     band = cls._replace(rows=tuple(range(rows)), execution="band")
     taps = [tuple(rng.standard_normal((2, 2 * half + 1))) for _ in range(rows)]

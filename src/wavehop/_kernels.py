@@ -12,7 +12,8 @@ matmul whose inner dimension is at least ``MIN_SPAN``, computed in the
 runs ``product_runs`` sets and priced row by row.  A stack's rows share
 one product and one centre, its widest row's, so ``row_layout`` alone
 places a row in it: ``stack_sizes`` cuts a call's direct rows into
-stacks, ``stack_shape`` reads each row's place, ``stack_taps`` lays
+stacks under the one budget, ``CHUNK_PRODUCTS``, that bounds every run,
+``stack_shape`` reads each row's place, ``stack_taps`` lays
 out a stack's taps once, and ``wavelet.held_layouts`` holds that layout
 across calls.  ``strided_correlate`` is the stack of one row, the form
 ``signal_io.decimate`` (the anti-alias FIR, real taps alone) and the
@@ -47,8 +48,9 @@ import numpy as np
 
 from .errors import CoefficientOverflow
 
-# Products of more elements (32 MB) are computed a run of frames at a time: ``product_runs``.
-CHUNK_PRODUCTS = 1 << 22
+# Products of more elements (8 MB) are computed a run of frames at a time (``product_runs``),
+# and a stack of several rows takes no more (``stack_sizes``).
+CHUNK_PRODUCTS = 1 << 20
 # Least inner dimension of the direct kernel's matmul; a hop below it takes frames in
 # ceil(MIN_SPAN / hop) phases (``polyphase``), since BLAS runs far below peak on a smaller one.
 MIN_SPAN = 32
@@ -169,13 +171,13 @@ def stack_sizes(widths, hop: int, frames: int) -> tuple:
 
     A row joins the current stack while the stack's whole product,
     ``2*phases*sum(blocks) * (groups + reach - 1)`` elements, stays
-    within the largest product one of the rows makes alone
-    (``product_runs``); otherwise it starts the next.  So no product is
-    larger than one a row computed alone would make.  A stack ends at
-    its widest row j, whose blocks are its reach, and row r's blocks in
-    it (``row_layout``) do not depend on where the stack starts, so one
-    pass of cumulative sums over ``blocks[j, r]`` sizes every candidate
-    stack.
+    within ``CHUNK_PRODUCTS``, the budget ``product_runs`` holds each
+    run to; otherwise it starts the next.  So a stack of several rows is
+    one run, and only a row alone past the budget is cut into runs.  A
+    stack ends at its widest row j, whose blocks are its reach, and row
+    r's blocks in it (``row_layout``) do not depend on where the stack
+    starts, so one pass of cumulative sums over ``blocks[j, r]`` sizes
+    every candidate stack.
     """
     if len(widths) < 2:
         return (1,) * len(widths)
@@ -185,14 +187,10 @@ def stack_sizes(widths, hop: int, frames: int) -> tuple:
     _, blocks = row_layout(widths, widths[:, None], hop)
     counts = np.cumsum(blocks, axis=1).tolist()
     reach = np.diagonal(blocks).tolist()
-    budget = 0
-    for alone in reach:
-        chunk, _ = product_runs(2 * phases * alone, alone, groups)
-        budget = max(budget, 2 * phases * alone * (chunk + alone - 1))
     sizes, start = [], 0
     for row in range(1, len(widths)):
         blocks = counts[row][row] - (counts[row][start - 1] if start else 0)
-        if 2 * phases * blocks * (groups + reach[row] - 1) > budget:
+        if 2 * phases * blocks * (groups + reach[row] - 1) > CHUNK_PRODUCTS:
             sizes.append(row - start)
             start = row
     return tuple(sizes) + (len(widths) - start,)
@@ -232,8 +230,9 @@ def stacked_correlate(xpad, stack: Stack, frames: int) -> list:
     ``span``, every frame of every row is one contiguous matmul,
     ``(2*phases*sum(blocks), span) x (span, groups+reach-1)``, plus a
     sum over row r's block q of product rows shifted by ``lead_r + q``.
-    The product is laid out one block per row, so that sum reads
-    contiguous memory, and it is computed in the runs of groups
+    The product is laid out one block per row, so that sum is one
+    strided reduction per row, down the diagonal its blocks make in the
+    product, and it is computed in the runs of groups
     ``product_runs`` sets, so memory grows with the tap count rather
     than with the signal.
     """
@@ -247,15 +246,17 @@ def stacked_correlate(xpad, stack: Stack, frames: int) -> list:
         count = min(chunk, groups - start)
         # products[base_r + (c*phases + s)*blocks_r + q, i] = taps[same row] . x2d[start + i]
         products = stack.taps @ x2d[start:start + count + reach - 1].T
+        down, right = products.strides
         base = 0
         for row_runs, lead, row_blocks in zip(runs, leads, blocks):
-            band = products[base:base + parts * phases * row_blocks]
-            part = band[::row_blocks, lead:lead + count].copy()
-            for q in range(1, row_blocks):
-                part += band[q::row_blocks, lead + q:lead + q + count]
-            row_runs.append(part)
+            # [c*phases + s, q, i]: product row base + (c*phases + s)*blocks + q at column
+            # lead + q + i, so the row's blocks lie on one diagonal
+            diagonals = np.ndarray((parts * phases, row_blocks, count), products.dtype, products,
+                                   base * down + lead * right,
+                                   (down * row_blocks, down + right, right))
+            row_runs.append(np.add.reduce(diagonals, axis=1))
             base += parts * phases * row_blocks
-        del products, band  # free this run's product before the next one is allocated
+        del products, diagonals  # free this run's product before the next one is allocated
     frames_of = []
     for row_runs in runs:
         out = row_runs[0] if len(row_runs) == 1 else np.concatenate(row_runs, axis=1)
@@ -370,10 +371,14 @@ def band_terms(block_len: int, hop: int, blocks: int, rows: int) -> tuple:
     """What each of ``BAND_CONSTANTS`` multiplies in a class of ``rows`` taken as one band.
 
     Each bin's small matmul, ``(blocks, hop) x (hop, rows)``; each point
-    of the segment spectra copied into that layout; each kernel point the
-    matmuls read; each point of the folded spectra, written out of the
-    matmuls' layout and copied into the output; each complex
-    multiply-add; and each row.
+    of the segment spectra; each kernel point the matmuls read; each
+    point of the folded spectra, inverse transformed and copied into the
+    output; each complex multiply-add; and each row.  The constants were
+    fitted when the band copied its spectra into the matmuls' layout,
+    which it now reads in place, and a class's segment spectra are still
+    priced as ``blocks`` FFTs of ``block_len`` (``wavelet._class_prices``),
+    not the band's ``blocks * hop`` real FFTs of ``block_len / hop``,
+    until the next refit.
     """
     bins = block_len // hop
     return (bins, blocks * block_len, rows * block_len, rows * blocks * bins,

@@ -215,7 +215,10 @@ def read_wav(path) -> SignalBuffer:
 
     Accepts 16-bit PCM (scaled by 1/32768) and 32-bit IEEE float data.
     Multi-channel content is downmixed by the arithmetic mean of the
-    channels.
+    channels, summed one channel at a time and divided by their count:
+    far faster than ``mean(axis=1)`` over so short an axis, and the same
+    bits wherever the sum is exact in float64, as it always is for
+    16-bit samples.
 
     Raises MalformedRiff, UnsupportedEncoding, or EmptySignal.
     """
@@ -230,6 +233,7 @@ def read_wav(path) -> SignalBuffer:
 
     fmt = None
     data = None
+    view = memoryview(raw)  # chunks are sliced from it without a copy
     offset = 12
     while offset + 8 <= len(raw):
         chunk_id = raw[offset:offset + 4]
@@ -238,9 +242,9 @@ def read_wav(path) -> SignalBuffer:
         if body_start + size > len(raw):
             raise MalformedRiff(f"{path}: chunk {chunk_id!r} extends past end of file")
         if chunk_id == b"fmt ":
-            fmt = raw[body_start:body_start + size]
+            fmt = view[body_start:body_start + size]
         elif chunk_id == b"data":
-            data = raw[body_start:body_start + size]
+            data = view[body_start:body_start + size]
         offset = body_start + size + (size & 1)  # chunks are word-aligned
 
     if fmt is None or data is None:
@@ -266,13 +270,16 @@ def read_wav(path) -> SignalBuffer:
     if n_frames == 0:
         raise EmptySignal(f"{path}: data chunk holds no samples")
 
-    values = np.frombuffer(data[: n_frames * frame_bytes], dtype=dtype)
+    values = np.frombuffer(data, dtype=dtype, count=n_frames * channels).reshape(n_frames, channels)
     # a signalling NaN warns as it is cast; SignalBuffer rejects it as NonFiniteSamples
     with np.errstate(invalid="ignore"):
-        values = values.reshape(n_frames, channels).astype(np.float64)
+        mono = values[:, 0].astype(np.float64)
+        for channel in range(1, channels):
+            mono += values[:, channel]
     if format_code == _FMT_PCM:
-        values /= PCM16_FULL_SCALE
-    mono = values.mean(axis=1) if channels > 1 else values[:, 0]
+        mono /= PCM16_FULL_SCALE  # exact, as is each sum of 16-bit samples
+    if channels > 1:
+        mono /= channels
     return SignalBuffer(mono, float(sample_rate), source_label=str(path))
 
 

@@ -21,10 +21,9 @@ price is one cached, pure function of (length, taps, hop): ``schedule``.
 
 The direct rows are cut, in order of tap count, into stacks
 (``schedule``'s ``stacks``, sized by ``_kernels.stack_sizes``): each
-stack is one polyphase product of ``_kernels.stacked_correlate``, no
-larger than the largest product one of the call's direct rows makes
-alone, and each stack's taps, laid out for that product, are held
-across calls in ``held_layouts``.
+stack is one polyphase product of ``_kernels.stacked_correlate``, within
+``_kernels.CHUNK_PRODUCTS`` unless it is one row, and each stack's taps,
+laid out for that product, are held across calls in ``held_layouts``.
 
 There is one spectral route, overlap-save: spectral rows are grouped
 into width classes (``schedule``), and each class takes one batched FFT
@@ -34,8 +33,11 @@ the retained outputs; at hop 1 the fold is the identity.  A class
 computes that product and fold in one of two executions, whichever its
 ``schedule`` prices cheaper: ``"row"``, each row on its own
 (``_block_row``, one batched inverse FFT a row), or ``"band"``, all its
-rows at once as one matmul per bin (``_band_rows``, one batched inverse
-FFT a class).  A band is offered only in a layout whose block length
+rows at once in the fold's polyphase form: each segment's phases take
+real FFTs of length block_len/hop (``_band_spectra``), and bin m of
+every block and row is one matmul by the kernels' phase spectra
+(``_band_rows``, one inverse FFT a class).  A band is offered only in a
+layout whose block length
 does not depend on the signal, and takes its kernels, laid out for that
 matmul, from ``held_layouts``, one byte-bounded LRU that every plan
 shares and that holds the stacked taps as well.  Work is
@@ -326,8 +328,8 @@ class CwtPlan:
     hop.  Each row is held once, as read-only contiguous arrays of its
     real and imaginary parts, and a plan does not change after it is
     built.  ``_kernels.stack_taps`` lays a stack's rows out for the
-    direct kernel's product, and ``_band_kernels`` a band's kernel
-    spectra for its matmul; neither depends on the signal, so
+    direct kernel's product, and ``_band_kernels`` a band's polyphase
+    kernel spectra for its matmuls; neither depends on the signal, so
     ``execute`` takes both from ``held_layouts``, under keys that start
     with the plan's ``serial``, by one rule (``_held_key``).  A row
     class's kernel spectra (``_kernel_spectra``) depend on the block
@@ -393,7 +395,7 @@ class CwtPlan:
         ``schedule(x.size, widths, hop)`` lays out the work: each stack of
         direct rows is one task, then each width class's rows one task
         each, or a band class's chunks of bins one task each, so only one
-        class's block spectra are held.  Each task writes its own rows or
+        class's segment spectra are held.  Each task writes its own rows or
         bins, on the calling thread or on ``_pool(threads)``.
         Samples that could overflow a coefficient or a spectrum raise
         CoefficientOverflow, and a bad ``hop``, a bad ``threads`` or an
@@ -418,16 +420,16 @@ class CwtPlan:
             # list() waits for the tasks and raises their errors
             list(run(_direct_stack, repeat(out), starts, stacks, sched.stacks, repeat(frames)))
         for cls in sched.classes:
-            # kernels first: a band's are laid out through a buffer of their own size
             taps = [self._row_taps(row, widths[row]) for row in cls.rows]
             build = _kernel_spectra if cls.execution == "row" else _band_kernels
             kernels = held_layouts.get(self._held_key(sched, hop, cls.rows, cls),
                                        lambda: build(cls, taps, sched.hop))
-            spectra = _block_spectra(x, cls)
             if cls.execution == "row":
+                spectra = _block_spectra(x, cls)
                 list(run(_block_row, [out[row] for row in cls.rows], repeat(spectra),
                          repeat(cls), kernels, repeat(sched.hop)))
             else:
+                spectra = _band_spectra(x, cls, sched.hop)
                 _band_rows(out, spectra, cls, kernels, sched.hop, run)
             del spectra, kernels
         return out
@@ -691,7 +693,7 @@ def _schedule(n: int, widths: tuple, hop: int) -> Schedule:
     spectral = set(order[end:])
     routes = tuple(row in spectral for row in range(len(widths)))
     return Schedule(widths, hop, frames, tuple(reversed(classes)), direct_s, routes,
-                    float(best[-1]), _stacks(widths, order[:end], hop, frames))
+                    float(best[-1]), _stacks(n, widths, order[:end], hop, frames))
 
 
 EXECUTIONS = ("row", "band")
@@ -728,7 +730,7 @@ def class_row_seconds(cls: BlockClass, hop: int) -> float:
 
 # the most bytes one band class's kernels, or its folded spectra, may take
 BAND_CLASS_BYTES = 8 << 20
-# a band class copies its segment spectra into the matmul's layout this many bytes at a time
+# a band class's matmuls are split into tasks of this many bytes of segment spectra
 BAND_CHUNK_BYTES = 1 << 18
 
 
@@ -739,12 +741,20 @@ def _band_capacity(cls: BlockClass, hop: int) -> int:
     return BAND_CLASS_BYTES // (16 * cls.block_len * -(-cls.blocks // hop))
 
 
-def _stacks(widths: tuple, direct, hop: int, frames: int) -> tuple:
-    """The ``direct`` rows, taken in order of tap count, cut into ``_kernels.stack_sizes``."""
-    stacks, start = [], 0
-    for size in _kernels.stack_sizes([widths[row] for row in direct], hop, frames):
-        stacks.append(tuple(direct[start:start + size]))
-        start += size
+def _stacks(n: int, widths: tuple, direct, hop: int, frames: int) -> tuple:
+    """The ``direct`` rows, taken in order of tap count, cut into ``_kernels.stack_sizes``.
+
+    The rows that ``_kernels.reach`` may have cut, ``2n - 1`` taps wide,
+    are cut apart from the others, so a short signal still finds the
+    others' stacks held (``CwtPlan._held_key``).
+    """
+    whole = bisect.bisect_left([widths[row] for row in direct], 2 * n - 1)
+    stacks = []
+    for part in (direct[:whole], direct[whole:]):
+        start = 0
+        for size in _kernels.stack_sizes([widths[row] for row in part], hop, frames):
+            stacks.append(tuple(part[start:start + size]))
+            start += size
     return tuple(stacks)
 
 
@@ -789,11 +799,49 @@ def _kernel_spectra(cls: BlockClass, taps, hop: int) -> np.ndarray:
     return np.fft.fft(kernels, axis=-1, out=kernels)
 
 
+def _band_spectra(x: np.ndarray, cls: BlockClass, hop: int) -> np.ndarray:
+    """The ``(block_len/hop, blocks, hop)`` polyphase spectra of the class's segments of ``x``.
+
+    [m, b, p] is bin m of the FFT of segment b's samples p, p + hop, ...
+    (``M = block_len/hop`` of them): one real FFT along the first axis
+    of a strided view of the segments writes bins 0 .. M // 2, and the
+    upper bins are the conjugates of the lower ones, as in
+    ``_block_spectra``.
+    """
+    bins = cls.block_len // hop
+    xpad = np.zeros((cls.blocks - 1) * cls.step + cls.block_len)
+    xpad[cls.pad:cls.pad + x.size] = x
+    sample = xpad.strides[0]
+    # [q, b, p]: segment b's sample q*hop + p
+    phases = np.lib.stride_tricks.as_strided(
+        xpad, (bins, cls.blocks, hop), (hop * sample, cls.step * sample, sample), writeable=False)
+    spectra = np.empty((bins, cls.blocks, hop), dtype=np.complex128)
+    half = bins // 2 + 1
+    np.fft.rfft(phases, axis=0, out=spectra[:half])
+    np.conjugate(spectra[bins - half:0:-1], out=spectra[half:])
+    return spectra
+
+
 def _band_kernels(cls: BlockClass, taps, hop: int) -> np.ndarray:
-    """The class's ``_kernel_spectra`` in the band layout, ``(block_len/hop, hop, rows)``:
-    [m, h, r] is row r's bin ``h*block_len/hop + m``.  Read-only, as it may be held."""
-    kernels = _kernel_spectra(cls, taps, hop)
-    band = np.ascontiguousarray(kernels.reshape(len(cls.rows), hop, -1).transpose(2, 1, 0))
+    """The class's kernels in the band's polyphase layout, ``(M, hop, rows)``, M = block_len/hop.
+
+    ``taps`` is as in ``_kernel_spectra``.  Segment output i sums a row's
+    taps times the segment's samples from ``i + first`` on, ``first =
+    pad - (width - 1) // 2``.  Laid out in order from index ``first`` of
+    a block and cut into ``(M, hop)`` rows ``W``, the taps make retained
+    output j the sum of ``W[c, p]`` times phase p's sample ``j + c``, a
+    circular correlation of length M; so [m, p, r] is ``sum_c W[c, p] *
+    exp(2j*pi*m*c/M)`` of row r's ``W``, its unscaled inverse FFT.  The
+    taps are written straight into that layout and transformed there, in
+    place.  Read-only, as it may be held.
+    """
+    band = np.zeros((cls.block_len // hop, hop, len(cls.rows)), dtype=np.complex128)
+    laid = band.reshape(cls.block_len, len(cls.rows))
+    for row, (re, im) in enumerate(taps):
+        first = cls.pad - (re.size - 1) // 2
+        laid.real[first:first + re.size, row] = re
+        laid.imag[first:first + im.size, row] = im
+    np.fft.ifft(band, axis=0, norm="forward", out=band)
     band.setflags(write=False)
     return band
 
@@ -802,7 +850,8 @@ def _direct_stack(out, xpad, stack: _kernels.Stack, rows: tuple, frames: int) ->
     """A stack's direct ``rows`` into their rows of ``out``; ``xpad`` starts at its widest row's
     first tap."""
     for row, (re, im) in zip(rows, _kernels.stacked_correlate(xpad, stack, frames)):
-        out[row] = re + 1j * im
+        coefficients = out[row]
+        coefficients.real, coefficients.imag = re, im
 
 
 def _block_row(out, spectra, cls: BlockClass, kernel, hop: int) -> None:
@@ -828,29 +877,30 @@ def _block_row(out, spectra, cls: BlockClass, kernel, hop: int) -> None:
 def _band_rows(out, spectra, cls: BlockClass, kernels, hop: int, run=map) -> None:
     """Translations 0, hop, 2*hop, ... of every row of ``cls`` into its rows of ``out``.
 
-    The block row's product and fold of all the class's rows at once:
-    bin m of the folded spectra of every block and row is the segment
-    spectra's ``(blocks, hop)`` bands at m times the kernels'
-    ``(hop, rows)`` (``_band_kernels``), a matmul.  The bins are taken
-    as many at a time as ``BAND_CHUNK_BYTES`` of segment spectra hold,
-    so by the shape alone and never by a thread count, each chunk copied
-    into that layout, and ``run`` maps over the chunks; then one batched
-    inverse FFT of ``(rows, blocks, block_len/hop)`` in place.
+    The polyphase form of the block row's product and fold (Crochiere &
+    Rabiner, 1983): a block's retained outputs are the sum over phases
+    ``p`` of the circular correlations, of length ``M = block_len/hop``,
+    of its samples ``p, p + hop, ...`` with each row's phase-p taps, so
+    bin m of them, for every block and row, is the ``(blocks, hop)``
+    slab of ``spectra`` (``_band_spectra``) at m times the kernels'
+    ``(hop, rows)`` (``_band_kernels``), a matmul read in place.  The
+    bins are taken as many at a time as ``BAND_CHUNK_BYTES`` of spectra
+    hold, so by the shape alone and never by a thread count, and ``run``
+    maps over the chunks; then one inverse FFT of the ``(M, blocks,
+    rows)`` products along their first axis, in place.
     """
-    blocks, block_len = spectra.shape
-    bands = spectra.reshape(blocks, hop, block_len // hop)
-    folded = np.empty((len(cls.rows), blocks, block_len // hop), dtype=np.complex128)
+    bins, blocks, _ = spectra.shape
+    folded = np.empty((bins, blocks, len(cls.rows)), dtype=np.complex128)
     chunk = max(1, BAND_CHUNK_BYTES // (16 * blocks * hop))
 
     def fold(start: int) -> None:
-        bins = slice(start, start + chunk)
-        segments = np.ascontiguousarray(bands[:, :, bins].transpose(2, 0, 1))
-        folded[:, :, bins] = (segments @ kernels[bins]).transpose(2, 1, 0)
+        chunk_bins = slice(start, start + chunk)
+        np.matmul(spectra[chunk_bins], kernels[chunk_bins], out=folded[chunk_bins])
 
-    list(run(fold, range(0, block_len // hop, chunk)))
-    outputs = np.fft.ifft(folded, axis=-1, out=folded)
-    for row, row_outputs in zip(cls.rows, outputs):
-        _retained(out[row], row_outputs, cls.step // hop)
+    list(run(fold, range(0, bins, chunk)))
+    outputs = np.fft.ifft(folded, axis=0, out=folded)
+    for index, row in enumerate(cls.rows):
+        _retained(out[row], outputs[:, :, index].T, cls.step // hop)
 
 
 def _retained(out, outputs, keep: int) -> None:

@@ -257,32 +257,37 @@ GRIDS = {count: [sample_wavelet(MorletParams(), s).size for s in
 @given(st.sampled_from(sorted(GRIDS)), st.integers(1, 400_000),
        st.sampled_from((1, 2, 3, 8, 32, 127, 128, 512)))
 @settings(max_examples=300, deadline=None)
-def test_no_stack_product_exceeds_the_largest_lone_row_product(scales, n, hop):
+def test_stacks_take_rows_while_their_product_fits_the_run_budget(scales, n, hop):
+    """One budget, ``CHUNK_PRODUCTS``, bounds every run: a stack of several rows is one run
+    within it, and only a row alone past it is cut into runs, none past it but a least run of
+    its blocks in groups."""
     sched = schedule(n, GRIDS[scales], hop)
     direct = sorted((row for row, spectral in enumerate(sched.routes) if not spectral),
                     key=lambda row: (sched.widths[row], row))
     # the stacks cut the direct rows, in order of tap count, into consecutive runs
     assert [row for rows in sched.stacks for row in rows] == direct
     phases, _, groups = _kernels.polyphase(sched.hop, sched.frames)
-    lone = []
-    for row in direct:
-        _, _, blocks, _ = _lone(sched.widths[row], sched.hop, sched.frames)
-        chunk, _ = _kernels.product_runs(2 * phases * blocks, blocks, groups)
-        lone.append(2 * phases * blocks * (chunk + blocks - 1))
+    budget = _kernels.CHUNK_PRODUCTS
 
     def shape(rows):
         _, blocks, reach = _kernels.stack_shape([sched.widths[row] for row in rows], sched.hop)
         return 2 * phases * sum(blocks), reach
 
+    def cut(rows):
+        return sched.widths[rows[0]] >= 2 * n - 1
+
     for index, rows in enumerate(sched.stacks):
         products, reach = shape(rows)
         chunk, _ = _kernels.product_runs(products, reach, groups)
-        assert products * (min(chunk, groups) + reach - 1) <= max(lone)
-        # each stack took rows while its whole product fit, and no more
-        assert len(rows) == 1 or products * (groups + reach - 1) <= max(lone)
+        assert (products * (min(chunk, groups) + reach - 1) <= budget
+                or len(rows) == 1 and chunk == reach)
+        assert len(rows) == 1 or products * (groups + reach - 1) <= budget
+        # each stack took rows while its whole product fit, and no more; rows that ``reach``
+        # may have cut start a stack of their own
         if index + 1 < len(sched.stacks):
-            products, reach = shape(rows + sched.stacks[index + 1][:1])
-            assert products * (groups + reach - 1) > max(lone)
+            after = sched.stacks[index + 1]
+            products, reach = shape(rows + after[:1])
+            assert products * (groups + reach - 1) > budget or cut(after) and not cut(rows)
 
 
 BAND_SHAPES = [(25_088, 128, 10), (4_480, 8, 41), (1_350, 1, 236), (165_888, 128, 1),

@@ -27,6 +27,7 @@ from wavehop.wavelet import (
     BlockClass,
     _band_kernels,
     _band_rows,
+    _band_spectra,
     _block_row,
     _block_spectra,
     _kernel_spectra,
@@ -117,33 +118,43 @@ def test_spectral_row_matches_direct_kernel(data, hop, half, seed):
 
 @st.composite
 def band_cases(draw):
-    """(hop, class, half widths, n): 1-12 rows of a class of 1-20 blocks, at hops 1-300."""
-    hop = draw(st.one_of(st.integers(1, 300), st.sampled_from([13, 127, 131, 251, 293])),
-               label="hop")
+    """(hop, class, half widths, n): 1-12 rows of a class of 1-20 blocks, or of the single
+    block ``class_options`` lays out, at hops 1-300 and 512."""
+    hop = draw(st.one_of(st.integers(1, 300), st.sampled_from([2, 3, 8, 13, 32, 127, 128, 131,
+                                                               251, 293, 512])), label="hop")
     halves = draw(st.lists(st.integers(0, 300), min_size=1, max_size=12), label="halves")
     pad = max(halves) + draw(st.integers(0, 50), label="extra pad")
+    rows = tuple(range(len(halves)))
+    if draw(st.booleans(), label="one block"):
+        # cut to the signal, as ``_kernels.reach`` cuts a schedule's taps and hop
+        n = draw(st.integers(1, 3_000), label="n")
+        halves, pad, hop = [min(half, n - 1) for half in halves], min(pad, n - 1), min(hop, n)
+        return hop, class_options(n, pad, hop)[0]._replace(rows=rows), halves, n
     shortest = -(-(2 * pad + hop) // hop)
     block_len = hop * draw(st.integers(shortest, shortest + 16), label="block_len / hop")
     step = (block_len - 2 * pad) // hop * hop
     blocks = draw(st.integers(1, 20), label="blocks")
     n = draw(st.integers((blocks - 1) * step + 1, blocks * step), label="n")
-    return hop, BlockClass(pad, block_len, step, blocks, tuple(range(len(halves)))), halves, n
+    return hop, BlockClass(pad, block_len, step, blocks, rows), halves, n
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=120, deadline=None)
 @given(case=band_cases(), seed=seeds)
 def test_band_execution_equals_block_rows(case, seed):
-    """A class's rows in one band equal the same class's block rows, to 1e-12 of each peak."""
+    """A class's rows in one band, on its polyphase spectra, equal the same class's block rows,
+    to 1e-12 of each peak."""
     hop, cls, halves, n = case
     rng = np.random.default_rng(seed)
-    spectra = _block_spectra(rng.standard_normal(n), cls)
+    x = rng.standard_normal(n)
+    spectra = _block_spectra(x, cls)
     taps = [tuple(rng.standard_normal((2, 2 * half + 1))) for half in halves]
     frames = -(-n // hop)
     rows = np.empty((len(halves), frames), dtype=np.complex128)
     for out, kernel in zip(rows, _kernel_spectra(cls, taps, hop)):
         _block_row(out, spectra, cls, kernel, hop)
     band = np.empty_like(rows)
-    _band_rows(band, spectra, cls._replace(execution="band"), _band_kernels(cls, taps, hop), hop)
+    _band_rows(band, _band_spectra(x, cls, hop), cls._replace(execution="band"),
+               _band_kernels(cls, taps, hop), hop)
     for got, want in zip(band, rows):
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 

@@ -2,9 +2,11 @@
 
 import ast
 import importlib.util
+import itertools
 import json
 import math
 import statistics
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -198,3 +200,43 @@ def test_ab_pairs_report_medians_wins_and_the_parents_iqr():
     assert throughput["parent_iqr"] == q3 - q1
     assert (throughput["parent"], throughput["change"]) == (parent, change)
     assert metrics["corpus_scan.latency_p50_ms"]["wins"] == 1  # lower is better
+
+
+def test_ab_pairs_in_process_times_each_cell_in_alternating_pairs():
+    script = load_ab_pairs()
+    assert script.parse_cell("64,160000,128") == (64, 160_000, 128)
+    calls, clock = [], itertools.count()
+
+    def call(side, cell):
+        def run():
+            calls.append((side, cell))
+            if (side, cell) == ("change", "b"):
+                next(clock)  # a call that takes one reading of the stubbed clock longer
+        return run
+
+    cells = {side: {cell: call(side, cell) for cell in "ab"} for side in ("parent", "change")}
+    # each reading of the clock is half a second past the last
+    summary = script.time_cells(cells, 3, timer=lambda: next(clock) / 2)
+    assert set(summary) == {"a.ms", "b.ms"}
+    # one untimed call per side, then the pairs, which side goes first alternating
+    assert calls[:8] == [("parent", "a"), ("change", "a"), ("parent", "a"), ("change", "a"),
+                         ("change", "a"), ("parent", "a"), ("parent", "a"), ("change", "a")]
+    a, b = summary["a.ms"], summary["b.ms"]
+    assert a["parent"] == a["change"] == [500.0] * 3 and a["wins"] == 0 and a["pairs"] == 3
+    assert b["parent"] == [500.0] * 3 and b["change"] == [1000.0] * 3 and b["wins"] == 0
+    assert (b["parent_median"], b["change_median"], b["parent_iqr"]) == (500.0, 1000.0, 0.0)
+    assert b["better"] == "lower"
+
+
+def test_ab_pairs_loads_a_tree_s_package_under_its_own_name():
+    script = load_ab_pairs()
+    package = script.load_package(ROOT / "src" / "wavehop", "wavehop_under_test")
+    try:
+        assert package.__name__ == "wavehop_under_test" and package is not wavelet
+        assert package.wavelet.__name__ == "wavehop_under_test.wavelet"
+        assert package.wavelet.held_layouts is not wavelet.held_layouts
+        call = script.cell_call(package, (8, 2_000, 128), seed=1)
+        assert call().values.shape == (8, 16)
+    finally:
+        for name in [name for name in sys.modules if name.startswith("wavehop_under_test")]:
+            del sys.modules[name]

@@ -60,6 +60,18 @@ class TestReadWav:
         write_reference_wav(path, frames, 16_000)
         np.testing.assert_array_equal(read_wav(path).samples, [0.25] * 5)
 
+    def test_downmix_gives_the_bits_of_the_mean(self, tmp_path):
+        """Float32 stereo and 3-channel pcm16: the channels' running sum over their count."""
+        rng = np.random.default_rng(7)
+        stereo = rng.standard_normal((20_001, 2)).astype("<f4")
+        write_float32_wav(tmp_path / "stereo.wav", stereo, 16_000)
+        want = stereo.astype(np.float64).mean(axis=1)
+        assert read_wav(tmp_path / "stereo.wav").samples.tobytes() == want.tobytes()
+        three = rng.integers(-32768, 32768, (20_001, 3), dtype=np.int16)
+        write_reference_wav(tmp_path / "three.wav", three, 16_000)
+        want = (three.astype(np.float64) / 32768.0).mean(axis=1)
+        assert read_wav(tmp_path / "three.wav").samples.tobytes() == want.tobytes()
+
     def test_zero_length_data_chunk(self, tmp_path):
         path = tmp_path / "empty.wav"
         write_reference_wav(path, np.zeros(0, dtype=np.int16), 16_000)

@@ -779,18 +779,21 @@ class TestPlanCache:
         cwth_strided(noise(100, seed=43), SWEEP_GRID, PARAMS, 128)  # hop 128 cut to 100
         assert held.entries == {} and built
         assert {r["held"] for r in plan.explain(100, 128)} == {False}
-        # at 1 000 samples the rows past 1 999 taps are cut: the two widest stacks are not held
+        # at 1 000 samples the rows past 1 999 taps are cut: they take a stack of their own,
+        # which is not held, and the others' stack is
         sched = schedule(1_000, plan.widths, 128)
-        assert sched.stacks[-2:] == ((6,), (7,)) and sched.widths[5] == plan.widths[5]
+        assert sched.stacks == ((0, 1, 2, 3, 4, 5), (6, 7)) and sched.widths[5] == plan.widths[5]
         cwth_strided(noise(1_000, seed=44), SWEEP_GRID, PARAMS, 128)
-        assert [key[2] for key in held_stacks(held)] == list(sched.stacks[:-2])
+        assert [key[2] for key in held_stacks(held)] == [sched.stacks[0]]
         assert [r["held"] for r in plan.explain(1_000, 128)] == [True] * 6 + [False] * 2
-        # nothing is cut at 20 000 samples: its two stacks are held, and a second call builds none
-        assert len(schedule(20_000, plan.widths, 128).stacks) == 2
+        # nothing is cut at 20 000 samples: its one stack is held, and a second call builds none
+        sched = schedule(20_000, plan.widths, 128)
+        assert sched.stacks == (tuple(range(8)),)
         cwth_strided(noise(20_000, seed=45), SWEEP_GRID, PARAMS, 128)
         count = len(built)
         cwth_strided(noise(20_000, seed=45), SWEEP_GRID, PARAMS, 128)
-        assert len(built) == count and len(held_stacks(held)) == len(sched.stacks)
+        assert len(built) == count
+        assert [key[2] for key in held_stacks(held)] == [(0, 1, 2, 3, 4, 5), tuple(range(8))]
 
     def test_taps_are_sampled_only_on_the_first_call(self, monkeypatch):
         calls = []

@@ -42,9 +42,14 @@ def write_reference_wav(path, frames, rate):
 
 
 def write_float32_wav(path, samples, rate):
-    """Write mono 32-bit IEEE float WAV bytes directly (any value, NaN included)."""
-    payload = np.asarray(samples, dtype="<f4").tobytes()
-    fmt = struct.pack("<HHIIHH", 3, 1, rate, rate * 4, 4, 32)
+    """Write 32-bit IEEE float WAV bytes directly (any value, NaN included).
+
+    ``samples`` has shape (n,) for mono or (n, channels).
+    """
+    samples = np.asarray(samples, dtype="<f4")
+    channels = 1 if samples.ndim == 1 else samples.shape[1]
+    payload = samples.tobytes()
+    fmt = struct.pack("<HHIIHH", 3, channels, rate, rate * 4 * channels, 4 * channels, 32)
     body = b"WAVEfmt " + struct.pack("<I", len(fmt)) + fmt
     body += b"data" + struct.pack("<I", len(payload)) + payload
     with open(path, "wb") as handle:
