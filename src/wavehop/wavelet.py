@@ -180,7 +180,8 @@ def make_scale_grid(
         raise InvalidCount("count == 1 needs f_min == f_max")
     with np.errstate(over="ignore"):  # a scale past the largest double is inf: refused below
         scales = params.center_frequency * sample_rate / np.geomspace(f_max, f_min, count)
-    reach = params.support_radius * scales[0] * math.sqrt(params.bandwidth / 2.0)
+    # Python floats: a product past the largest double is inf, refused below, with no warning
+    reach = params.support_radius * float(scales[0]) * math.sqrt(params.bandwidth / 2.0)
     if not reach >= 1:
         raise InvalidScale(f"scale {scales[0]:.6g} reaches {reach:.3g} samples a side, not one")
     return ScaleGrid(scales)
@@ -208,7 +209,7 @@ def sample_wavelet(params: MorletParams, scale: float) -> np.ndarray:
     if not (scale > 0 and math.isfinite(scale)):
         raise InvalidScale(f"scale must be positive and finite, got {scale!r}")
     b = params.bandwidth
-    reach = params.support_radius * scale * math.sqrt(b / 2.0)
+    reach = params.support_radius * float(scale) * math.sqrt(b / 2.0)
     if not reach <= MAX_HALF_WIDTH:
         raise InvalidScale(f"scale {float(scale):.6g} needs {reach:.3g} taps a side,"
                            f" more than the {MAX_HALF_WIDTH} allowed")

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import wavehop.cli
@@ -698,6 +698,9 @@ def bad_float_flags(draw):
 
 @settings(max_examples=40, deadline=None)
 @given(args=bad_float_flags())
+# a wavelet's reach past the largest double once warned of overflow before its error line
+@example(args=["bench", "--length", "1000", "--hop", "16", "--scales", "4", "--reps", "3",
+               "--wavelet-b=1e300", "--wavelet-c=1e300"])
 def test_bad_float_flags_end_in_a_typed_error(args):
     with tempfile.TemporaryDirectory() as scratch:
         args = [str(Path(scratch) / arg) if arg.startswith("o.") else arg for arg in args]
