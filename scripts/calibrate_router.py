@@ -160,16 +160,17 @@ def band_class_seconds(rng, n, hop, cls, rows, reps=9):
 def band(rng, fft_constants):
     """A band class's own constants, from whole bands beyond their FFTs at ``fft_constants``.
 
-    Only layouts that ``wavelet._holds`` take a band, and classes of one
-    row are left out: numpy takes their matmuls as vector products,
-    without the per-bin cost of the others.
+    Every layout takes a band, its kernels laid out beforehand as a held
+    band's are: ``_kernels.band_seconds`` prices the build of kernels not
+    held on these same constants.  Classes of one row are left out: numpy
+    takes their matmuls as vector products, without the per-bin cost of
+    the others.
     """
     priced_at(fft_constants, _kernels.BAND_CONSTANTS)
     terms, seconds, residuals = [], [], []
     for n, hop, cls in block_shapes():
         for rows in BAND_ROWS:
-            if (cls.blocks * cls.block_len > 1 << 21 or not wavelet._holds(cls, hop)
-                    or wavelet._band_capacity(cls, hop) < rows):
+            if cls.blocks * cls.block_len > 1 << 21 or wavelet._band_capacity(cls, hop) < rows:
                 continue
             shape = (cls.block_len, hop, cls.blocks, rows)
             t = band_class_seconds(rng, n, hop, cls, rows)

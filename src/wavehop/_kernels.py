@@ -373,7 +373,11 @@ def band_terms(block_len: int, hop: int, blocks: int, rows: int) -> tuple:
     Each bin's small matmul, ``(blocks, hop) x (hop, rows)``; each point
     of the segment spectra; each kernel point the matmuls read; each
     point of the folded spectra, inverse transformed and copied into the
-    output; each complex multiply-add; and each row.  The constants were
+    output; each complex multiply-add; and each row.  These are the
+    terms of a band whose kernels are held: ``band_seconds`` prices the
+    build of kernels that are not held on the same kernel points and the
+    FFT constants, so the calibration times bands on kernels laid out
+    beforehand.  The constants were
     fitted when the band copied its spectra into the matmuls' layout,
     which it now reads in place, and a class's segment spectra are still
     priced as ``blocks`` FFTs of ``block_len`` (``wavelet._class_prices``),
@@ -385,18 +389,24 @@ def band_terms(block_len: int, hop: int, blocks: int, rows: int) -> tuple:
             rows * blocks * block_len, rows)
 
 
-def band_seconds(block_len: int, hop: int, blocks: int, rows: int) -> float:
+def band_seconds(block_len: int, hop: int, blocks: int, rows: int, held: bool = True) -> float:
     """Predicted seconds of a band class of ``rows``, the segment spectra it shares excluded.
 
     Its ``band_terms`` priced, and the ``rows * blocks`` inverse FFTs of
-    length ``block_len / hop`` taken as one batch; its kernels are held,
-    so they cost nothing per call.  Affine in ``rows``, so a schedule
-    prices a class as a fixed cost and a cost per row.
+    length ``block_len / hop`` taken as one batch.  Kernels ``held``
+    across calls cost nothing per call.  Others are built in the call
+    (``wavelet._band_kernels``): zeroed and laid out, two more passes
+    over the kernel points at ``BAND_KERNEL_S``, then transformed, one
+    more call of ``rows * hop`` inverse FFTs of length ``block_len /
+    hop``.  Affine in ``rows``, so a schedule prices a class as a fixed
+    cost and a cost per row.
     """
     bins, points, kernel, folded, macs, rows = band_terms(block_len, hop, blocks, rows)
-    return (BAND_BIN_S * bins + BAND_POINT_S * points + BAND_KERNEL_S * kernel
-            + BAND_FOLD_S * folded + BAND_MAC_S * macs + BAND_ROW_S * rows + FFT_CALL_S
-            + rows * blocks * _each_fft_seconds(block_len // hop, True))
+    built = not held
+    return (BAND_BIN_S * bins + BAND_POINT_S * points + BAND_KERNEL_S * kernel * (1 + 2 * built)
+            + BAND_FOLD_S * folded + BAND_MAC_S * macs + BAND_ROW_S * rows
+            + FFT_CALL_S * (1 + built)
+            + rows * (blocks + hop * built) * _each_fft_seconds(block_len // hop, True))
 
 
 def _large_prime_sum(m: int) -> int:

@@ -36,13 +36,15 @@ computes that product and fold in one of two executions, whichever its
 rows at once in the fold's polyphase form: each segment's phases take
 real FFTs of length block_len/hop (``_band_spectra``), and bin m of
 every block and row is one matmul by the kernels' phase spectra
-(``_band_rows``, one inverse FFT a class).  A band is offered only in a
-layout whose block length
-does not depend on the signal, and takes its kernels, laid out for that
-matmul, from ``held_layouts``, one byte-bounded LRU that every plan
-shares and that holds the stacked taps as well.  Work is
-sized by what can reach a sample: at most 2N - 1 taps, and a hop of N
-or more computes as hop N.
+(``_band_rows``, one inverse FFT a class).  Both executions lay a row's
+taps out one way (``_lay_taps``) and transform them by an unscaled
+inverse FFT.  One rule holds a class's kernels, in either execution: a
+layout whose block length does not depend on the signal (``_holds``)
+takes them from ``held_layouts``, one byte-bounded LRU that every plan
+shares and that holds the stacked taps as well, and a single block,
+whose block length follows the signal, builds them in the call.  Work
+is sized by what can reach a sample: at most 2N - 1 taps, and a hop of
+N or more computes as hop N.
 """
 
 from __future__ import annotations
@@ -329,12 +331,12 @@ class CwtPlan:
     hop.  Each row is held once, as read-only contiguous arrays of its
     real and imaginary parts, and a plan does not change after it is
     built.  ``_kernels.stack_taps`` lays a stack's rows out for the
-    direct kernel's product, and ``_band_kernels`` a band's polyphase
-    kernel spectra for its matmuls; neither depends on the signal, so
-    ``execute`` takes both from ``held_layouts``, under keys that start
-    with the plan's ``serial``, by one rule (``_held_key``).  A row
-    class's kernel spectra (``_kernel_spectra``) depend on the block
-    length, so it transforms its kernels in each call.
+    direct kernel's product, ``_kernel_spectra`` a row class's kernel
+    spectra and ``_band_kernels`` a band's polyphase kernel spectra for
+    its matmuls.  ``execute`` takes each from ``held_layouts``, under a
+    key that starts with the plan's ``serial``, wherever its layout does
+    not follow the signal, and builds it in the call wherever it does, by
+    one rule (``_held_key``).
     """
 
     def __init__(self, params: MorletParams, grid: ScaleGrid):
@@ -368,9 +370,9 @@ class CwtPlan:
         ``class`` (an index into the schedule's ``classes``) give its
         layout, and ``execution`` is its class's, ``"row"`` or ``"band"``.
         ``held`` is whether the row's layout, its stack's taps or its
-        class's kernels, is held across calls (``_held_key``).  A field of
-        the other route is None.  A bad ``n`` or ``hop`` raises as in
-        ``schedule``.
+        class's kernels in its execution, is held across calls
+        (``_held_key``).  A field of the other route is None.  A bad ``n``
+        or ``hop`` raises as in ``schedule``.
         """
         sched = schedule(n, self.widths, hop)
         records = [{"scale": float(scale), "taps": width, "route": "direct",
@@ -406,11 +408,10 @@ class CwtPlan:
         sched = schedule(x.size, self.widths, hop)
         _kernels.check_overflow(x, self.gain, "the coefficients")
         widths, frames = sched.widths, sched.frames
+        out = np.empty((self.count, frames), dtype=np.complex128)
         if sched.stacks:
             pad = max(widths) // 2
             xpad = _kernels.zero_padded(x, pad, sched.hop)
-        # out after xpad: the other order measured ~400 more page faults a corpus_scan request
-        out = np.empty((self.count, frames), dtype=np.complex128)
         run = map if threads <= 1 else _pool(threads).map
         if sched.stacks:
             # each stack reads xpad from its widest row's first tap
@@ -421,10 +422,9 @@ class CwtPlan:
             # list() waits for the tasks and raises their errors
             list(run(_direct_stack, repeat(out), starts, stacks, sched.stacks, repeat(frames)))
         for cls in sched.classes:
-            taps = [self._row_taps(row, widths[row]) for row in cls.rows]
             build = _kernel_spectra if cls.execution == "row" else _band_kernels
-            kernels = held_layouts.get(self._held_key(sched, hop, cls.rows, cls),
-                                       lambda: build(cls, taps, sched.hop))
+            kernels = held_layouts.get(self._held_key(sched, hop, cls.rows, cls), lambda: build(
+                cls, [self._row_taps(row, widths[row]) for row in cls.rows], sched.hop))
             if cls.execution == "row":
                 spectra = _block_spectra(x, cls)
                 list(run(_block_row, [out[row] for row in cls.rows], repeat(spectra),
@@ -437,16 +437,19 @@ class CwtPlan:
 
     def _held_key(self, sched: Schedule, hop: int, rows: tuple, cls: BlockClass | None = None):
         """The ``held_layouts`` key of the stacked taps of ``rows``, or with ``cls`` of its
-        kernels, at ``hop``; None where that layout is built in each call and not held.
+        kernels in its execution, at ``hop``; None where that layout is built in each call.
 
-        Work laid out for rows or a hop that ``_kernels.reach`` cut serves
-        signals this short alone, and only a band whose layout ``_holds``
-        keeps its kernels: a row class's, or a single block's, follow the
-        signal's length.
+        One rule, whatever the execution: a layout is held unless it
+        follows the signal.  Work laid out for rows or a hop that
+        ``_kernels.reach`` cut serves signals this short alone, and a
+        class's kernels are held where its layout ``_holds``; a single
+        block's block length follows the signal's length.  A row and a
+        band of the same rows and block length are two entries.
         """
         whole = sched.hop == hop and all(sched.widths[row] == self.widths[row] for row in rows)
-        held = whole and (cls is None or cls.execution == "band" and _holds(cls, hop))
-        return (self.serial, hop, rows, None if cls is None else cls.block_len) if held else None
+        held = whole and (cls is None or _holds(cls, hop))
+        layout = None if cls is None else (cls.block_len, cls.execution)
+        return (self.serial, hop, rows, layout) if held else None
 
     def _row_taps(self, row: int, width: int) -> tuple:
         """The row's (real, imaginary) taps, cut to the ``width`` around the centre that matter."""
@@ -460,7 +463,7 @@ HELD_BYTES = 16 << 20
 
 class HeldLayouts:
     """Layouts held across calls, by key, in one LRU bounded by bytes: a plan's stacked taps
-    (``_kernels.Stack``) and its bands' kernels (``_band_kernels``).
+    (``_kernels.Stack``) and its classes' kernels (``_kernel_spectra``, ``_band_kernels``).
 
     ``get`` returns the entry of ``key``, or builds it with ``build()``
     and holds it, then drops the least recently used entries until the
@@ -615,10 +618,10 @@ class Schedule(NamedTuple):
     the spectral rows.  ``direct_s`` is each row's direct-route seconds,
     ``routes`` is True where a row goes spectral, and ``seconds`` prices
     the call: each direct row by its direct seconds, each class by its
-    block spectra and its rows, in its execution; a band's kernels are
-    held, so not priced per call.  ``stacks`` cuts the direct rows, in
-    order of tap count, into the stacks ``_kernels.stacked_correlate``
-    computes (``_stacks``); they are not priced apart from their rows.
+    block spectra and its rows, in its execution (``_class_prices``).
+    ``stacks`` cuts the direct rows, in order of tap count, into the
+    stacks ``_kernels.stacked_correlate`` computes (``_stacks``); they
+    are not priced apart from their rows.
     """
 
     widths: tuple
@@ -638,8 +641,8 @@ def schedule(n: int, widths, hop: int) -> Schedule:
     cached.  Taken in order of tap count, the narrowest rows stay direct
     and the rest are split into runs, each a class padded for its widest
     row in the ``class_options`` layout and the execution, row or band,
-    that the seconds model prices cheapest; a band is offered only in a
-    layout that ``_holds`` its kernels, and takes at most the rows
+    that the seconds model prices cheapest; every layout is offered in
+    both executions, and a band takes at most the rows
     ``_band_capacity`` allows.  The split and the direct prefix are
     the cheapest of all (one shortest-path pass over the run ends), so
     the call is never priced above all rows direct or one class of a
@@ -701,32 +704,33 @@ EXECUTIONS = ("row", "band")
 
 
 def _holds(cls: BlockClass, hop: int) -> bool:
-    """Whether a band of this layout holds its kernels across calls: a layout of
-    ``_factor_blocks``, whose ``block_len`` does not follow the signal's length."""
+    """Whether a class of this layout holds its kernels across calls, in either execution: a
+    layout of ``_factor_blocks``, whose ``block_len`` does not follow the signal's length."""
     return (cls.block_len, cls.step) in _factor_blocks(cls.pad, hop)
 
 
 def _class_prices(cls: BlockClass, hop: int) -> tuple:
     """(seconds paid once, seconds per row) of a class of this layout in each of ``EXECUTIONS``.
 
-    A band is offered only where ``_holds`` its kernels: a single block
-    would lay them out and transform them in every call, and so ran
-    slower as a band than as rows.
+    Every layout is offered both ways.  A block row is priced with its
+    kernel's FFT, held or not, until the model is refitted; a band's
+    kernels cost nothing per call where the layout ``_holds`` them, and
+    their build where it does not (``_kernels.band_seconds``).
     """
+    shape = cls.block_len, hop, cls.blocks
     spectra = _kernels.fft_seconds(cls.block_len, cls.blocks)
-    row = (spectra, _kernels.spectral_seconds(cls.block_len, hop, cls.blocks))
-    if not _holds(cls, hop):
-        return row, (np.inf, np.inf)
-    fixed = _kernels.band_seconds(cls.block_len, hop, cls.blocks, 0)
-    return row, (spectra + fixed, _kernels.band_seconds(cls.block_len, hop, cls.blocks, 1) - fixed)
+    fixed, one = (_kernels.band_seconds(*shape, rows, _holds(cls, hop)) for rows in (0, 1))
+    return (spectra, _kernels.spectral_seconds(*shape)), (spectra + fixed, one - fixed)
 
 
 def class_row_seconds(cls: BlockClass, hop: int) -> float:
     """Predicted seconds of one row of ``cls``, the segment spectra the class shares excluded:
-    a block row's, or a band row's share of its class."""
+    a block row's, or a band row's share of its class, the build of kernels its layout does not
+    hold included."""
     if cls.execution == "row":
         return _kernels.spectral_seconds(cls.block_len, hop, cls.blocks)
-    return _kernels.band_seconds(cls.block_len, hop, cls.blocks, len(cls.rows)) / len(cls.rows)
+    rows = len(cls.rows)
+    return _kernels.band_seconds(cls.block_len, hop, cls.blocks, rows, _holds(cls, hop)) / rows
 
 
 # the most bytes one band class's kernels, or its folded spectra, may take
@@ -766,9 +770,7 @@ def _block_spectra(x: np.ndarray, cls: BlockClass) -> np.ndarray:
     real FFT gives bins 0 .. block_len // 2, and the upper bins are the
     conjugates of the lower ones, bin k being conj(bin block_len - k).
     """
-    xpad = np.zeros((cls.blocks - 1) * cls.step + cls.block_len)
-    xpad[cls.pad:cls.pad + x.size] = x
-    segments = np.lib.stride_tricks.sliding_window_view(xpad, cls.block_len)[::cls.step]
+    segments = np.lib.stride_tricks.sliding_window_view(_padded(x, cls), cls.block_len)[::cls.step]
     spectra = np.empty((cls.blocks, cls.block_len), dtype=np.complex128)
     half = cls.block_len // 2 + 1
     np.fft.rfft(segments, axis=-1, out=spectra[:, :half])
@@ -780,24 +782,38 @@ def _kernel_spectra(cls: BlockClass, taps, hop: int) -> np.ndarray:
     """The ``(rows, block_len)`` kernel spectra of the class's rows, in the order of ``cls.rows``.
 
     ``taps`` holds each of those rows' (real, imaginary) taps, in that
-    order.  A row's kernel is its reversed taps over ``hop``, lag d at
-    index -pad - d modulo the block, so lag -pad of a row as wide as the
-    class wraps to index 0; the fold sums ``hop`` bands, and the ``1/hop``
-    here makes that sum the retained outputs' spectrum, exactly so at a
-    power-of-two hop.  All kernels are laid out in one contiguous buffer
-    and transformed in place by one batched FFT.
+    order.  Laid out as ``_lay_taps`` places them, a row's taps ``W``
+    make block output i the sum of ``W[c]`` times the segment's sample
+    ``i + c``, a circular correlation; so its kernel spectrum is ``sum_c
+    W[c] * exp(2j*pi*k*c/block_len)``, their unscaled inverse FFT, taken
+    for all rows by one batched transform in place.  The fold sums
+    ``hop`` bands, and the taps' ``1/hop`` makes that sum the retained
+    outputs' spectrum, exactly so at a power-of-two hop.  Read-only, as
+    it may be held.
     """
     kernels = np.zeros((len(cls.rows), cls.block_len), dtype=np.complex128)
-    for kernel, row_taps in zip(kernels, taps):
-        width = row_taps[0].size
-        start = cls.block_len - cls.pad - width // 2
-        # lag -pad of a row as wide as the class, one past the block's end, wraps to index 0
-        wrap = max(0, start + width - cls.block_len)
-        for part, part_taps in zip((kernel.real, kernel.imag), row_taps):
-            part_taps = part_taps[::-1] * (1 / hop)
-            part[start:start + width - wrap] = part_taps[:width - wrap]
-            part[:wrap] = part_taps[width - wrap:]
-    return np.fft.fft(kernels, axis=-1, out=kernels)
+    _lay_taps(kernels.T, cls, [(re * (1 / hop), im * (1 / hop)) for re, im in taps])
+    np.fft.ifft(kernels, axis=-1, norm="forward", out=kernels)
+    kernels.setflags(write=False)
+    return kernels
+
+
+def _lay_taps(laid, cls: BlockClass, taps) -> None:
+    """Row r's taps into column r of ``laid``, ``(block_len, rows)``, from index ``pad - (width -
+    1) // 2``, where the segment sample that block output 0 meets with its first tap sits.  The
+    one placement of both executions' kernels: no row reaches past the block's end."""
+    for row, (re, im) in enumerate(taps):
+        first = cls.pad - (re.size - 1) // 2
+        laid.real[first:first + re.size, row] = re
+        laid.imag[first:first + im.size, row] = im
+
+
+def _padded(x: np.ndarray, cls: BlockClass) -> np.ndarray:
+    """``x`` from index ``pad`` of zeros as long as the class's segments reach: the padded
+    signal of both executions' segment spectra."""
+    xpad = np.zeros((cls.blocks - 1) * cls.step + cls.block_len)
+    xpad[cls.pad:cls.pad + x.size] = x
+    return xpad
 
 
 def _band_spectra(x: np.ndarray, cls: BlockClass, hop: int) -> np.ndarray:
@@ -810,8 +826,7 @@ def _band_spectra(x: np.ndarray, cls: BlockClass, hop: int) -> np.ndarray:
     ``_block_spectra``.
     """
     bins = cls.block_len // hop
-    xpad = np.zeros((cls.blocks - 1) * cls.step + cls.block_len)
-    xpad[cls.pad:cls.pad + x.size] = x
+    xpad = _padded(x, cls)
     sample = xpad.strides[0]
     # [q, b, p]: segment b's sample q*hop + p
     phases = np.lib.stride_tricks.as_strided(
@@ -826,22 +841,16 @@ def _band_spectra(x: np.ndarray, cls: BlockClass, hop: int) -> np.ndarray:
 def _band_kernels(cls: BlockClass, taps, hop: int) -> np.ndarray:
     """The class's kernels in the band's polyphase layout, ``(M, hop, rows)``, M = block_len/hop.
 
-    ``taps`` is as in ``_kernel_spectra``.  Segment output i sums a row's
-    taps times the segment's samples from ``i + first`` on, ``first =
-    pad - (width - 1) // 2``.  Laid out in order from index ``first`` of
-    a block and cut into ``(M, hop)`` rows ``W``, the taps make retained
-    output j the sum of ``W[c, p]`` times phase p's sample ``j + c``, a
-    circular correlation of length M; so [m, p, r] is ``sum_c W[c, p] *
-    exp(2j*pi*m*c/M)`` of row r's ``W``, its unscaled inverse FFT.  The
-    taps are written straight into that layout and transformed there, in
-    place.  Read-only, as it may be held.
+    ``taps`` is as in ``_kernel_spectra``, and laid out as there
+    (``_lay_taps``).  Cut into ``(M, hop)`` rows ``W``, the laid taps
+    make retained output j the sum of ``W[c, p]`` times phase p's sample
+    ``j + c``, a circular correlation of length M; so [m, p, r] is
+    ``sum_c W[c, p] * exp(2j*pi*m*c/M)`` of row r's ``W``, its unscaled
+    inverse FFT.  The taps are written straight into that layout and
+    transformed there, in place.  Read-only, as it may be held.
     """
     band = np.zeros((cls.block_len // hop, hop, len(cls.rows)), dtype=np.complex128)
-    laid = band.reshape(cls.block_len, len(cls.rows))
-    for row, (re, im) in enumerate(taps):
-        first = cls.pad - (re.size - 1) // 2
-        laid.real[first:first + re.size, row] = re
-        laid.imag[first:first + im.size, row] = im
+    _lay_taps(band.reshape(cls.block_len, len(cls.rows)), cls, taps)
     np.fft.ifft(band, axis=0, norm="forward", out=band)
     band.setflags(write=False)
     return band

@@ -200,9 +200,10 @@ class TestTransformCommand:
             if r["route"] == "spectral":
                 assert r["spectral_s"] > 0 and r["block_len"] > 0 and r["blocks"] >= 1
                 cls = sched.classes[r["class"]]
-                # the class's execution, and whether its kernels are held across calls
+                # the class's execution, and whether its kernels are held across calls: in
+                # either execution, where its layout does not follow the signal
                 assert r["execution"] == cls.execution in ("row", "band")
-                assert r["held"] is (cls.execution == "band" and _holds(cls, sched.hop))
+                assert r["held"] is _holds(cls, sched.hop)
             else:  # a direct row has a stack and no class
                 assert isinstance(r["stack"], int)
                 fields = ("spectral_s", "block_len", "blocks", "class", "execution")

@@ -4,7 +4,7 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from wavehop import (
@@ -83,7 +83,9 @@ def block_classes(draw, n, half, hop):
 
     The pad may exceed the row's half, as in a class of wider rows; the
     drawn block lengths start at the shortest whose step holds one hop,
-    so taps nearly as wide as the block are drawn too.
+    so taps nearly as wide as the block are drawn too.  An extra pad of
+    0, half the draws, makes the row as wide as its class, ``2*pad + 1``
+    taps, its first tap the block's first sample.
     """
     pad = half + draw(st.one_of(st.just(0), st.integers(0, 200)), label="extra pad")
     if draw(st.booleans(), label="one block"):
@@ -138,8 +140,20 @@ def band_cases(draw):
     return hop, BlockClass(pad, block_len, step, blocks, rows), halves, n
 
 
+def single_block_case(hop, n=2_000, halves=(300, 120, 0)):
+    """A ``band_cases`` case of the single block ``class_options`` lays out, its widest row as wide
+    as the class."""
+    cls = class_options(n, max(halves), hop)[0]._replace(rows=tuple(range(len(halves))))
+    return hop, cls, list(halves), n
+
+
 @settings(max_examples=120, deadline=None)
 @given(case=band_cases(), seed=seeds)
+@example(case=single_block_case(2), seed=2)
+@example(case=single_block_case(3), seed=3)
+@example(case=single_block_case(8), seed=8)
+@example(case=single_block_case(32), seed=32)
+@example(case=single_block_case(127), seed=127)
 def test_band_execution_equals_block_rows(case, seed):
     """A class's rows in one band, on its polyphase spectra, equal the same class's block rows,
     to 1e-12 of each peak."""

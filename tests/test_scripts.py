@@ -73,7 +73,7 @@ def test_fit_recovers_the_constants_from_the_seconds_they_predict(monkeypatch):
     fitted |= script.fit([_kernels.fft_terms(*shape) for shape in ffts],
                          [_kernels.fft_seconds(*shape) for shape in ffts], _kernels.FFT_CONSTANTS)
     bands = [(cls.block_len, hop, cls.blocks, rows) for _, hop, cls in script.block_shapes()
-             if wavelet._holds(cls, hop) for rows in script.BAND_ROWS]
+             for rows in script.BAND_ROWS]
     rows = [_kernels.spectral_seconds(*shape) for shape in classes]
     band = [_kernels.band_seconds(*shape) for shape in bands]
     # as the script prices a row's and a band's FFTs alone

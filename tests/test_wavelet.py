@@ -880,9 +880,10 @@ def held_stacks(store):
     return [key for key, value in store.entries.items() if isinstance(value, _kernels.Stack)]
 
 
-def held_bands(store):
-    """The keys of the band kernels ``store`` holds, least recently used first."""
-    return [key for key, value in store.entries.items() if not isinstance(value, _kernels.Stack)]
+def held_kernels(store, execution):
+    """The keys of the kernels of classes of this execution that ``store`` holds, least recently
+    used first: a class's key ends in its (block length, execution)."""
+    return [key for key in store.entries if key[3] is not None and key[3][1] == execution]
 
 
 class TestBandExecution:
@@ -910,18 +911,18 @@ class TestBandExecution:
             (cls,) = band_classes_of(schedule(20_000, tap_counts(grid), 32))
             assert wavelet._holds(cls, 32)
             values = cwth_strided(sig, grid, PARAMS, 32).values
-            keys.append((plan_for(PARAMS, grid).serial, 32, cls.rows, cls.block_len))
+            keys.append((plan_for(PARAMS, grid).serial, 32, cls.rows, (cls.block_len, "band")))
             assert keys[-1] in store.entries and store.bytes <= store.budget
             assert store.bytes == sum(kernels.nbytes for kernels in store.entries.values())
             assert_rel_close(values, cwt_fft(sig, grid, PARAMS).values[:, ::32], 1e-9)
         # the latest calls' kernels are held, the earliest dropped
-        bands = held_bands(store)
+        bands = held_kernels(store, "band")
         assert bands == keys[-len(bands):] and len(bands) < 6
 
     def test_repeat_calls_reuse_the_held_kernels(self, held, monkeypatch):
         sig = noise(160_000, seed=61)
         first = cwth_strided(sig, DESK_GRID, PARAMS, 128).values
-        (key,) = held_bands(held)
+        (key,) = held_kernels(held, "band")
         kernels = held.entries[key]
         (cls,) = schedule(160_000, tap_counts(DESK_GRID), 128).classes
         assert kernels.shape == (25_088 // 128, 128, len(cls.rows)) and not kernels.flags.writeable
@@ -936,12 +937,18 @@ class TestBandExecution:
                     options = wavelet.class_options(n, min(width, 2 * n - 1) // 2, hop)
                     holds = [wavelet._holds(cls, hop) for cls in options]
                     assert holds == [False] + [True] * (len(options) - 1), (width, n, hop)
-        # and only such a layout is offered as a band
+        # and such a layout, and only such a one, holds its class's kernels, in either execution
         for grid in (SWEEP_GRID, DESK_GRID):
+            plan = plan_for(PARAMS, grid)
             for n in SURFACE_LENGTHS:
                 for hop in SURFACE_HOPS:
-                    sched = schedule(n, tap_counts(grid), hop)
-                    assert all(wavelet._holds(cls, sched.hop) for cls in band_classes_of(sched))
+                    sched = schedule(n, plan.widths, hop)
+                    for cls in sched.classes:
+                        whole = sched.hop == hop and all(
+                            sched.widths[row] == plan.widths[row] for row in cls.rows)
+                        key = plan._held_key(sched, hop, cls.rows, cls)
+                        assert (key is not None) is (whole and wavelet._holds(cls, sched.hop))
+                        assert key is None or key[3] == (cls.block_len, cls.execution)
 
     @pytest.mark.parametrize("n", [2_000, 8_000])
     @pytest.mark.parametrize("hop", [8, 32])
@@ -1017,7 +1024,7 @@ class TestHeldLayouts:
         (cls,) = band_classes_of(sched)
         serial = plan_for(PARAMS, DESK_GRID).serial
         stacks = [(serial, 128, rows, None) for rows in sched.stacks]
-        assert list(held.entries) == stacks + [(serial, 128, cls.rows, cls.block_len)]
+        assert list(held.entries) == stacks + [(serial, 128, cls.rows, (cls.block_len, "band"))]
         assert held.bytes == sum(value.nbytes for value in held.entries.values())
         # a byte short of that: the band, held last, drops the least recently used stack
         store = wavelet.HeldLayouts(held.bytes - 1)
@@ -1028,18 +1035,134 @@ class TestHeldLayouts:
     def test_an_entry_larger_than_the_budget_is_returned_and_not_held(self, held, monkeypatch):
         sig = noise(160_000, seed=67)
         values = cwth_strided(sig, DESK_GRID, PARAMS, 128).values
-        (key,) = held_bands(held)
+        (key,) = held_kernels(held, "band")
         store = wavelet.HeldLayouts(held.entries[key].nbytes - 1)
         monkeypatch.setattr(wavelet, "held_layouts", store)
         np.testing.assert_array_equal(cwth_strided(sig, DESK_GRID, PARAMS, 128).values, values)
-        assert held_bands(store) == []
+        assert held_kernels(store, "band") == []
         assert len(held_stacks(store)) == len(schedule(160_000, tap_counts(DESK_GRID), 128).stacks)
 
     def test_clear_plan_cache_drops_held_stacks_as_well(self, held):
         cwth_strided(noise(20_000, seed=68), SWEEP_GRID, PARAMS, 128)
-        assert held_stacks(held) and held_bands(held) == []
+        assert held_stacks(held) and held_kernels(held, "band") == []
         clear_plan_cache()
         assert held.entries == {} and held.bytes == 0
+
+
+def forced_class(monkeypatch, n, hop, cls):
+    """Make ``schedule`` lay out every call as ``cls``, holding every row of the sweep grid."""
+    sched = schedule(n, tap_counts(SWEEP_GRID), hop)
+    forced = sched._replace(classes=(cls._replace(rows=tuple(range(SWEEP_GRID.count))),),
+                            routes=(True,) * SWEEP_GRID.count, stacks=())
+    monkeypatch.setattr(wavelet, "schedule", lambda *args: forced)
+
+
+def counted_builds(monkeypatch, name):
+    """The ``cls.rows`` of each call of the kernel builder ``name``, as it is made."""
+    built, build = [], getattr(wavelet, name)
+
+    def counted(cls, taps, hop):
+        built.append(cls.rows)
+        return build(cls, taps, hop)
+
+    monkeypatch.setattr(wavelet, name, counted)
+    return built
+
+
+BUILDERS = {"row": "_kernel_spectra", "band": "_band_kernels"}
+
+
+class TestOneKernelRule:
+    """A class's kernels are held wherever its layout is fixed apart from the signal, and built
+    in the call wherever the layout follows the signal, in either execution."""
+
+    def test_a_row_class_of_a_fixed_layout_builds_its_kernels_once(self, held, monkeypatch):
+        # 8 scales at hop 1: rows 6 and 7 take a row class of blocks of 33 264 at both lengths
+        plan = plan_for(PARAMS, SWEEP_GRID)
+        for n in (44_450, 137_973):
+            (cls,) = [cls for cls in schedule(n, plan.widths, 1).classes if cls.rows == (6, 7)]
+            assert (cls.block_len, cls.execution) == (33_264, "row") and wavelet._holds(cls, 1)
+        built = counted_builds(monkeypatch, "_kernel_spectra")
+        sig = noise(137_973, seed=69)
+        cwt_fft(noise(44_450, seed=69), SWEEP_GRID, PARAMS)
+        values = cwt_fft(sig, SWEEP_GRID, PARAMS).values
+        again = cwt_fft(sig, SWEEP_GRID, PARAMS).values
+        assert built.count((6, 7)) == 1 and again.tobytes() == values.tobytes()
+        key = (plan.serial, 1, (6, 7), (33_264, "row"))
+        assert key in held_kernels(held, "row") and not held.entries[key].flags.writeable
+        # and the held kernels give the bits that kernels built in the call give
+        held.clear()
+        monkeypatch.setattr(wavelet, "_holds", lambda cls, hop: False)
+        assert cwt_fft(sig, SWEEP_GRID, PARAMS).values.tobytes() == values.tobytes()
+        assert held_kernels(held, "row") == []
+
+    @pytest.mark.parametrize("execution", wavelet.EXECUTIONS)
+    def test_a_single_block_builds_its_kernels_in_every_call(self, held, monkeypatch, execution):
+        n, hop = 20_000, 8
+        sig = noise(n, seed=70)
+        one = wavelet.class_options(n, max(tap_counts(SWEEP_GRID)) // 2, hop)[0]
+        assert one.blocks == 1 and not wavelet._holds(one, hop)
+        forced_class(monkeypatch, n, hop, one._replace(execution=execution))
+        built = counted_builds(monkeypatch, BUILDERS[execution])
+        first = cwth_strided(sig, SWEEP_GRID, PARAMS, hop).values
+        second = cwth_strided(sig, SWEEP_GRID, PARAMS, hop).values
+        assert len(built) == 2 and held.entries == {}
+        assert first.tobytes() == second.tobytes()
+        records = plan_for(PARAMS, SWEEP_GRID).explain(n, hop)
+        assert {(r["execution"], r["held"]) for r in records} == {(execution, False)}
+        monkeypatch.undo()
+        assert_rel_close(first, cwt_fft(sig, SWEEP_GRID, PARAMS).values[:, ::hop], 1e-9)
+
+    def test_a_row_and_a_band_of_one_layout_are_two_entries(self, held, monkeypatch):
+        n, hop = 20_000, 8
+        sig = noise(n, seed=71)
+        plan = plan_for(PARAMS, SWEEP_GRID)
+        blocks = wavelet.class_options(n, max(plan.widths) // 2, hop)[1]
+        assert blocks.blocks > 1 and wavelet._holds(blocks, hop)
+        want = cwt_fft(sig, SWEEP_GRID, PARAMS).values[:, ::hop]
+        held.clear()
+        for execution in wavelet.EXECUTIONS:
+            forced_class(monkeypatch, n, hop, blocks._replace(execution=execution))
+            built = counted_builds(monkeypatch, BUILDERS[execution])
+            for _ in range(2):
+                assert_rel_close(cwth_strided(sig, SWEEP_GRID, PARAMS, hop).values, want, 1e-9)
+            assert len(built) == 1
+        rows = tuple(range(SWEEP_GRID.count))
+        row, band = ((plan.serial, hop, rows, (blocks.block_len, execution))
+                     for execution in wavelet.EXECUTIONS)
+        assert list(held.entries) == [row, band]
+        assert held.entries[row].shape == (len(rows), blocks.block_len)
+        assert held.entries[band].shape == (blocks.block_len // hop, hop, len(rows))
+        assert held.bytes == 2 * held.entries[row].nbytes
+
+
+@pytest.fixture(scope="module")
+def wide_and_narrow():
+    """A signal, a grid of a 13-tap and a 209-tap row, and its direct transform."""
+    sig, grid = noise(1_500, seed=72), ScaleGrid([1.0, 20.0])
+    assert tap_counts(grid) == [13, 209]
+    return sig, grid, cwt_direct(sig, grid, PARAMS).values
+
+
+@pytest.mark.parametrize("execution", wavelet.EXECUTIONS)
+@pytest.mark.parametrize("blocks", ["one", "several"])
+@pytest.mark.parametrize("hop", [1, 2, 3, 8, 127])
+def test_a_row_as_wide_as_its_class_matches_the_direct_transform(
+        wide_and_narrow, monkeypatch, execution, blocks, hop):
+    """The widest row of a class, whose first tap is the block's first sample (the kernel that
+    once wrapped round the block's end), and the class's narrowest row, in either execution."""
+    sig, grid, direct = wide_and_narrow
+    n, widths = sig.samples.size, tap_counts(grid)
+    options = wavelet.class_options(n, max(widths) // 2, hop)
+    cls = options[0] if blocks == "one" else next(cls for cls in options if cls.blocks > 1)
+    assert max(widths) == 2 * cls.pad + 1
+    sched = schedule(n, widths, hop)
+    forced = sched._replace(classes=(cls._replace(rows=(0, 1), execution=execution),),
+                            routes=(True, True), stacks=())
+    monkeypatch.setattr(wavelet, "schedule", lambda *args: forced)
+    values = cwth_strided(sig, grid, PARAMS, hop).values
+    for got, want in zip(values, direct[:, ::hop]):
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 class TestExplain:
@@ -1076,7 +1199,10 @@ class TestExplain:
             cls = sched.classes[record["class"]]
             assert row in cls.rows
             assert (record["block_len"], record["blocks"]) == (cls.block_len, cls.blocks)
-            held = cls.execution == "band" and wavelet._holds(cls, sched.hop)
+            # its class's kernels are held, in either execution, unless its layout follows the
+            # signal or ``reach`` cut its rows or the hop
+            whole = sched.hop == hop and all(reach[r] == widths[r] for r in cls.rows)
+            held = whole and wavelet._holds(cls, sched.hop)
             assert (record["execution"], record["held"]) == (cls.execution, held)
             assert record["spectral_s"] == wavelet.class_row_seconds(cls, hop)
 
