@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -25,7 +24,15 @@ from .scalogram import (
     write_matrix_bin,
     write_pgm,
 )
-from .signal_io import SignalBuffer, SynthSpec, read_wav, synthesize, write_wav
+from .signal_io import (
+    SignalBuffer,
+    SynthSpec,
+    read_bytes,
+    read_wav,
+    synthesize,
+    write_bytes,
+    write_wav,
+)
 from .wavelet import (
     MorletParams,
     cwth_decimate,
@@ -134,10 +141,7 @@ def _cmd_transform(args) -> int:
     if args.explain:
         # one JSON line per scale row of the transform as it ran: its route and predicted seconds
         text = "".join(json.dumps(record) + "\n" for record in plan.explain(n, hop))
-        try:
-            Path(args.explain).write_text(text)
-        except OSError as exc:
-            raise IoFailure(f"cannot write {args.explain}: {exc}") from exc
+        write_bytes(args.explain, text.encode())
     return 0
 
 
@@ -177,8 +181,8 @@ def _cmd_auc(args) -> int:
     scores = []
     labels = []
     try:
-        text = Path(args.input).read_text()
-    except (OSError, UnicodeDecodeError) as exc:
+        text = read_bytes(args.input).decode("utf-8")
+    except UnicodeDecodeError as exc:
         raise IoFailure(f"cannot read {args.input}: {exc}") from exc
     for line in text.splitlines():
         line = line.strip()
@@ -209,15 +213,12 @@ def _cmd_scan(args) -> int:
             matrix, _, _ = _transform(read_wav(path), args)
             _write_outputs(matrix, args.mag, out_dir / f"{path.stem}.scg1",
                            pgm=out_dir / f"{path.stem}.pgm" if args.pgm else None)
-        except (WavehopError, OSError, MemoryError) as exc:
+        except (WavehopError, MemoryError) as exc:
             return exc
         return None
 
-    if args.threads > 1:
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            failures = list(pool.map(process, wavs))
-    else:
-        failures = [process(path) for path in wavs]
+    with ThreadPoolExecutor(max_workers=args.threads) as pool:
+        failures = list(pool.map(process, wavs))
 
     for path, exc in zip(wavs, failures):  # report in input order, whole lines only
         if exc is not None:
@@ -241,17 +242,6 @@ def _positive_ints(text: str) -> list[int]:
     except ValueError as exc:
         raise argparse.ArgumentTypeError(
             f"expected integers >= 1 separated by commas, got {text!r}") from exc
-
-
-def _env_threads(parser: argparse.ArgumentParser) -> int:
-    """Thread count from the THREADS env var, under the same rule as --threads."""
-    env = os.environ.get("THREADS", "")
-    if not env:
-        return 1
-    try:
-        return _positive_int(env)
-    except (ValueError, argparse.ArgumentTypeError):
-        parser.error(f"THREADS: must be an integer >= 1, got {env!r}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -291,8 +281,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--include-decimate", action="store_true")
     p.add_argument("--include-dwt", action="store_true")
-    p.add_argument("--threads", type=_positive_int, default=None,
-                   help="rows computed concurrently (default THREADS env or 1)")
+    p.add_argument("--threads", type=_positive_int, default=1,
+                   help="rows computed concurrently (default 1)")
     _add_grid_flags(p)
     p.set_defaults(func=_cmd_bench)
 
@@ -312,8 +302,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input_dir")
     p.add_argument("--out-dir", required=True)
     p.add_argument("--pgm", action="store_true", help="also write a PGM per file")
-    p.add_argument("--threads", type=_positive_int, default=None,
-                   help="files processed concurrently (default THREADS env or 1)")
+    p.add_argument("--threads", type=_positive_int, default=1,
+                   help="files processed concurrently (default 1)")
     _add_transform_flags(p)
     p.set_defaults(func=_cmd_scan)
 
@@ -324,8 +314,6 @@ def run_cli(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if getattr(args, "threads", 0) is None:
-            args.threads = _env_threads(parser)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
     try:

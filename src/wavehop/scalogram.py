@@ -14,17 +14,16 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .errors import (
     CoefficientOverflow,
     InvalidHop,
-    IoFailure,
     MalformedHeader,
     TruncatedPayload,
 )
+from .signal_io import read_bytes, write_bytes
 from .wavelet import CoefficientMatrix, ScaleGrid
 
 MAGIC = b"SCG1"
@@ -95,14 +94,14 @@ def render(values: np.ndarray, flip_vertical: bool = True) -> ScalogramImage:
 
 def write_pgm(image: ScalogramImage, path) -> None:
     header = f"P5\n{image.width} {image.height}\n255\n".encode("ascii")
-    _write_bytes(path, header + image.pixels.tobytes())
+    write_bytes(path, header + image.pixels.tobytes())
 
 
 def write_csv(values: np.ndarray, path) -> None:
     values = np.atleast_2d(np.asarray(values, dtype=np.float64))
     row_format = ",".join(["%.9g"] * values.shape[1])
     lines = [row_format % tuple(row) for row in values.tolist()]
-    _write_bytes(path, ("\n".join(lines) + "\n").encode("ascii"))
+    write_bytes(path, ("\n".join(lines) + "\n").encode("ascii"))
 
 
 def write_matrix_bin(matrix: CoefficientMatrix, path) -> None:
@@ -123,17 +122,20 @@ def write_matrix_bin(matrix: CoefficientMatrix, path) -> None:
     blob = MAGIC + _HEADER.pack(rows, cols, matrix.hop, matrix.source_rate)
     blob += matrix.scale_grid.scales.astype("<f8").tobytes()
     blob += matrix.values.astype("<c8").tobytes()
-    _write_bytes(path, blob)
+    write_bytes(path, blob)
 
 
 def read_matrix_bin(path) -> CoefficientMatrix:
-    """Read a matrix written by :func:`write_matrix_bin`."""
-    path = Path(path)
-    try:
-        raw = path.read_bytes()
-    except OSError as exc:
-        raise IoFailure(f"cannot read {path}: {exc}") from exc
+    """Read a matrix written by :func:`write_matrix_bin`.
 
+    Raises IoFailure for a file that cannot be read, MalformedHeader for a
+    bad magic or header, TruncatedPayload for a payload shorter than the
+    header declares, and CoefficientOverflow for a payload that holds a
+    value that is not finite, as ``write_matrix_bin`` refuses to write
+    one.  The payload is checked in single precision, before any cast,
+    so no warning comes before the error.
+    """
+    raw = read_bytes(path)
     if len(raw) < 4 or raw[:4] != MAGIC:
         raise MalformedHeader(f"{path}: bad magic")
     if len(raw) < 4 + _HEADER.size:
@@ -151,7 +153,10 @@ def read_matrix_bin(path) -> CoefficientMatrix:
         )
 
     scales = np.frombuffer(raw, dtype="<f8", count=rows, offset=scales_start)
-    values = np.frombuffer(raw, dtype="<c8", count=rows * cols, offset=payload_start)
+    parts = np.frombuffer(raw, dtype="<f4", count=2 * rows * cols, offset=payload_start)
+    if not np.isfinite(parts).all():
+        raise CoefficientOverflow(f"{path}: the payload holds values that are not finite")
+    values = parts.view("<c8")
     try:
         return CoefficientMatrix(
             values.reshape(rows, cols).astype(np.complex128),
@@ -161,10 +166,3 @@ def read_matrix_bin(path) -> CoefficientMatrix:
         )
     except ValueError as exc:
         raise MalformedHeader(f"{path}: inconsistent header fields ({exc})") from exc
-
-
-def _write_bytes(path, blob: bytes) -> None:
-    try:
-        Path(path).write_bytes(blob)
-    except OSError as exc:
-        raise IoFailure(f"cannot write {path}: {exc}") from exc

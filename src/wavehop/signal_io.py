@@ -1,4 +1,4 @@
-"""Signal loading, synthesis, and decimation.
+"""Signal loading, synthesis and decimation, and the package's file reads and writes.
 
 Everything downstream works on :class:`SignalBuffer`, a mono float signal
 plus its sample rate.  WAV input is restricted to uncompressed RIFF/WAVE
@@ -203,6 +203,33 @@ def _check_int(value, name: str = "hop", error: type = InvalidHop) -> int:
     raise error(f"{name} must be an integer >= 1, got {value!r}")
 
 
+# --- file bytes ------------------------------------------------------------
+
+def read_bytes(path) -> bytes:
+    """The bytes of the file at ``path``.
+
+    Every file the package reads is read here, so a file the system
+    refuses (missing, a directory, no permission) raises IoFailure naming
+    ``path``, never a bare OSError.
+    """
+    try:
+        return Path(path).read_bytes()
+    except OSError as exc:
+        raise IoFailure(f"cannot read {path}: {exc}") from exc
+
+
+def write_bytes(path, blob: bytes) -> None:
+    """Write ``blob`` as the whole of the file at ``path``.
+
+    Every file the package writes is written here, so a path the system
+    refuses raises IoFailure naming ``path``, never a bare OSError.
+    """
+    try:
+        Path(path).write_bytes(blob)
+    except OSError as exc:
+        raise IoFailure(f"cannot write {path}: {exc}") from exc
+
+
 # --- WAV reading and writing -----------------------------------------------
 
 _FMT_PCM = 1
@@ -220,14 +247,11 @@ def read_wav(path) -> SignalBuffer:
     bits wherever the sum is exact in float64, as it always is for
     16-bit samples.
 
-    Raises MalformedRiff, UnsupportedEncoding, or EmptySignal.
+    Raises IoFailure, MalformedRiff, UnsupportedEncoding, EmptySignal or
+    NonFiniteSamples.
     """
     path = Path(path)
-    try:
-        raw = path.read_bytes()
-    except OSError as exc:
-        raise IoFailure(f"cannot read {path}: {exc}") from exc
-
+    raw = read_bytes(path)
     if len(raw) < 12 or raw[0:4] != b"RIFF" or raw[8:12] != b"WAVE":
         raise MalformedRiff(f"{path} is not a RIFF/WAVE file")
 
@@ -304,8 +328,4 @@ def write_wav(signal: SignalBuffer, path, encoding: str = "pcm16") -> None:
     fmt = struct.pack("<HHIIHH", format_code, 1, rate, rate * block_align, block_align, bits)
     body = b"WAVE" + b"fmt " + struct.pack("<I", len(fmt)) + fmt
     body += b"data" + struct.pack("<I", len(payload)) + payload
-    blob = b"RIFF" + struct.pack("<I", len(body)) + body
-    try:
-        Path(path).write_bytes(blob)
-    except OSError as exc:
-        raise IoFailure(f"cannot write {path}: {exc}") from exc
+    write_bytes(path, b"RIFF" + struct.pack("<I", len(body)) + body)

@@ -1,5 +1,8 @@
+import io
 import json
+import struct
 import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +12,9 @@ from hypothesis import strategies as st
 
 import wavehop.cli
 from wavehop import (
+    CoefficientMatrix,
     MorletParams,
+    ScaleGrid,
     SynthSpec,
     cwt_fft,
     decimate,
@@ -18,10 +23,11 @@ from wavehop import (
     read_wav,
     sample_wavelet,
     synthesize,
+    write_matrix_bin,
 )
 from wavehop.cli import parse_synth_spec, run_cli
 from wavehop.wavelet import _holds, schedule
-from testutil import run_wavehop, write_float32_wav, write_reference_wav
+from testutil import mutated, run_wavehop, write_float32_wav, write_reference_wav
 
 
 # address-space cap of a child that could otherwise exhaust the host's memory
@@ -374,6 +380,15 @@ class TestScalogramCommand:
         run_cli(["scalogram", str(out), "--out", str(b), "--no-flip"])
         assert a.read_bytes() != b.read_bytes()
 
+    def test_non_finite_payload_exits_one(self, tmp_path, capsys):
+        path = tmp_path / "m.scg1"
+        write_matrix_bin(CoefficientMatrix(np.ones((1, 2)), 1, 16_000.0, ScaleGrid([1.0])), path)
+        # a signalling NaN, which warned as it was cast before the payload was checked
+        path.write_bytes(path.read_bytes()[:-4] + struct.pack("<I", 0xFF950260))
+        code = run_cli(["scalogram", str(path), "--out", str(tmp_path / "m.pgm")])
+        assert_error_exit(code, capsys, "CoefficientOverflow")
+        assert not (tmp_path / "m.pgm").exists()
+
 
 class TestUsageErrors:
     def test_unknown_flag_exits_two(self, capsys):
@@ -407,12 +422,10 @@ class TestUsageErrors:
             assert "--hop: must be >= 1" in err and "Traceback" not in err
         assert not (tmp_path / "x.scg1").exists() and not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("threads", ["-3", "0", "abc"])
-    def test_bad_threads_env_exits_two(self, tmp_path, threads, monkeypatch, capsys):
-        monkeypatch.setenv("THREADS", threads)
+    def test_threads_not_an_integer_exits_two(self, tmp_path, capsys):
         for argv in (["bench"], ["scan", str(tmp_path), "--out-dir", str(tmp_path / "out")]):
-            assert run_cli(argv) == 2
-            assert f"THREADS: must be an integer >= 1, got '{threads}'" in capsys.readouterr().err
+            assert run_cli(argv + ["--threads", "abc"]) == 2
+            assert "--threads: invalid" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
 
@@ -458,6 +471,20 @@ class TestAucCommand:
         assert captured.out == ""
         assert code == 1
         assert captured.err.startswith("error: InvalidParameter")
+
+    @settings(max_examples=150, deadline=None)
+    @given(blob=mutated(b"0.9,1\n0.25,0\n0.7,1\n-1e3,0\n"))
+    def test_mutated_scores_exit_zero_or_one(self, tmp_path_factory, blob):
+        path = tmp_path_factory.getbasetemp() / "mutated_scores.csv"
+        path.write_bytes(blob)
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = run_cli(["auc", str(path)])
+        if code == 0:
+            assert 0.0 <= float(out.getvalue()) <= 1.0 and err.getvalue() == ""
+        else:
+            assert code == 1 and out.getvalue() == ""
+            assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
 
 
 class TestBenchCommand:
@@ -545,7 +572,7 @@ class TestScanCommand:
         assert pgm.read_bytes() == (scanned / "n1.pgm").read_bytes()
 
     def test_failure_continues_and_exits_one(self, tmp_path, capsys):
-        # The sequential and threaded paths must report failures identically.
+        # One thread and two must report failures identically.
         in_dir = tmp_path / "in"
         in_dir.mkdir()
         make_wav(in_dir / "good.wav", n=4000)
@@ -602,20 +629,7 @@ class TestScanCommand:
         for path in sorted(serial_dir.iterdir()):
             assert path.read_bytes() == (threaded_dir / path.name).read_bytes()
 
-    def test_threads_env_variable(self, tmp_path, monkeypatch):
-        in_dir = tmp_path / "in"
-        in_dir.mkdir()
-        make_wav(in_dir / "x.wav", n=2000)
-        monkeypatch.setenv("THREADS", "2")
-        out_dir = tmp_path / "out"
-        code = run_cli([
-            "scan", str(in_dir), "--out-dir", str(out_dir),
-            "--hop", "20", "--scales", "4", "--fmin", "300", "--fmax", "3000",
-        ])
-        assert code == 0
-        assert (out_dir / "x.scg1").exists()
-
-    def test_threads_env_sets_pool_size_and_flag_wins(self, tmp_path, monkeypatch):
+    def test_threads_flag_sets_pool_size(self, tmp_path, monkeypatch):
         in_dir = tmp_path / "in"
         in_dir.mkdir()
         make_wav(in_dir / "x.wav", n=2000)
@@ -629,12 +643,10 @@ class TestScanCommand:
         monkeypatch.setattr(wavehop.cli, "ThreadPoolExecutor", recording_pool)
         base = ["scan", str(in_dir), "--out-dir", str(tmp_path / "out"),
                 "--hop", "20", "--scales", "4", "--fmin", "300", "--fmax", "3000"]
-        monkeypatch.setenv("THREADS", "2")
         assert run_cli(base) == 0
-        assert pool_sizes == [2]
-        monkeypatch.setenv("THREADS", "abc")
         assert run_cli(base + ["--threads", "3"]) == 0
-        assert pool_sizes == [2, 3]
+        assert pool_sizes == [1, 3]
+        assert (tmp_path / "out" / "x.scg1").exists()
 
     def test_non_finite_file_is_a_per_file_failure(self, tmp_path, capsys):
         in_dir = tmp_path / "in"

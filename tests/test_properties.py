@@ -34,7 +34,7 @@ from wavehop.wavelet import (
     class_options,
     schedule,
 )
-from testutil import assert_rel_close
+from testutil import assert_rel_close, mutated
 
 HOPS = (1, 2, 3, 7, 8, 32, 127, 128, 131)
 PARAMS = MorletParams()
@@ -300,9 +300,17 @@ def riff_files(draw):
     return bytes(blob)
 
 
+# small valid files: mono 16-bit PCM, stereo float32 and a 2 x 3 SCG1 matrix; the properties on
+# their mutations hold with warnings as errors (pyproject.toml), so a warning fails them too
+VALID_WAVS = [wav_blob(1, 1, 16_000, 16, np.array([0, 1000, -32768, 32767], "<i2").tobytes()),
+              wav_blob(3, 2, 8_000, 32, np.array([0.5, -0.25, 1.0, 0.0], "<f4").tobytes())]
+VALID_SCG1 = (b"SCG1" + struct.pack("<IIId", 2, 3, 4, 16_000.0)
+              + np.array([1.0, 2.5], "<f8").tobytes() + np.arange(12, dtype="<f4").tobytes())
+
+
 @pytest.mark.filterwarnings("error")  # a warning escaping read_wav is not a typed error
 @settings(max_examples=300, deadline=None)
-@given(blob=riff_files())
+@given(blob=riff_files() | st.sampled_from(VALID_WAVS).flatmap(mutated))
 def test_mutated_wav_bytes_read_or_raise_only_typed_errors(tmp_path_factory, blob):
     path = tmp_path_factory.mktemp("wav") / "m.wav"
     path.write_bytes(blob)
@@ -313,3 +321,16 @@ def test_mutated_wav_bytes_read_or_raise_only_typed_errors(tmp_path_factory, blo
     assert signal.samples.size >= 1
     assert np.all(np.isfinite(signal.samples))
     assert signal.sample_rate > 0
+
+
+@settings(max_examples=150, deadline=None)
+@given(blob=mutated(VALID_SCG1))
+def test_mutated_valid_scg1_reads_or_raises_a_typed_error(tmp_path_factory, blob):
+    path = tmp_path_factory.getbasetemp() / "mutated.scg1"
+    path.write_bytes(blob)
+    try:
+        matrix = read_matrix_bin(path)
+    except WavehopError:
+        return
+    assert np.all(np.isfinite(matrix.values))
+    assert matrix.rows == matrix.scale_grid.count

@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -11,6 +12,7 @@ from scipy.signal import fftconvolve, firwin
 import wavehop
 
 from wavehop import (
+    CoefficientMatrix,
     CoefficientOverflow,
     EmptySignal,
     InvalidHop,
@@ -19,12 +21,18 @@ from wavehop import (
     IoFailure,
     MalformedRiff,
     NonFiniteSamples,
+    ScaleGrid,
     SignalBuffer,
     SynthSpec,
     UnsupportedEncoding,
     decimate,
+    read_matrix_bin,
     read_wav,
+    render,
     synthesize,
+    write_csv,
+    write_matrix_bin,
+    write_pgm,
     write_wav,
 )
 from wavehop.signal_io import _lowpass_taps
@@ -119,10 +127,6 @@ class TestReadWav:
         with pytest.raises(UnsupportedEncoding):
             read_wav(path)
 
-    def test_missing_file(self, tmp_path):
-        with pytest.raises(IoFailure):
-            read_wav(tmp_path / "absent.wav")
-
     @pytest.mark.parametrize("n,rate", [(1, 8000), (777, 16000), (16000, 44100)])
     def test_roundtrip_count_and_rate_from_reference_writer(self, tmp_path, n, rate):
         path = tmp_path / f"rt_{n}.wav"
@@ -187,6 +191,28 @@ class TestWriteWav:
         with pytest.raises(InvalidParameter):
             write_wav(SignalBuffer([0.0, 0.5], rate), path, encoding=encoding)
         assert not path.exists()
+
+
+# every function that reads or writes a file, as a function of the path alone
+FILE_CALLS = {
+    "read_wav": read_wav,
+    "read_matrix_bin": read_matrix_bin,
+    "write_wav": lambda path: write_wav(SignalBuffer([0.0, 0.5], 8000), path),
+    "write_matrix_bin": lambda path: write_matrix_bin(
+        CoefficientMatrix([[1j]], 1, 8000.0, ScaleGrid([1.0])), path),
+    "write_csv": lambda path: write_csv(np.eye(2), path),
+    "write_pgm": lambda path: write_pgm(render(np.eye(2)), path),
+}
+
+
+@pytest.mark.parametrize("where", ["directory", "missing"])
+@pytest.mark.parametrize("call", sorted(FILE_CALLS))
+def test_a_path_the_system_refuses_is_io_failure_naming_it(tmp_path, call, where):
+    """A directory, a missing file or a file in a missing directory: IoFailure, never OSError."""
+    path = tmp_path if where == "directory" else tmp_path / "absent" / "file"
+    with pytest.raises(IoFailure, match=f"^cannot (read|write) {re.escape(str(path))}: "):
+        FILE_CALLS[call](path)
+    assert where == "directory" or not path.parent.exists()
 
 
 class TestDecimate:

@@ -8,6 +8,7 @@ import sys
 import wave
 
 import numpy as np
+from hypothesis import strategies as st
 
 import wavehop
 
@@ -72,3 +73,29 @@ def run_wavehop(args, address_space=None):
     return subprocess.run([sys.executable, "-m", "wavehop", *args], env=child_env(),
                           capture_output=True, text=True,
                           preexec_fn=None if address_space is None else limit)
+
+
+# 4-byte words a file field may be overwritten with: float32 quiet and signalling NaN, +-inf
+# and the largest u32, beside any drawn bytes
+SPECIAL_WORDS = [struct.pack("<I", word)
+                 for word in (0x7FC00000, 0xFF950260, 0x7F800000, 0xFF800000, 0xFFFFFFFF)]
+
+
+@st.composite
+def mutated(draw, blob: bytes):
+    """``blob`` after one to four byte or 4-byte overwrites, truncations or appended bytes."""
+    blob = bytearray(blob)
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(["byte", "field", "truncate", "append"]))
+        if kind == "truncate":
+            del blob[draw(st.integers(0, len(blob))):]
+        elif kind == "append":
+            blob += draw(st.binary(min_size=1, max_size=16))
+        elif blob:
+            if kind == "byte":
+                blob[draw(st.integers(0, len(blob) - 1))] = draw(st.integers(0, 255))
+            else:  # at a multiple of 4, where the formats' fields and float32 values start
+                at = 4 * draw(st.integers(0, (len(blob) - 1) // 4))
+                blob[at:at + 4] = draw(st.sampled_from(SPECIAL_WORDS)
+                                       | st.binary(min_size=4, max_size=4))
+    return bytes(blob)
